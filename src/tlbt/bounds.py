@@ -33,7 +33,14 @@ import numpy as np
 from .balancing import ReducedModel, full_balancing_transform
 from .errors import DimensionError, SpectrumSeparationError, StabilityError
 from .gramians import GramianSet, mixed_gramian, reduced_gramian
-from .linalg import as_matrix, expm, solve_lyapunov, solve_sylvester, spectrum_separation
+from .linalg import (
+    _schur_form,
+    _solve_lyapunov,
+    _solve_sylvester,
+    as_matrix,
+    expm,
+    spectrum_separation,
+)
 
 __all__ = [
     "BoundReport",
@@ -122,16 +129,19 @@ class RemainderDiagnostics:
         return 2.0 * self.bound_cross + self.bound_obs + self.bound_reach
 
 
-def _check_hypotheses(a, a11) -> None:
-    for left, right, label in ((a11, a11, "Lambda(A11) and -Lambda(A11)"),
-                               (a, a11, "Lambda(A) and -Lambda(A11)")):
-        sep = spectrum_separation(left, right)
+def _check_hypotheses(s, a11):
+    """Check the bound's spectral hypotheses; ``s`` is the Schur form of
+    the full operator A. Returns the Schur form of A11."""
+    s11 = _schur_form(a11)
+    for sep, label in ((spectrum_separation(a11, a11), "Lambda(A11) and -Lambda(A11)"),
+                       (s.separation(s11), "Lambda(A) and -Lambda(A11)")):
         if not sep.is_separated:
             lam, mu = sep.worst_pair
             raise SpectrumSeparationError(
                 f"the error-bound hypothesis that {label} do not intersect fails: "
                 f"pair lambda={lam:.6g}, mu={mu:.6g} has |lambda + mu| = {sep.min_sum_abs:.3e}"
             )
+    return s11
 
 
 def _epsilon_from_radicand(radicand: float, scale: float) -> float:
@@ -174,8 +184,7 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
         raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
     if rom.r > sys.n:
         raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
-    a_std = sys.A if sys.E is None else np.linalg.solve(sys.E, sys.A)
-    _check_hypotheses(a_std, a11)
+    _check_hypotheses(sys._operator().schur, a11)
     if p_factor is not None:
         z = as_matrix(p_factor, "P factor")
         term_cpc = float(np.sum((sys.C @ z) ** 2))
@@ -213,23 +222,20 @@ def _balanced_partition(sys, gramians: GramianSet, r: int, tbar: float, cap: int
         raise DimensionError(f"Gramians of shape {gramians.P.shape} do not match n = {n}")
     q_eff = gramians.observability_weighted(sys.E)
     s, s_inv, sigma = full_balancing_transform(gramians.P, q_eff)
-    if sys.E is None:
-        a_std, b_std = sys.A, sys.B
-    else:
-        a_std = np.linalg.solve(sys.E, sys.A)
-        b_std = np.linalg.solve(sys.E, sys.B)
-    a_bal = s @ a_std @ s_inv
-    b_bal = s @ b_std
+    op = sys._operator()
+    a_bal = s @ op.a @ s_inv
+    b_bal = s @ op.b
     c_bal = sys.C @ s_inv
     a11 = a_bal[:r, :r]
-    _check_hypotheses(a_bal, a11)
+    s_bal = _schur_form(a_bal)
+    s11 = _check_hypotheses(s_bal, a11)
     phi = expm(a_bal, tbar)
     f_bal = phi @ b_bal
     g_bal = c_bal @ phi
     b1 = b_bal[:r, :]
     fr = expm(a11, tbar) @ b1
-    pr = solve_lyapunov(a11, fr @ fr.T - b1 @ b1.T)
-    pm = solve_sylvester(a_bal, a11, f_bal @ fr.T - b_bal @ b1.T)
+    pr = _solve_lyapunov(s11, fr @ fr.T - b1 @ b1.T)
+    pm = _solve_sylvester(s_bal, s11, f_bal @ fr.T - b_bal @ b1.T)
     return {
         "sigma": sigma,
         "A": a_bal,
@@ -356,19 +362,15 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int,
         raise ValueError(f"r must be in [1, {n}], got {r}")
     q_eff = gramians.observability_weighted(sys.E)
     s, s_inv, sigma = full_balancing_transform(gramians.P, q_eff)
-    if sys.E is None:
-        a_std, b_std = sys.A, sys.B
-    else:
-        a_std = np.linalg.solve(sys.E, sys.A)
-        b_std = np.linalg.solve(sys.E, sys.B)
-    ev = np.linalg.eigvals(a_std)
-    if np.any(ev.real >= 0):
+    op = sys._operator()
+    if np.any(op.schur.eigvals.real >= 0):
         raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
-    a_bal = s @ a_std @ s_inv
-    b_bal = s @ b_std
+    a_bal = s @ op.a @ s_inv
+    b_bal = s @ op.b
     a11 = a_bal[:r, :r]
-    _check_hypotheses(a_bal, a11)
-    pm = solve_sylvester(a_bal, a11, -b_bal @ b_bal[:r, :].T)
+    s_bal = _schur_form(a_bal)
+    s11 = _check_hypotheses(s_bal, a11)
+    pm = _solve_sylvester(s_bal, s11, -b_bal @ b_bal[:r, :].T)
     a21 = a_bal[r:, :r]
     b2 = b_bal[r:, :]
     pm2 = pm[r:, :]

@@ -18,6 +18,10 @@ matrix E the equations generalize to
 where the pair acting as Gramians is (P, E^T Q E); GramianSet stores the
 equation solutions P and Q and exposes the weighted observability matrix.
 
+Every equation is solved in standard form (E^-1 A, E^-1 B, C) on the
+system's memoized Schur record, which also holds F and G per horizon; Q
+comes from the standard-form solution Q_std as Q = E^-T Q_std E^-1.
+
 An independent Gauss-Legendre quadrature of the defining integrals is
 provided as a cross-check oracle for the Lyapunov route.
 """
@@ -30,7 +34,16 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionError, NotPsdError, StabilityError
-from .linalg import as_matrix, expm, solve_lyapunov, solve_sylvester, spd_factor
+from .linalg import (
+    _require_separated,
+    _schur_form,
+    _solve_lyapunov,
+    _solve_sylvester,
+    as_matrix,
+    expm,
+    solve_lyapunov,
+    spd_factor,
+)
 from .systems import StateSpaceSystem
 
 __all__ = [
@@ -80,15 +93,27 @@ class GramianSet:
         return e.T @ self.Q @ e
 
 
-def _require_hurwitz(a, label: str) -> None:
-    ev = np.linalg.eigvals(a)
-    bad = ev[ev.real >= 0]
+def _require_hurwitz(eigvals: np.ndarray, label: str) -> None:
+    bad = eigvals[eigvals.real >= 0]
     if bad.size:
         worst = bad[np.argmax(bad.real)]
         raise StabilityError(
             f"{label} must be Hurwitz for an unrestricted Gramian; found "
             f"{bad.size} eigenvalue(s) with Re >= 0, e.g. {worst:.6g}"
         )
+
+
+def _operator_label(sys: StateSpaceSystem) -> str:
+    return "A" if sys.E is None else "E^-1 A"
+
+
+def _check_horizon(tbar, allow_inf: bool = False) -> float:
+    tbar = float(tbar)
+    if allow_inf and tbar == math.inf:
+        return tbar
+    if not (tbar > 0 and math.isfinite(tbar)):
+        raise ValueError(f"tbar must be positive and finite, got {tbar}")
+    return tbar
 
 
 def _clamp_psd(x: np.ndarray, label: str, tol: float = 1e-10) -> np.ndarray:
@@ -109,13 +134,27 @@ def _clamp_psd(x: np.ndarray, label: str, tol: float = 1e-10) -> np.ndarray:
     return (y + y.T) / 2.0
 
 
-def _standard_form(sys: StateSpaceSystem):
-    """Return (A, B, C) of the equivalent system without a mass matrix."""
-    if sys.E is None:
-        return sys.A, sys.B, sys.C
-    a = np.linalg.solve(sys.E, sys.A)
-    b = np.linalg.solve(sys.E, sys.B)
-    return a, b, sys.C
+def _gramian_set(sys: StateSpaceSystem, w_p, w_q, horizon: float, factor_tol,
+                 horizon_data: HorizonData | None = None) -> GramianSet:
+    """Solve A_std P + P A_std^T = W_p on the system's Schur record and
+    A_std^T Q + Q A_std = W_q on a transient Schur form of A_std^T.
+
+    With a mass matrix the second solution is the standard-form Q_std,
+    and the generalized equation's Q = E^-T Q_std E^-1 is stored.
+    """
+    s = sys._operator().schur
+    _require_separated(s, s, "solve_lyapunov")
+    p = _clamp_psd(_solve_lyapunov(s, w_p), "P")
+    q = _solve_lyapunov(_schur_form(s.a.T, spectrum=False), w_q)
+    if sys.E is not None:
+        q = np.linalg.solve(sys.E.T, np.linalg.solve(sys.E.T, q).T)
+        q = (q + q.T) / 2.0
+    q = _clamp_psd(q, "Q")
+    gset = GramianSet(P=p, Q=q, horizon=horizon, horizon_data=horizon_data)
+    if factor_tol is not None:
+        gset.lowrank_P = spd_factor(p, factor_tol)
+        gset.lowrank_Q = spd_factor(q, factor_tol)
+    return gset
 
 
 def infinite_gramians(sys: StateSpaceSystem, factor_tol: float | None = None) -> GramianSet:
@@ -132,24 +171,9 @@ def infinite_gramians(sys: StateSpaceSystem, factor_tol: float | None = None) ->
     -------
     GramianSet with horizon = math.inf.
     """
-    at, bt, c = _standard_form(sys)
-    _require_hurwitz(at, "A" if sys.E is None else "E^-1 A")
-    p = _clamp_psd(solve_lyapunov(at, -bt @ bt.T), "P")
-    if sys.E is None:
-        q = solve_lyapunov(at.T, -c.T @ c)
-    else:
-        # Q of the generalized equation A^T Q E + E^T Q A + C^T C = 0 is the
-        # observability Gramian of the pair (A E^-1, C E^-1)
-        e_inv = np.linalg.inv(sys.E)
-        m = sys.A @ e_inv
-        ce = c @ e_inv
-        q = solve_lyapunov(m.T, -ce.T @ ce)
-    q = _clamp_psd(q, "Q")
-    gset = GramianSet(P=p, Q=q, horizon=math.inf)
-    if factor_tol is not None:
-        gset.lowrank_P = spd_factor(p, factor_tol)
-        gset.lowrank_Q = spd_factor(q, factor_tol)
-    return gset
+    op = sys._operator()
+    _require_hurwitz(op.schur.eigvals, _operator_label(sys))
+    return _gramian_set(sys, -op.b @ op.b.T, -op.c.T @ op.c, math.inf, factor_tol)
 
 
 def time_limited_gramians(sys: StateSpaceSystem, tbar: float, factor_tol: float | None = None) -> GramianSet:
@@ -158,37 +182,12 @@ def time_limited_gramians(sys: StateSpaceSystem, tbar: float, factor_tol: float 
     Solvable whenever Lambda(A) and -Lambda(A) do not overlap; stability
     is not required.
     """
-    tbar = float(tbar)
-    if not (tbar > 0 and math.isfinite(tbar)):
-        raise ValueError(f"tbar must be positive and finite, got {tbar}")
-    at, bt, c = _standard_form(sys)
-    phi = expm(at, tbar)
-    if sys.E is None:
-        f = phi @ bt
-        g = c @ phi
-        p = solve_lyapunov(at, f @ f.T - bt @ bt.T)
-        q = solve_lyapunov(at.T, g.T @ g - c.T @ c)
-    else:
-        f = sys.E @ phi @ bt
-        g = c @ phi
-        p = solve_lyapunov(at, (phi @ bt) @ (phi @ bt).T - bt @ bt.T)
-        e_inv = np.linalg.inv(sys.E)
-        m = sys.A @ e_inv
-        ce = c @ e_inv
-        ge = g @ e_inv
-        q = solve_lyapunov(m.T, ge.T @ ge - ce.T @ ce)
-    p = _clamp_psd(p, "P")
-    q = _clamp_psd(q, "Q")
-    gset = GramianSet(
-        P=p,
-        Q=q,
-        horizon=tbar,
-        horizon_data=HorizonData(tbar=tbar, F=f, G=g),
-    )
-    if factor_tol is not None:
-        gset.lowrank_P = spd_factor(p, factor_tol)
-        gset.lowrank_Q = spd_factor(q, factor_tol)
-    return gset
+    tbar = _check_horizon(tbar)
+    op = sys._operator()
+    f, g = op.propagators(tbar)
+    b, c = op.b, op.c
+    data = HorizonData(tbar=tbar, F=f if sys.E is None else sys.E @ f, G=g)
+    return _gramian_set(sys, f @ f.T - b @ b.T, g.T @ g - c.T @ c, tbar, factor_tol, data)
 
 
 def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> np.ndarray:
@@ -219,8 +218,8 @@ def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> n
 
 def gramian_quadrature_oracle(sys: StateSpaceSystem, tbar: float, panels: int = 64) -> np.ndarray:
     """Reachability Gramian over [0, tbar] by direct quadrature."""
-    at, bt, _ = _standard_form(sys)
-    return cross_gramian_quadrature(at, bt, at, bt, tbar, panels)
+    op = sys._operator()
+    return cross_gramian_quadrature(op.a, op.b, op.a, op.b, tbar, panels)
 
 
 def reduced_gramian(rom, tbar: float) -> np.ndarray:
@@ -229,6 +228,7 @@ def reduced_gramian(rom, tbar: float) -> np.ndarray:
     Solves A11 Pr + Pr A11^T + B1 B1^T - Fr Fr^T = 0 with
     Fr = e^(A11 tbar) B1.
     """
+    tbar = _check_horizon(tbar)
     a11 = as_matrix(rom.A11, "A11")
     b1 = as_matrix(rom.B1, "B1")
     fr = expm(a11, tbar) @ b1
@@ -239,20 +239,24 @@ def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
     """Cross Gramian int_0^tbar e^(A s) B B1^T e^(A11^T s) ds coupling a
     system and its reduced model, via the Sylvester route.
 
-    For a mass matrix E the integrand's left factor is e^(E^-1 A s) E^-1 B
-    and the result solves A X + E X A11^T + B B1^T - F Fr^T = 0.
+    ``tbar`` may be math.inf (both operators must then be Hurwitz). For a
+    mass matrix E the integrand's left factor is e^(E^-1 A s) E^-1 B and
+    the result solves A X + E X A11^T + B B1^T - F Fr^T = 0.
     """
+    tbar = _check_horizon(tbar, allow_inf=True)
     a11 = as_matrix(rom.A11, "A11")
     b1 = as_matrix(rom.B1, "B1")
     if b1.shape[1] != sys.m:
         raise DimensionError(f"B1 has {b1.shape[1]} columns but the system has m = {sys.m}")
-    at, bt, _ = _standard_form(sys)
-    f = expm(at, tbar) @ bt if math.isfinite(tbar) else None
-    fr = expm(a11, tbar) @ b1 if math.isfinite(tbar) else None
+    op = sys._operator()
+    s11 = _schur_form(a11)
     if math.isfinite(tbar):
-        w = f @ fr.T - bt @ b1.T
+        f, _ = op.propagators(tbar)
+        fr = expm(a11, tbar) @ b1
+        w = f @ fr.T - op.b @ b1.T
     else:
-        _require_hurwitz(at, "A" if sys.E is None else "E^-1 A")
-        _require_hurwitz(a11, "A11")
-        w = -bt @ b1.T
-    return solve_sylvester(at, a11, w)
+        _require_hurwitz(op.schur.eigvals, _operator_label(sys))
+        _require_hurwitz(s11.eigvals, "A11")
+        w = -op.b @ b1.T
+    _require_separated(op.schur, s11, "solve_sylvester")
+    return _solve_sylvester(op.schur, s11, w)

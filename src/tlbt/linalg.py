@@ -5,8 +5,15 @@ rank-revealing factorization of symmetric positive semidefinite matrices,
 and a spectrum-separation check that guards the solvers' uniqueness
 condition.
 
-Matrices are numpy float64 arrays in C (row-major) order. All functions
-are pure and keep no state, so they are safe to call concurrently.
+Every Sylvester/Lyapunov solve is Bartels-Stewart on real Schur forms;
+the triangular equation goes through a recursive blocked kernel (after
+Jonsson and Kagstrom's RECSY) whose leaves are LAPACK dtrsyl calls. The
+public solvers factor their arguments on every call. A system's operator
+is factored once and its Schur form kept on the system (see
+``systems``); the package's Gramian routines solve on that form.
+
+Matrices are numpy float64 arrays in C (row-major) order. The functions
+here keep no state, so they are safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -26,6 +33,10 @@ __all__ = [
     "spd_factor",
     "spectrum_separation",
 ]
+
+# the blocked Sylvester kernel hands diagonal blocks of at most this
+# order to LAPACK dtrsyl
+_TRSYL_BLOCK = 64
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -84,8 +95,10 @@ def spectrum_separation(a1, a2, tol: float | None = None) -> SpectrumSeparation:
     a2 = _square(a2, "A2")
     if tol is None:
         tol = 1e-8 * (np.linalg.norm(a1, 2) + np.linalg.norm(a2, 2))
-    lam = np.linalg.eigvals(a1)
-    mu = np.linalg.eigvals(a2)
+    return _separation(np.linalg.eigvals(a1), np.linalg.eigvals(a2), tol)
+
+
+def _separation(lam: np.ndarray, mu: np.ndarray, tol: float) -> SpectrumSeparation:
     sums = np.abs(lam[:, None] + mu[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
     min_sum = float(sums[i, j])
@@ -97,8 +110,49 @@ def spectrum_separation(a1, a2, tol: float | None = None) -> SpectrumSeparation:
     )
 
 
-def _require_separated(a1, a2, context: str) -> None:
-    sep = spectrum_separation(a1, a2)
+@dataclass(frozen=True)
+class _SchurForm:
+    """Real Schur form A = Z T Z^T of a square matrix.
+
+    ``eigvals`` are read off T's 1x1 and 2x2 diagonal blocks and
+    ``norm2`` is ||A||_2; both are None for a form built without its
+    spectrum.
+    """
+
+    a: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    eigvals: np.ndarray | None = None
+    norm2: float | None = None
+
+    def separation(self, other: "_SchurForm") -> SpectrumSeparation:
+        """Separation of Lambda(A) and -Lambda(other) at the default
+        tolerance 1e-8 * (||A||_2 + ||other||_2)."""
+        return _separation(self.eigvals, other.eigvals, 1e-8 * (self.norm2 + other.norm2))
+
+
+def _schur_form(a: np.ndarray, spectrum: bool = True) -> _SchurForm:
+    t, z = sla.schur(a, output="real")
+    t.flags.writeable = False
+    z.flags.writeable = False
+    if not spectrum:
+        return _SchurForm(a, t, z)
+    return _SchurForm(a, t, z, _schur_eigvals(t), float(np.linalg.norm(a, 2)))
+
+
+def _schur_eigvals(t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a standardized real Schur form: a 2x2 diagonal
+    block [[a, b], [c, a]] holds a +- i sqrt(|b| |c|)."""
+    lam = np.diag(t).astype(complex)
+    i = np.flatnonzero(np.diag(t, -1))
+    im = np.sqrt(np.abs(t[i, i + 1])) * np.sqrt(np.abs(t[i + 1, i]))
+    lam[i] += 1j * im
+    lam[i + 1] -= 1j * im
+    return lam
+
+
+def _require_separated(s1: _SchurForm, s2: _SchurForm, context: str) -> None:
+    sep = s1.separation(s2)
     if not sep.is_separated:
         lam, mu = sep.worst_pair
         raise SpectrumSeparationError(
@@ -124,6 +178,7 @@ def expm(a, t: float = 1.0) -> np.ndarray:
             f"matrix exponential overflowed for t = {t:g} (||A t||_2 = {np.linalg.norm(a * t, 2):.3e})"
         )
     return out
+
 
 
 def solve_sylvester(a1, a2, w) -> np.ndarray:
@@ -153,10 +208,10 @@ def solve_sylvester(a1, a2, w) -> np.ndarray:
         raise DimensionError(
             f"W must have shape {(a1.shape[0], a2.shape[0])} to match A1 and A2, got {w.shape}"
         )
-    _require_separated(a1, a2, "solve_sylvester")
-    x = sla.solve_sylvester(a1, a2.T, w)
-    _check_residual(a1 @ x + x @ a2.T - w, w, "solve_sylvester")
-    return x
+    s1 = _schur_form(a1)
+    s2 = _schur_form(a2)
+    _require_separated(s1, s2, "solve_sylvester")
+    return _solve_sylvester(s1, s2, w)
 
 
 def solve_lyapunov(a, w) -> np.ndarray:
@@ -172,11 +227,67 @@ def solve_lyapunov(a, w) -> np.ndarray:
     wnorm = np.linalg.norm(w)
     if np.linalg.norm(w - w.T) > 1e-10 * max(wnorm, 1e-300):
         raise ValueError("W must be symmetric")
-    _require_separated(a, a, "solve_lyapunov")
-    x = sla.solve_continuous_lyapunov(a, w)
-    x = (x + x.T) / 2.0
-    _check_residual(a @ x + x @ a.T - w, w, "solve_lyapunov")
+    s = _schur_form(a)
+    _require_separated(s, s, "solve_lyapunov")
+    return _solve_lyapunov(s, w)
+
+
+def _solve_sylvester(s1: _SchurForm, s2: _SchurForm, w: np.ndarray) -> np.ndarray:
+    """A1 X + X A2^T = W on the Schur forms of A1 and A2; the caller
+    checks separation. The products keep scipy's association order, so
+    for n, r <= 64 the result is bit-identical to scipy's solver."""
+    f = np.dot(np.dot(s1.z.T, w), s2.z)
+    y = _trsyl(s1.t, s2.t, f, "solve_sylvester")
+    x = np.dot(np.dot(s1.z, y), s2.z.T)
+    _check_residual(s1.a @ x + x @ s2.a.T - w, w, "solve_sylvester")
     return x
+
+
+def _solve_lyapunov(s: _SchurForm, w: np.ndarray) -> np.ndarray:
+    """A X + X A^T = W on the Schur form of A, symmetrized; the caller
+    checks separation. Bit-identical to scipy's solver for n <= 64."""
+    f = s.z.T.dot(w.dot(s.z))
+    y = _trsyl(s.t, s.t, f, "solve_lyapunov")
+    x = s.z.dot(y).dot(s.z.T)
+    x = (x + x.T) / 2.0
+    _check_residual(s.a @ x + x @ s.a.T - w, w, "solve_lyapunov")
+    return x
+
+
+def _trsyl(t1: np.ndarray, t2: np.ndarray, f: np.ndarray, context: str) -> np.ndarray:
+    """Solve T1 Y + Y T2^T = F for upper quasi-triangular T1 and T2.
+
+    Recursive blocked Bartels-Stewart: split the larger dimension between
+    diagonal blocks, solve the trailing part, fold it into the leading
+    right-hand side with one matmul, then solve the leading part. Blocks
+    of order at most _TRSYL_BLOCK go to LAPACK dtrsyl.
+    """
+    n, r = f.shape
+    if n <= _TRSYL_BLOCK and r <= _TRSYL_BLOCK:
+        y, scale, info = sla.lapack.dtrsyl(t1, t2, f, tranb="T")
+        if info < 0:
+            raise ValueError(f"{context}: dtrsyl rejected its argument {-info}")
+        if info == 1 or scale != 1.0:
+            raise ArithmeticError(
+                f"{context}: dtrsyl perturbed the triangular equation (info = {info}, "
+                f"scale = {scale:.3e}); the spectra are too close or the solution overflows"
+            )
+        return y
+    if n >= r:
+        k = _split(t1)
+        y2 = _trsyl(t1[k:, k:], t2, f[k:], context)
+        y1 = _trsyl(t1[:k, :k], t2, f[:k] - t1[:k, k:] @ y2, context)
+        return np.vstack((y1, y2))
+    k = _split(t2)
+    y2 = _trsyl(t1, t2[k:, k:], f[:, k:], context)
+    y1 = _trsyl(t1, t2[:k, :k], f[:, :k] - y2 @ t2[:k, k:].T, context)
+    return np.hstack((y1, y2))
+
+
+def _split(t: np.ndarray) -> int:
+    """Midpoint of a quasi-triangular T, moved past a 2x2 block it would cut."""
+    k = t.shape[0] // 2
+    return k + 1 if t[k, k - 1] != 0.0 else k
 
 
 def _check_residual(res, w, context: str, tol: float = 1e-10) -> None:

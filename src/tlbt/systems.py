@@ -1,22 +1,30 @@
 """State-space models, model generators, and input signals.
 
 A system is x' = A x + B u, y = C x, optionally with a nonsingular mass
-matrix E on the left of x'. Systems are immutable after construction
-(their arrays are marked read-only), so they can be shared freely across
-threads.
+matrix E on the left of x'. A system's matrices are immutable after
+construction (its arrays are marked read-only).
+
+Each system memoizes, on first use, one record of its standard-form
+operator A_std = E^-1 A: the real Schur form (T, Z) of A_std, two n x n
+arrays (with a mass matrix also A_std itself and the n x m B_std), and
+per horizon tbar the n x m block e^(A_std tbar) B_std and the p x n block
+C e^(A_std tbar). Every entry is a deterministic function of the system
+and the horizon, built once under a lock, so systems can still be shared
+freely across threads.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mmio
 from .errors import DimensionError
-from .linalg import as_matrix
+from .linalg import _schur_form, as_matrix, expm
 
 __all__ = [
     "StateSpaceSystem",
@@ -29,6 +37,9 @@ __all__ = [
 
 # E is accepted as nonsingular when its condition estimate stays below 1/_E_COND_TOL
 _E_COND_TOL = 1e-12
+
+# guards building the operator records and their horizon entries
+_RECORD_LOCK = threading.Lock()
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -85,6 +96,48 @@ class StateSpaceSystem:
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    def _operator(self) -> "_OperatorRecord":
+        """The memoized record of this system's standard-form operator."""
+        with _RECORD_LOCK:
+            rec = self.__dict__.get("_record")
+            if rec is None:
+                rec = _OperatorRecord(self)
+                object.__setattr__(self, "_record", rec)
+            return rec
+
+
+class _OperatorRecord:
+    """Standard-form operator of one system, factored once.
+
+    ``a``/``b`` are A_std = E^-1 A and B_std = E^-1 B (the system's own A
+    and B without a mass matrix), ``schur`` the real Schur form of A_std
+    with its eigenvalues and 2-norm.
+    """
+
+    def __init__(self, sys: StateSpaceSystem):
+        if sys.E is None:
+            self.a, self.b = sys.A, sys.B
+        else:
+            self.a = np.linalg.solve(sys.E, sys.A)
+            self.b = np.linalg.solve(sys.E, sys.B)
+            self.a.flags.writeable = False
+            self.b.flags.writeable = False
+        self.c = sys.C
+        self.schur = _schur_form(self.a)
+        self._horizons: dict = {}
+
+    def propagators(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
+        """F = e^(A_std tbar) B_std and G = C e^(A_std tbar); the n x n
+        exponential itself is not kept."""
+        with _RECORD_LOCK:
+            if tbar not in self._horizons:
+                phi = expm(self.a, tbar)
+                f, g = phi @ self.b, self.c @ phi
+                f.flags.writeable = False
+                g.flags.writeable = False
+                self._horizons[tbar] = (f, g)
+            return self._horizons[tbar]
 
 
 def load_system(manifest, name: str | None = None) -> StateSpaceSystem:

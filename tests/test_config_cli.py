@@ -288,3 +288,29 @@ class TestSweep:
         assert run_cli("sweep", "--model", "gen:8,8,8", "--axis", "tbar",
                        "--values", "0.2,0.4", "--out", tmp_path) == 2
         assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_one_schur_pair_and_one_expm_per_command(command, tmp_path, monkeypatch):
+    import scipy.linalg
+
+    schur, expm = scipy.linalg.schur, scipy.linalg.expm
+    factored, exponentiated = [], []
+
+    def counting_schur(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return schur(a, *args, **kwargs)
+
+    def counting_expm(a, *args, **kwargs):
+        exponentiated.append(np.shape(a))
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    assert run_cli(command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
+                   "--out", tmp_path) == 0
+    full = [a for a in factored if a.shape == (80, 80)]
+    a = generate_heat_model(80, 7, 6).A
+    assert len(full) == 2
+    assert np.array_equal(full[0], a) and np.array_equal(full[1], a.T)
+    assert exponentiated.count((80, 80)) == 1

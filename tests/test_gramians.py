@@ -1,4 +1,6 @@
 import math
+import sys as sys_module
+import threading
 
 import numpy as np
 import pytest
@@ -219,3 +221,71 @@ def test_observability_is_dual_reachability(n, seed):
     q = time_limited_gramians(sys, tbar).Q
     p_dual = time_limited_gramians(dual, tbar).P
     assert np.linalg.norm(q - p_dual) <= 1e-10 * max(1.0, np.linalg.norm(q))
+
+
+@pytest.fixture
+def heat_rom():
+    sys = generate_heat_model(6, 2, 2)
+    gset = time_limited_gramians(sys, 0.5)
+    return sys, truncate(sys, balance(gset, sys, r=3))
+
+
+class TestHorizonValidation:
+    def test_mixed_rejects_nan(self, heat_rom):
+        sys, rom = heat_rom
+        with pytest.raises(ValueError, match="tbar must be positive and finite, got nan"):
+            mixed_gramian(sys, rom, math.nan)
+
+    def test_mixed_rejects_negative(self, heat_rom):
+        sys, rom = heat_rom
+        with pytest.raises(ValueError, match="tbar must be positive and finite, got -0.5"):
+            mixed_gramian(sys, rom, -0.5)
+
+    def test_reduced_rejects_negative(self, heat_rom):
+        _, rom = heat_rom
+        with pytest.raises(ValueError, match="tbar must be positive and finite, got -0.5"):
+            reduced_gramian(rom, -0.5)
+
+    def test_mixed_accepts_infinity(self, heat_rom):
+        sys, rom = heat_rom
+        pm = mixed_gramian(sys, rom, math.inf)
+        resid = sys.A @ pm + pm @ rom.A11.T + sys.B @ rom.B1.T
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(sys.B @ rom.B1.T)
+
+
+def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
+    import scipy.linalg
+
+    sys = rand_stable(40, 3, 2, np.random.default_rng(8))
+    schur = scipy.linalg.schur
+    factored = []
+
+    def counting_schur(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(k):
+        start.wait(timeout=10)
+        results[k] = time_limited_gramians(sys, 0.7)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for other in results[1:]:
+        assert np.array_equal(other.P, results[0].P)
+        assert np.array_equal(other.Q, results[0].Q)
+    # one shared Schur form of A, and one transient form of A^T per call
+    assert factored.count((40, 40)) == 1 + workers

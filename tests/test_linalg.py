@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
+import tlbt.linalg
 from tlbt.errors import DimensionError, NotPsdError, SpectrumSeparationError
 from tlbt.linalg import (
+    _trsyl,
     expm,
     solve_lyapunov,
     solve_sylvester,
@@ -169,3 +173,112 @@ def test_separation_nonnegative_and_threshold():
     sep = spectrum_separation(np.diag([-1.0, -2.0]), np.diag([-4.0]), tol=6.0)
     assert sep.min_sum_abs >= 0
     assert not sep.is_separated
+
+
+# blocked Bartels-Stewart kernel
+
+def _rand_complex_stable(n, rng):
+    """Random stable matrix whose spectrum has complex pairs."""
+    a = rng.standard_normal((n, n)) / math.sqrt(n) - 2.0 * np.eye(n)
+    assert np.any(np.linalg.eigvals(a).imag != 0)
+    return a
+
+
+def _quasi_triangular(n, blocks, rng):
+    """Upper quasi-triangular matrix in standardized real Schur form with
+    2x2 diagonal blocks [[a, b], [c, a]] (b c < 0) starting at ``blocks``."""
+    t = np.triu(rng.standard_normal((n, n))) / math.sqrt(n)
+    t[np.diag_indices(n)] = -rng.uniform(1.0, 3.0, size=n)
+    for i in blocks:
+        t[i + 1, i + 1] = t[i, i]
+        t[i, i + 1] = rng.uniform(0.5, 2.0)
+        t[i + 1, i] = -rng.uniform(0.5, 2.0)
+    return t
+
+
+@pytest.mark.parametrize("n", [1, 7, 33, 64])
+def test_lyapunov_bitwise_equal_to_scipy_up_to_64(n):
+    rng = np.random.default_rng(n)
+    a = _rand_complex_stable(n, rng) if n > 1 else np.array([[-1.5]])
+    g = rng.standard_normal((n, n))
+    w = g + g.T
+    ref = sla.solve_continuous_lyapunov(a, w)
+    assert np.array_equal(solve_lyapunov(a, w), (ref + ref.T) / 2.0)
+    ref_t = sla.solve_continuous_lyapunov(a.T, w)
+    assert np.array_equal(solve_lyapunov(a.T, w), (ref_t + ref_t.T) / 2.0)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (7, 3), (40, 9), (64, 64)])
+def test_sylvester_bitwise_equal_to_scipy_up_to_64(n, r):
+    rng = np.random.default_rng(100 * n + r)
+    a1 = _rand_complex_stable(n, rng) if n > 1 else np.array([[-1.5]])
+    a2 = _rand_complex_stable(r, rng) if r > 1 else np.array([[-0.5]])
+    w = rng.standard_normal((n, r))
+    assert np.array_equal(solve_sylvester(a1, a2, w), sla.solve_sylvester(a1, a2.T, w))
+
+
+@pytest.mark.parametrize("n", [65, 130, 257])
+def test_blocked_lyapunov_matches_scipy(n):
+    rng = np.random.default_rng(n)
+    a = _rand_complex_stable(n, rng)
+    g = rng.standard_normal((n, n))
+    w = g + g.T
+    for op in (a, a.T):  # A^T is the observability (Q) equation
+        x = solve_lyapunov(op, w)
+        assert np.linalg.norm(op @ x + x @ op.T - w) <= 1e-10 * np.linalg.norm(w)
+        ref = sla.solve_continuous_lyapunov(op, w)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n, r", [(130, 9), (257, 9), (65, 130)])
+def test_blocked_sylvester_matches_scipy(n, r):
+    rng = np.random.default_rng(n + r)
+    a1 = _rand_complex_stable(n, rng)
+    a2 = _rand_complex_stable(r, rng)
+    w = rng.standard_normal((n, r))
+    x = solve_sylvester(a1, a2, w)
+    assert np.linalg.norm(a1 @ x + x @ a2.T - w) <= 1e-10 * np.linalg.norm(w)
+    ref = sla.solve_sylvester(a1, a2.T, w)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_blocked_kernel_never_splits_a_2x2_block():
+    n = 130
+    rng = np.random.default_rng(7)
+    # 2x2 blocks straddle the midpoint 65 and the next split points
+    t = _quasi_triangular(n, [64, 31, 97, 10], rng)
+    assert t[n // 2, n // 2 - 1] != 0.0
+    f = rng.standard_normal((n, n))
+    y = _trsyl(t, t, f, "test")
+    assert np.linalg.norm(t @ y + y @ t.T - f) <= 1e-12 * np.linalg.norm(f)
+    ref, scale, info = sla.lapack.dtrsyl(t, t, f, tranb="T")
+    assert (scale, info) == (1.0, 0)
+    assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_mirrored_pair_message_is_unchanged():
+    expected = ("solve_lyapunov: eigenvalue pair lambda=2+0j, mu=-2+0j has |lambda + mu| = "
+                "0.000e+00 <= tolerance 4.000e-08; the equation has no unique solution")
+    with pytest.raises(SpectrumSeparationError, match=f"^{re.escape(expected)}$"):
+        solve_lyapunov(np.diag([2.0, -1.0, -2.0]), np.eye(3))
+    expected = ("solve_sylvester: eigenvalue pair lambda=-1+3j, mu=1-3j has |lambda + mu| = "
+                "0.000e+00 <= tolerance 6.325e-08; the equation has no unique solution")
+    with pytest.raises(SpectrumSeparationError, match=f"^{re.escape(expected)}$"):
+        solve_sylvester([[-1.0, 3.0], [-3.0, -1.0]], [[1.0, -3.0], [3.0, 1.0]], np.ones((2, 2)))
+
+
+def test_kernel_rejects_a_perturbed_solve():
+    # |a + b| = 0: dtrsyl perturbs the pivot and reports info = 1
+    with pytest.raises(ArithmeticError, match="solve_lyapunov: dtrsyl perturbed"):
+        _trsyl(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]), "solve_lyapunov")
+    # the solution 1e300 / 2e-200 overflows: dtrsyl scales it down
+    with pytest.raises(ArithmeticError, match="scale = "):
+        _trsyl(np.array([[1e-200]]), np.array([[1e-200]]), np.array([[1e300]]), "solve_sylvester")
+
+
+def test_kernel_reports_an_illegal_argument(monkeypatch):
+    def bad_trsyl(a, b, c, **kwargs):
+        return np.zeros_like(c), 1.0, -3
+    monkeypatch.setattr(tlbt.linalg.sla.lapack, "dtrsyl", bad_trsyl)
+    with pytest.raises(ValueError, match="argument 3"):
+        solve_lyapunov([[-1.0]], [[1.0]])
