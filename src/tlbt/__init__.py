@@ -29,7 +29,6 @@ from .errors import (
 )
 from .gramians import (
     GramianSet,
-    HorizonData,
     cross_gramian_quadrature,
     gramian_quadrature_oracle,
     infinite_gramians,
@@ -63,7 +62,6 @@ __all__ = [
     "DimensionError",
     "ExperimentConfig",
     "GramianSet",
-    "HorizonData",
     "InputSignal",
     "NotPsdError",
     "ReducedModel",

@@ -1,15 +1,16 @@
 """Square-root balancing and truncation.
 
-Given Gramian factors P ~= Zp Zp^T and Q ~= Zq Zq^T, the singular value
-decomposition U S V^T = Zq^T E Zp (E = I without a mass matrix) yields
-the truncation projectors
+Given the standard-form Gramian factors P ~= Zp Zp^T and Q ~= Zq Zq^T of
+a :class:`GramianSet`, the singular value decomposition U S V^T = Zq^T Zp
+yields the truncation projectors
 
     W = Zq U_r S_r^(-1/2),    V = Zp V_r S_r^(-1/2),
 
-with W^T E V = I_r, and the reduced model (W^T A V, W^T B, C V). The
-singular values are the (time-limited) Hankel singular values. For
-verification the full balancing transform S = S^(-1/2) U^T Zq^T E,
-S^-1 = Zp V S^(-1/2) is available when both Gramians have full rank.
+with W^T V = I_r, and the reduced model (W^T A V, W^T B, C V) of the
+standard form (A, B, C) = (E^-1 A, E^-1 B, C). The singular values are
+the (time-limited) Hankel singular values. For verification,
+:func:`full_balancing_transform` builds the dense transform S with
+S P S^T = S^-T Q S^-1 = diag(sigma) from positive definite Gramians.
 """
 from __future__ import annotations
 
@@ -35,9 +36,6 @@ __all__ = [
 # singular values below this relative cutoff are treated as rank-deficient
 _SIGMA_RTOL = 1e-14
 
-# full transforms are a verification device; refuse silly dimensions
-DEFAULT_FULL_TRANSFORM_CAP = 500
-
 
 @dataclass(frozen=True)
 class BalancingResult:
@@ -45,8 +43,7 @@ class BalancingResult:
 
     ``singular_values`` holds the full computed spectrum (length n_hat,
     the numerical rank of the Gramian product); ``V`` and ``W`` are the
-    n x r truncation bases. ``S``/``S_inv`` are only set when a full
-    balancing transform was requested.
+    n x r truncation bases.
     """
 
     singular_values: np.ndarray
@@ -54,8 +51,6 @@ class BalancingResult:
     W: np.ndarray
     horizon: float
     r: int
-    S: np.ndarray | None = None
-    S_inv: np.ndarray | None = None
 
     @property
     def n_hat(self) -> int:
@@ -86,30 +81,18 @@ class ReducedModel:
         )
 
 
-def balance(
-    gramians: GramianSet,
-    sys: StateSpaceSystem,
-    r: int | None = None,
-    factor_tol: float = 1e-12,
-    full_transform: bool = False,
-    full_transform_cap: int = DEFAULT_FULL_TRANSFORM_CAP,
-) -> BalancingResult:
+def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -> BalancingResult:
     """Square-root balancing of a system against a Gramian pair.
 
     Parameters
     ----------
     gramians : GramianSet
         Pair produced by :func:`tlbt.gramians.infinite_gramians` or
-        :func:`tlbt.gramians.time_limited_gramians` for ``sys``.
+        :func:`tlbt.gramians.time_limited_gramians` for ``sys``; its
+        factors are used as they are.
     sys : StateSpaceSystem
     r : int, optional
         Truncation order; defaults to the numerical rank n_hat.
-    factor_tol : float
-        Eigenvalue cutoff for factoring the Gramians when the set does
-        not already carry low-rank factors.
-    full_transform : bool
-        Also build the dense balancing transform (verification mode);
-        requires full-rank Gramians and n <= full_transform_cap.
 
     Returns
     -------
@@ -118,26 +101,21 @@ def balance(
     Raises
     ------
     ValueError
-        For r > n_hat (the message reports n_hat) or rank-deficient
-        input in full-transform mode.
+        For r > n_hat (the message reports n_hat) or a degenerate pair.
     """
     n = sys.n
     if gramians.P.shape != (n, n) or gramians.Q.shape != (n, n):
         raise DimensionError(
             f"Gramians of shape {gramians.P.shape} do not match the system dimension {n}"
         )
-    zp = gramians.lowrank_P if gramians.lowrank_P is not None else spd_factor(gramians.P, factor_tol)
-    zq = gramians.lowrank_Q if gramians.lowrank_Q is not None else spd_factor(gramians.Q, factor_tol)
+    zp, zq = gramians.lowrank_P, gramians.lowrank_Q
     if zp.shape[1] == 0 or zq.shape[1] == 0:
         raise ValueError("degenerate Gramian pair: a Gramian factor has rank 0")
-    core = zq.T @ sys.E @ zp if sys.E is not None else zq.T @ zp
-    u, sigma, vt = np.linalg.svd(core, full_matrices=False)
+    u, sigma, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
     n_hat = int(np.count_nonzero(sigma > _SIGMA_RTOL * sigma[0])) if sigma.size else 0
     if n_hat == 0:
         raise ValueError("degenerate Gramian pair: all singular values are numerically zero")
     sigma = sigma[:n_hat]
-    u = u[:, :n_hat]
-    vt = vt[:n_hat, :]
     if r is None:
         r = n_hat
     if not (1 <= r <= n_hat):
@@ -145,43 +123,7 @@ def balance(
     scale = 1.0 / np.sqrt(sigma[:r])
     w = zq @ (u[:, :r] * scale)
     v = zp @ (vt[:r, :].T * scale)
-    s = s_inv = None
-    if full_transform:
-        if n > full_transform_cap:
-            raise ValueError(
-                f"full transforms are capped at n = {full_transform_cap} (got n = {n}); "
-                "raise full_transform_cap explicitly if this is intended"
-            )
-        if n_hat < n or zp.shape[1] < n or zq.shape[1] < n:
-            raise ValueError(
-                f"full balancing transform needs full-rank Gramians (numerical rank {n_hat} < n = {n}); "
-                "use the projection form (full_transform=False) instead"
-            )
-        s, s_inv = _assemble_transform(zp, zq, sys.E, u, sigma, vt)
-    return BalancingResult(
-        singular_values=sigma,
-        V=v,
-        W=w,
-        horizon=gramians.horizon,
-        r=r,
-        S=s,
-        S_inv=s_inv,
-    )
-
-
-def _assemble_transform(zp, zq, e, u, sigma, vt):
-    n = zp.shape[0]
-    scale = 1.0 / np.sqrt(sigma)
-    zqe = zq.T @ e if e is not None else zq.T
-    s = (scale[:, None] * u.T) @ zqe
-    s_inv = zp @ (vt.T * scale)
-    err = np.linalg.norm(s @ s_inv - np.eye(n))
-    if err > 1e-8 * math.sqrt(n):
-        raise ArithmeticError(
-            f"balancing transform failed the identity check: ||S S^-1 - I|| = {err:.3e}; "
-            "the Gramian pair is too ill-conditioned for a dense transform"
-        )
-    return s, s_inv
+    return BalancingResult(singular_values=sigma, V=v, W=w, horizon=gramians.horizon, r=r)
 
 
 def full_balancing_transform(p, q, factor_tol: float = 1e-12):
@@ -195,9 +137,13 @@ def full_balancing_transform(p, q, factor_tol: float = 1e-12):
     q = as_matrix(q, "Q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise DimensionError(f"P and Q must be square with equal shapes, got {p.shape} and {q.shape}")
-    n = p.shape[0]
-    zp = spd_factor(p, factor_tol)
-    zq = spd_factor(q, factor_tol)
+    return _balancing_transform(spd_factor(p, factor_tol), spd_factor(q, factor_tol))
+
+
+def _balancing_transform(zp: np.ndarray, zq: np.ndarray):
+    """:func:`full_balancing_transform` from the rank-revealing factors
+    of P and Q."""
+    n = zp.shape[0]
     if zp.shape[1] < n or zq.shape[1] < n:
         raise ValueError(
             f"P and Q must be positive definite (numerical ranks {zp.shape[1]}, {zq.shape[1]} < n = {n}); "
@@ -206,19 +152,29 @@ def full_balancing_transform(p, q, factor_tol: float = 1e-12):
     u, sigma, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
     if sigma[-1] <= _SIGMA_RTOL * sigma[0]:
         raise ValueError("Gramian product is numerically rank deficient; use balance() instead")
-    s, s_inv = _assemble_transform(zp, zq, None, u, sigma, vt)
+    scale = 1.0 / np.sqrt(sigma)
+    s = (scale[:, None] * u.T) @ zq.T
+    s_inv = zp @ (vt.T * scale)
+    err = np.linalg.norm(s @ s_inv - np.eye(n))
+    if err > 1e-8 * math.sqrt(n):
+        raise ArithmeticError(
+            f"balancing transform failed the identity check: ||S S^-1 - I|| = {err:.3e}; "
+            "the Gramian pair is too ill-conditioned for a dense transform"
+        )
     return s, s_inv, sigma
 
 
 def truncate(sys: StateSpaceSystem, bal: BalancingResult) -> ReducedModel:
-    """Petrov-Galerkin reduction (W^T A V, W^T B, C V) of order bal.r."""
+    """Petrov-Galerkin reduction (W^T A V, W^T B, C V) of order bal.r of
+    the standard form (A, B, C) = (E^-1 A, E^-1 B, C)."""
     if bal.V.shape[0] != sys.n:
         raise DimensionError(
             f"balancing bases have {bal.V.shape[0]} rows but the system dimension is {sys.n}"
         )
+    op = sys._operator()
     return ReducedModel(
-        A11=bal.W.T @ sys.A @ bal.V,
-        B1=bal.W.T @ sys.B,
+        A11=bal.W.T @ op.a @ bal.V,
+        B1=bal.W.T @ op.b,
         C1=sys.C @ bal.V,
         r=bal.r,
         horizon=bal.horizon,

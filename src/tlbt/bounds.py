@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balancing import ReducedModel, full_balancing_transform
+from .balancing import ReducedModel, _balancing_transform
 from .errors import DimensionError, SpectrumSeparationError, StabilityError
 from .gramians import GramianSet, mixed_gramian, reduced_gramian
 from .linalg import (
@@ -207,9 +207,10 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
     )
 
 
-def _balanced_partition(sys, gramians: GramianSet, r: int, tbar: float, cap: int):
-    """Balanced realization, horizon propagators, and the reduced/mixed
-    Gramians evaluated in balanced coordinates."""
+def _balanced_realization(sys, gramians: GramianSet, r: int, cap: int) -> dict:
+    """Balanced realization (A, B, C) of the standard form, the balanced
+    singular values, and the Schur forms of A and of its leading r x r
+    block A11, whose spectral hypotheses are checked."""
     n = sys.n
     if n > cap:
         raise ValueError(
@@ -220,34 +221,37 @@ def _balanced_partition(sys, gramians: GramianSet, r: int, tbar: float, cap: int
         raise ValueError(f"r must be in [1, {n}], got {r}")
     if gramians.P.shape != (n, n):
         raise DimensionError(f"Gramians of shape {gramians.P.shape} do not match n = {n}")
-    q_eff = gramians.observability_weighted(sys.E)
-    s, s_inv, sigma = full_balancing_transform(gramians.P, q_eff)
+    s, s_inv, sigma = _balancing_transform(gramians.lowrank_P, gramians.lowrank_Q)
     op = sys._operator()
     a_bal = s @ op.a @ s_inv
-    b_bal = s @ op.b
-    c_bal = sys.C @ s_inv
-    a11 = a_bal[:r, :r]
     s_bal = _schur_form(a_bal)
-    s11 = _check_hypotheses(s_bal, a11)
-    phi = expm(a_bal, tbar)
-    f_bal = phi @ b_bal
-    g_bal = c_bal @ phi
-    b1 = b_bal[:r, :]
-    fr = expm(a11, tbar) @ b1
-    pr = _solve_lyapunov(s11, fr @ fr.T - b1 @ b1.T)
-    pm = _solve_sylvester(s_bal, s11, f_bal @ fr.T - b_bal @ b1.T)
     return {
         "sigma": sigma,
         "A": a_bal,
-        "B": b_bal,
-        "C": c_bal,
-        "F": f_bal,
-        "G": g_bal,
-        "Fr": fr,
-        "Pr": pr,
-        "PM": pm,
+        "B": s @ op.b,
+        "C": sys.C @ s_inv,
+        "schur": s_bal,
+        "schur11": _check_hypotheses(s_bal, a_bal[:r, :r]),
         "r": r,
     }
+
+
+def _balanced_partition(sys, gramians: GramianSet, r: int, tbar: float, cap: int) -> dict:
+    """The balanced realization plus its horizon propagators F and G and
+    the reduced and mixed Gramians Pr, PM in balanced coordinates."""
+    d = _balanced_realization(sys, gramians, r, cap)
+    phi = expm(d["A"], tbar)
+    b1 = d["B"][:r, :]
+    fr = expm(d["A"][:r, :r], tbar) @ b1
+    f_bal = phi @ d["B"]
+    d.update(
+        F=f_bal,
+        G=d["C"] @ phi,
+        Fr=fr,
+        Pr=_solve_lyapunov(d["schur11"], fr @ fr.T - b1 @ b1.T),
+        PM=_solve_sylvester(d["schur"], d["schur11"], f_bal @ fr.T - d["B"] @ b1.T),
+    )
+    return d
 
 
 def _remainder_terms(d):
@@ -355,26 +359,15 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int,
     """
     if math.isfinite(gramians.horizon):
         raise ValueError("the unrestricted H2 bound needs Gramians with horizon = inf")
-    n = sys.n
-    if n > cap:
-        raise ValueError(f"balanced-coordinates verification is capped at n = {cap} (got n = {n})")
-    if not (1 <= r <= n):
-        raise ValueError(f"r must be in [1, {n}], got {r}")
-    q_eff = gramians.observability_weighted(sys.E)
-    s, s_inv, sigma = full_balancing_transform(gramians.P, q_eff)
-    op = sys._operator()
-    if np.any(op.schur.eigvals.real >= 0):
+    if np.any(sys._operator().schur.eigvals.real >= 0):
         raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
-    a_bal = s @ op.a @ s_inv
-    b_bal = s @ op.b
-    a11 = a_bal[:r, :r]
-    s_bal = _schur_form(a_bal)
-    s11 = _check_hypotheses(s_bal, a11)
-    pm = _solve_sylvester(s_bal, s11, -b_bal @ b_bal[:r, :].T)
-    a21 = a_bal[r:, :r]
+    d = _balanced_realization(sys, gramians, r, cap)
+    b_bal = d["B"]
+    pm = _solve_sylvester(d["schur"], d["schur11"], -b_bal @ b_bal[:r, :].T)
+    a21 = d["A"][r:, :r]
     b2 = b_bal[r:, :]
     pm2 = pm[r:, :]
-    return float(np.sum(sigma[r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
+    return float(np.sum(d["sigma"][r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
 
 
 def hinf_error_sampled(sys, rom: ReducedModel, frequencies) -> float:
@@ -383,12 +376,12 @@ def hinf_error_sampled(sys, rom: ReducedModel, frequencies) -> float:
     freqs = np.asarray(frequencies, dtype=float).ravel()
     if freqs.size == 0:
         raise ValueError("frequency sample is empty")
-    e = sys.E if sys.E is not None else np.eye(sys.n)
-    eye_r = np.eye(rom.r)
+    op = sys._operator()
+    eye_n, eye_r = np.eye(sys.n), np.eye(rom.r)
     worst = 0.0
     for w in freqs:
         try:
-            h_full = sys.C @ np.linalg.solve(1j * w * e - sys.A, sys.B)
+            h_full = sys.C @ np.linalg.solve(1j * w * eye_n - op.a, op.b)
             h_rom = rom.C1 @ np.linalg.solve(1j * w * eye_r - rom.A11, rom.B1)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"shifted pencil is singular at frequency w = {w:g}") from exc

@@ -44,34 +44,31 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_json(path: str, data: dict) -> None:
-    _atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _atomic_write_matrix(path: str, a, comment: str | None = None) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Run ``write(tmp)`` on a temporary file in the destination
+    directory, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     os.close(fd)
     try:
-        write_matrix(tmp, a, comment)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: str, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
+
+
+def _atomic_write_json(path: str, data: dict) -> None:
+    _atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def parse_model(spec: str):
@@ -155,7 +152,8 @@ def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
     files = []
     for name, mat in (("rom_A", rom.A11), ("rom_B", rom.B1), ("rom_C", rom.C1)):
         path = os.path.join(out, name + ".mtx")
-        _atomic_write_matrix(path, mat, f"order-{rom.r} reduced model, horizon {_fmt(rom.horizon)}")
+        comment = f"order-{rom.r} reduced model, horizon {_fmt(rom.horizon)}"
+        _atomic_write(path, lambda tmp: write_matrix(tmp, mat, comment))
         files.append(path)
     manifest = {"A": "rom_A.mtx", "B": "rom_B.mtx", "C": "rom_C.mtx"}
     path = os.path.join(out, "rom_manifest.json")
@@ -192,7 +190,8 @@ def cmd_gen_model(cfg: ExperimentConfig) -> list[str]:
         roles.append(("E", system.E))
     for role, mat in roles:
         path = os.path.join(cfg.out, role + ".mtx")
-        _atomic_write_matrix(path, mat, f"{system.name} {role}, n = {system.n}")
+        comment = f"{system.name} {role}, n = {system.n}"
+        _atomic_write(path, lambda tmp: write_matrix(tmp, mat, comment))
         manifest[role] = role + ".mtx"
         files.append(path)
     path = os.path.join(cfg.out, "manifest.json")
@@ -224,19 +223,6 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
     return [path]
 
 
-def _atomic_save_trajectory(path: str, traj) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        traj.save_csv(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     system, gramians, bal, r, rom = _reduce_pipeline(cfg)
     u = parse_input(cfg.input, system.m)
@@ -254,7 +240,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     files = []
     for name, traj in (("y_full.csv", full), ("y_reduced.csv", reduced)):
         path = os.path.join(cfg.out, name)
-        _atomic_save_trajectory(path, traj)
+        _atomic_write(path, traj.save_csv)
         files.append(path)
     lines = ["t, err, bound_level"]
     for t, e in zip(full.times, err):
@@ -377,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, dest="r", help="reduced order r")
     common.add_argument("--tol", type=float, dest="tau", help="singular-value tail tolerance")
     common.add_argument("--input", help="const:c | star | zero | table:path")
-    common.add_argument("--seed", type=int, help="seed for randomized ingredients")
     common.add_argument("--out", help="output directory")
     common.add_argument("--config", help="JSON config file; explicit flags override it")
     sub.add_parser("gen-model", parents=[common], help="write model matrices and manifest")
@@ -401,14 +386,13 @@ def _config_from_args(args) -> ExperimentConfig:
             data = json.loads(fh.read())
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-    for field in ("model", "tbar", "dt", "tend", "r", "tau", "input", "seed", "out"):
+    for field in ("model", "tbar", "dt", "tend", "r", "tau", "input", "out"):
         val = getattr(args, field, None)
         if val is not None:
             data[field] = val
     if data.get("model") is None:
         raise ValueError("--model (or a config file with one) is required")
     data.setdefault("input", "const:1")
-    data.setdefault("seed", 0)
     data.setdefault("out", "out")
     return ExperimentConfig.from_dict(data)
 

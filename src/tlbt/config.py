@@ -1,5 +1,4 @@
-"""Experiment configuration shared by the command-line front end and the
-experiment scripts.
+"""Experiment configuration of the command-line front end.
 
 A configuration names the model source, the horizon and grid, exactly one
 reduction control (a target order r or a tail tolerance tau), the input
@@ -39,8 +38,6 @@ class ExperimentConfig:
     input : str
         Input signal spec: ``const:c`` or ``const:c1,...,cm``, ``star``,
         ``zero``, or ``table:path``.
-    seed : int
-        Seed for any randomized ingredients of an experiment.
     out : str
         Output directory; created if missing.
     """
@@ -52,7 +49,6 @@ class ExperimentConfig:
     r: int | None = None
     tau: float | None = None
     input: str = "const:1"
-    seed: int = 0
     out: str = "out"
 
     def __post_init__(self):

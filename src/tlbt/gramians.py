@@ -9,18 +9,17 @@ and the time-limited pair on [0, tbar] solves
     A P + P A^T + B B^T - F F^T = 0,
     A^T Q + Q A + C^T C - G^T G = 0,
 
-with F = e^(A tbar) B and G = C e^(A tbar). For systems with a mass
-matrix E the equations generalize to
+with F = e^(A tbar) B and G = C e^(A tbar). A system with a mass matrix
+E is handled through its standard form (A, B, C) = (E^-1 A, E^-1 B, C):
+every equation is solved on the system's memoized Schur record, which
+also holds F and G per horizon, and both Gramians are those of the
+standard form. (In the generalized equations' terms, P is unchanged and
+Q is the observability Gramian proper E^T Q_gen E.)
 
-    A P E^T + E P A^T + B B^T - F F^T = 0   (F = E e^(E^-1 A tbar) E^-1 B),
-    A^T Q E + E^T Q A + C^T C - G^T G = 0   (G = C e^(E^-1 A tbar)),
-
-where the pair acting as Gramians is (P, E^T Q E); GramianSet stores the
-equation solutions P and Q and exposes the weighted observability matrix.
-
-Every equation is solved in standard form (E^-1 A, E^-1 B, C) on the
-system's memoized Schur record, which also holds F and G per horizon; Q
-comes from the standard-form solution Q_std as Q = E^-T Q_std E^-1.
+A :class:`GramianSet` is the hand-off to balancing and to the bounds.
+Building one runs a single eigendecomposition per Gramian, which
+rejects significant negative eigenvalues, zeroes negligible ones and
+yields the rank-revealing factors.
 
 An independent Gauss-Legendre quadrature of the defining integrals is
 provided as a cross-check oracle for the Lyapunov route.
@@ -28,27 +27,27 @@ provided as a cross-check oracle for the Lyapunov route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DimensionError, NotPsdError, StabilityError
+from .errors import DimensionError, StabilityError
 from .linalg import (
+    _psd_factor,
     _require_separated,
     _schur_form,
     _solve_lyapunov,
     _solve_sylvester,
+    _symmetric,
     as_matrix,
     expm,
     solve_lyapunov,
-    spd_factor,
 )
 from .systems import StateSpaceSystem
 
 __all__ = [
     "GramianSet",
-    "HorizonData",
     "infinite_gramians",
     "time_limited_gramians",
     "gramian_quadrature_oracle",
@@ -59,38 +58,31 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HorizonData:
-    """End-of-horizon propagators F = e^(A tbar) B and G = C e^(A tbar)
-    (E-weighted variants for systems with a mass matrix)."""
-
-    tbar: float
-    F: np.ndarray
-    G: np.ndarray
-
-
-@dataclass
 class GramianSet:
-    """A reachability/observability Gramian pair for one horizon.
+    """A reachability/observability Gramian pair for one horizon, in
+    standard form.
 
-    ``horizon`` is math.inf for the unrestricted pair. ``P`` and ``Q``
-    are the Lyapunov-equation solutions; for systems with a mass matrix
-    the observability Gramian proper is E^T Q E, available through
-    :meth:`observability_weighted`. ``lowrank_P``/``lowrank_Q`` hold
-    optional rank-revealing factors (P ~= Z Z^T).
+    ``horizon`` is math.inf for the unrestricted pair. On construction P
+    and Q are checked to be symmetric and numerically PSD, eigenvalues
+    down to -1e-10 ||.||_2 are zeroed, and ``lowrank_P``/``lowrank_Q``
+    are set to rank-revealing factors (P ~= Z Z^T, eigenvalue cutoff
+    1e-12 ||P||_2), all from one eigendecomposition per Gramian. The set
+    is frozen, so the factors always belong to P and Q.
     """
 
     P: np.ndarray
     Q: np.ndarray
     horizon: float
-    lowrank_P: np.ndarray | None = None
-    lowrank_Q: np.ndarray | None = None
-    horizon_data: HorizonData | None = None
+    lowrank_P: np.ndarray = field(init=False, repr=False)
+    lowrank_Q: np.ndarray = field(init=False, repr=False)
 
-    def observability_weighted(self, e=None) -> np.ndarray:
-        if e is None:
-            return self.Q
-        e = as_matrix(e, "E")
-        return e.T @ self.Q @ e
+    def __post_init__(self):
+        for name in ("P", "Q"):
+            x, z = _psd_factor(_symmetric(getattr(self, name), name), name)
+            object.__setattr__(self, name, x)
+            object.__setattr__(self, "lowrank_" + name, z)
+        if self.P.shape != self.Q.shape:
+            raise DimensionError(f"P and Q must have equal shapes, got {self.P.shape} and {self.Q.shape}")
 
 
 def _require_hurwitz(eigvals: np.ndarray, label: str) -> None:
@@ -103,10 +95,6 @@ def _require_hurwitz(eigvals: np.ndarray, label: str) -> None:
         )
 
 
-def _operator_label(sys: StateSpaceSystem) -> str:
-    return "A" if sys.E is None else "E^-1 A"
-
-
 def _check_horizon(tbar, allow_inf: bool = False) -> float:
     tbar = float(tbar)
     if allow_inf and tbar == math.inf:
@@ -116,68 +104,30 @@ def _check_horizon(tbar, allow_inf: bool = False) -> float:
     return tbar
 
 
-def _clamp_psd(x: np.ndarray, label: str, tol: float = 1e-10) -> np.ndarray:
-    """Zero out negligible negative eigenvalues; reject significant ones."""
-    evals, evecs = np.linalg.eigh(x)
-    norm2 = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if norm2 == 0.0:
-        return x
-    if evals[0] < -tol * norm2:
-        raise NotPsdError(
-            f"{label} has eigenvalue {evals[0]:.6e} below -{tol:g} * ||.||_2; "
-            "the computed Gramian is not numerically PSD"
-        )
-    if evals[0] >= 0:
-        return x
-    clamped = np.maximum(evals, 0.0)
-    y = (evecs * clamped) @ evecs.T
-    return (y + y.T) / 2.0
-
-
-def _gramian_set(sys: StateSpaceSystem, w_p, w_q, horizon: float, factor_tol,
-                 horizon_data: HorizonData | None = None) -> GramianSet:
-    """Solve A_std P + P A_std^T = W_p on the system's Schur record and
-    A_std^T Q + Q A_std = W_q on a transient Schur form of A_std^T.
-
-    With a mass matrix the second solution is the standard-form Q_std,
-    and the generalized equation's Q = E^-T Q_std E^-1 is stored.
-    """
-    s = sys._operator().schur
+def _gramian_set(op, w_p, w_q, horizon: float) -> GramianSet:
+    """Solve A P + P A^T = W_p on the operator record's Schur form and
+    A^T Q + Q A = W_q on a transient Schur form of A^T (A = A_std)."""
+    s = op.schur
     _require_separated(s, s, "solve_lyapunov")
-    p = _clamp_psd(_solve_lyapunov(s, w_p), "P")
+    p = _solve_lyapunov(s, w_p)
     q = _solve_lyapunov(_schur_form(s.a.T, spectrum=False), w_q)
-    if sys.E is not None:
-        q = np.linalg.solve(sys.E.T, np.linalg.solve(sys.E.T, q).T)
-        q = (q + q.T) / 2.0
-    q = _clamp_psd(q, "Q")
-    gset = GramianSet(P=p, Q=q, horizon=horizon, horizon_data=horizon_data)
-    if factor_tol is not None:
-        gset.lowrank_P = spd_factor(p, factor_tol)
-        gset.lowrank_Q = spd_factor(q, factor_tol)
-    return gset
+    return GramianSet(P=p, Q=q, horizon=horizon)
 
 
-def infinite_gramians(sys: StateSpaceSystem, factor_tol: float | None = None) -> GramianSet:
+def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
     """Gramians over [0, inf) of a Hurwitz system.
-
-    Parameters
-    ----------
-    sys : StateSpaceSystem
-    factor_tol : float, optional
-        When given, also store rank-revealing factors of P and Q computed
-        at this relative eigenvalue cutoff.
 
     Returns
     -------
     GramianSet with horizon = math.inf.
     """
     op = sys._operator()
-    _require_hurwitz(op.schur.eigvals, _operator_label(sys))
-    return _gramian_set(sys, -op.b @ op.b.T, -op.c.T @ op.c, math.inf, factor_tol)
+    _require_hurwitz(op.schur.eigvals, op.label)
+    return _gramian_set(op, -op.b @ op.b.T, -op.c.T @ op.c, math.inf)
 
 
-def time_limited_gramians(sys: StateSpaceSystem, tbar: float, factor_tol: float | None = None) -> GramianSet:
-    """Gramians over [0, tbar], with the horizon propagators attached.
+def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
+    """Gramians over [0, tbar].
 
     Solvable whenever Lambda(A) and -Lambda(A) do not overlap; stability
     is not required.
@@ -186,8 +136,7 @@ def time_limited_gramians(sys: StateSpaceSystem, tbar: float, factor_tol: float 
     op = sys._operator()
     f, g = op.propagators(tbar)
     b, c = op.b, op.c
-    data = HorizonData(tbar=tbar, F=f if sys.E is None else sys.E @ f, G=g)
-    return _gramian_set(sys, f @ f.T - b @ b.T, g.T @ g - c.T @ c, tbar, factor_tol, data)
+    return _gramian_set(op, f @ f.T - b @ b.T, g.T @ g - c.T @ c, tbar)
 
 
 def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> np.ndarray:
@@ -232,16 +181,16 @@ def reduced_gramian(rom, tbar: float) -> np.ndarray:
     a11 = as_matrix(rom.A11, "A11")
     b1 = as_matrix(rom.B1, "B1")
     fr = expm(a11, tbar) @ b1
-    return _clamp_psd(solve_lyapunov(a11, fr @ fr.T - b1 @ b1.T), "Pr")
+    return _psd_factor(solve_lyapunov(a11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
 
 
 def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
     """Cross Gramian int_0^tbar e^(A s) B B1^T e^(A11^T s) ds coupling a
     system and its reduced model, via the Sylvester route.
 
-    ``tbar`` may be math.inf (both operators must then be Hurwitz). For a
-    mass matrix E the integrand's left factor is e^(E^-1 A s) E^-1 B and
-    the result solves A X + E X A11^T + B B1^T - F Fr^T = 0.
+    ``tbar`` may be math.inf (both operators must then be Hurwitz). The
+    system enters through its standard form, so with a mass matrix E the
+    integrand's left factor is e^(E^-1 A s) E^-1 B.
     """
     tbar = _check_horizon(tbar, allow_inf=True)
     a11 = as_matrix(rom.A11, "A11")
@@ -255,7 +204,7 @@ def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
         fr = expm(a11, tbar) @ b1
         w = f @ fr.T - op.b @ b1.T
     else:
-        _require_hurwitz(op.schur.eigvals, _operator_label(sys))
+        _require_hurwitz(op.schur.eigvals, op.label)
         _require_hurwitz(s11.eigvals, "A11")
         w = -op.b @ b1.T
     _require_separated(op.schur, s11, "solve_sylvester")

@@ -62,6 +62,14 @@ def _square(a, name: str) -> np.ndarray:
     return arr
 
 
+def _symmetric(a, name: str) -> np.ndarray:
+    """Square matrix that is symmetric to 1e-10 relative (Frobenius)."""
+    arr = _square(a, name)
+    if np.linalg.norm(arr - arr.T) > 1e-10 * max(np.linalg.norm(arr), 1e-300):
+        raise ValueError(f"{name} must be symmetric")
+    return arr
+
+
 @dataclass(frozen=True)
 class SpectrumSeparation:
     """Result of a pairwise eigenvalue-separation check.
@@ -224,9 +232,7 @@ def solve_lyapunov(a, w) -> np.ndarray:
     w = _square(w, "W")
     if w.shape != a.shape:
         raise DimensionError(f"W must have shape {a.shape} to match A, got {w.shape}")
-    wnorm = np.linalg.norm(w)
-    if np.linalg.norm(w - w.T) > 1e-10 * max(wnorm, 1e-300):
-        raise ValueError("W must be symmetric")
+    _symmetric(w, "W")
     s = _schur_form(a)
     _require_separated(s, s, "solve_lyapunov")
     return _solve_lyapunov(s, w)
@@ -324,19 +330,30 @@ def spd_factor(p, tol: float = 1e-12) -> np.ndarray:
     NotPsdError
         If some eigenvalue is below -tol * ||P||_2.
     """
-    p = _square(p, "P")
-    pnorm = np.linalg.norm(p)
-    if np.linalg.norm(p - p.T) > 1e-10 * max(pnorm, 1e-300):
-        raise ValueError("P must be symmetric")
-    evals, evecs = np.linalg.eigh((p + p.T) / 2.0)
+    p = _symmetric(p, "P")
+    return _psd_factor((p + p.T) / 2.0, "P", tol, tol)[1]
+
+
+def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
+                neg_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """One eigendecomposition of a symmetric P, two results: P with its
+    negligible negative eigenvalues zeroed, and the factor Z of
+    :func:`spd_factor` at cutoff ``tol``.
+
+    Raises NotPsdError for an eigenvalue below -neg_tol * ||P||_2.
+    """
+    evals, evecs = np.linalg.eigh(p)
     norm2 = float(np.max(np.abs(evals))) if evals.size else 0.0
     if norm2 == 0.0:
-        return np.zeros((p.shape[0], 0))
-    if evals[0] < -tol * norm2:
+        return p, np.zeros((p.shape[0], 0))
+    if evals[0] < -neg_tol * norm2:
         raise NotPsdError(
-            f"P has eigenvalue {evals[0]:.6e} below -tol * ||P||_2 = {-tol * norm2:.6e}"
+            f"{label} has eigenvalue {evals[0]:.6e} below -{neg_tol:g} * ||{label}||_2; "
+            "the matrix is not numerically PSD"
         )
     keep = evals > tol * norm2
-    lam = evals[keep][::-1]
-    vecs = evecs[:, keep][:, ::-1]
-    return vecs * np.sqrt(lam)
+    z = evecs[:, keep][:, ::-1] * np.sqrt(evals[keep][::-1])
+    if evals[0] >= 0:
+        return p, z
+    y = (evecs * np.maximum(evals, 0.0)) @ evecs.T
+    return (y + y.T) / 2.0, z

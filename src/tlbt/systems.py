@@ -112,13 +112,14 @@ class _OperatorRecord:
 
     ``a``/``b`` are A_std = E^-1 A and B_std = E^-1 B (the system's own A
     and B without a mass matrix), ``schur`` the real Schur form of A_std
-    with its eigenvalues and 2-norm.
+    with its eigenvalues and 2-norm, ``label`` its name in messages.
     """
 
     def __init__(self, sys: StateSpaceSystem):
         if sys.E is None:
-            self.a, self.b = sys.A, sys.B
+            self.a, self.b, self.label = sys.A, sys.B, "A"
         else:
+            self.label = "E^-1 A"
             self.a = np.linalg.solve(sys.E, sys.A)
             self.b = np.linalg.solve(sys.E, sys.B)
             self.a.flags.writeable = False

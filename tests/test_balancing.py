@@ -12,8 +12,8 @@ from tlbt.balancing import (
     select_order,
     truncate,
 )
-from tlbt.bounds import hinf_error_sampled
-from tlbt.gramians import GramianSet, time_limited_gramians
+from tlbt.bounds import hinf_error_sampled, tlbt_h2_bound
+from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
 from tlbt.systems import StateSpaceSystem, apply_state_transform, generate_heat_model
 
 SCALAR_TL_1 = (1.0 - math.exp(-2.0)) / 2.0
@@ -67,14 +67,32 @@ class TestBalance:
         sys = StateSpaceSystem(A=heat.A, B=heat.B, C=heat.C, E=rand_spd(8, rng, spread=10.0))
         gset = time_limited_gramians(sys, 0.5)
         bal = balance(gset, sys, r=3)
-        assert np.linalg.norm(bal.W.T @ sys.E @ bal.V - np.eye(3)) <= 1e-9
+        assert np.linalg.norm(bal.W.T @ bal.V - np.eye(3)) <= 1e-9
+
+    def test_mass_matrix_system_matches_its_explicit_standard_form(self, rng):
+        heat = generate_heat_model(8, 2, 2)
+        e = rand_spd(8, rng, spread=10.0)
+        sys = StateSpaceSystem(A=heat.A, B=heat.B, C=heat.C, E=e)
+        std = StateSpaceSystem(A=np.linalg.solve(e, heat.A), B=np.linalg.solve(e, heat.B), C=heat.C)
+        tbar = 0.5
+
+        def outputs(s, gset):
+            rom = truncate(s, balance(gset, s, r=3))
+            out = [gset.P, gset.Q, balance(gset, s).singular_values, rom.A11, rom.B1, rom.C1,
+                   hinf_error_sampled(s, rom, [0.0, 1.0, 100.0])]
+            if math.isfinite(gset.horizon):
+                out.append(tlbt_h2_bound(s, rom, gset.P, tbar).epsilon)
+            return out
+
+        for gramians in (lambda s: time_limited_gramians(s, tbar), infinite_gramians):
+            got, want = (outputs(s, gramians(s)) for s in (sys, std))
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_full_transform_diagonalizes_both_gramians(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)
-        bal = balance(gset, sys, full_transform=True)
-        s, s_inv = bal.S, bal.S_inv
-        sig = np.diag(bal.singular_values)
+        s, s_inv, sigma = full_balancing_transform(gset.P, gset.Q)
+        sig = np.diag(sigma)
         assert np.allclose(s @ s_inv, np.eye(6), atol=1e-10)
         assert np.allclose(s @ gset.P @ s.T, sig, atol=1e-8)
         assert np.allclose(s_inv.T @ gset.Q @ s_inv, sig, atol=1e-8)
@@ -82,15 +100,9 @@ class TestBalance:
     def test_full_transform_matches_standalone_route(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)
-        bal = balance(gset, sys, full_transform=True)
+        bal = balance(gset, sys)
         _, _, sigma = full_balancing_transform(gset.P, gset.Q)
         assert np.allclose(bal.singular_values, sigma, rtol=1e-9)
-
-    def test_full_transform_cap(self):
-        sys = generate_heat_model(6, 6, 6)
-        gset = time_limited_gramians(sys, 0.5)
-        with pytest.raises(ValueError, match="capped"):
-            balance(gset, sys, full_transform=True, full_transform_cap=5)
 
     def test_singular_values_are_state_coordinate_invariants(self, rng):
         sys = generate_heat_model(8, 8, 8)

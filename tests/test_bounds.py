@@ -57,7 +57,7 @@ class TestDirectBound:
     def test_low_rank_factor_route_matches_dense(self):
         sys = generate_heat_model(6, 6, 6)
         tbar = 0.5
-        gset = time_limited_gramians(sys, tbar, factor_tol=1e-12)
+        gset = time_limited_gramians(sys, tbar)
         rom = truncate(sys, balance(gset, sys, r=3))
         dense = tlbt_h2_bound(sys, rom, gset.P, tbar)
         factored = tlbt_h2_bound(sys, rom, None, tbar, p_factor=gset.lowrank_P)
@@ -199,6 +199,16 @@ class TestClassicalBounds:
         sys = generate_heat_model(6, 6, 6)
         gset = infinite_gramians(sys)
         assert bt_h2_bound_infinite(sys, gset, 6) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_balanced_coordinate_routes_share_one_cap():
+    sys = generate_heat_model(6, 6, 6)
+    tl, inf = time_limited_gramians(sys, 0.5), infinite_gramians(sys)
+    for call in (lambda: tlbt_h2_bound_alt(sys, tl, 3, 0.5, cap=5),
+                 lambda: remainder_diagnostics(sys, tl, 3, 0.5, cap=5),
+                 lambda: bt_h2_bound_infinite(sys, inf, 3, cap=5)):
+        with pytest.raises(ValueError, match="capped at n = 5"):
+            call()
 
 
 class TestSampledHinfError:

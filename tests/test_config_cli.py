@@ -34,7 +34,6 @@ class TestExperimentConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(model="gen:5,1,1")
         assert cfg.input == "const:1"
-        assert cfg.seed == 0
         assert cfg.out == "out"
         assert cfg.r is None and cfg.tau is None
 
@@ -314,3 +313,19 @@ def test_one_schur_pair_and_one_expm_per_command(command, tmp_path, monkeypatch)
     assert len(full) == 2
     assert np.array_equal(full[0], a) and np.array_equal(full[1], a.T)
     assert exponentiated.count((80, 80)) == 1
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert run_cli(command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
+                   "--out", tmp_path) == 0
+    # P and Q, each checked, clamped and factored from one eigendecomposition
+    assert shapes.count((80, 80)) == 2

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from conftest import rand_stable
 from tlbt.balancing import ReducedModel, balance, truncate
-from tlbt.errors import DimensionError, StabilityError
+from tlbt.errors import DimensionError, NotPsdError, StabilityError
 from tlbt.gramians import (
+    GramianSet,
     cross_gramian_quadrature,
     gramian_quadrature_oracle,
     infinite_gramians,
@@ -32,7 +33,6 @@ class TestInfiniteGramians:
         assert gset.P[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert gset.Q[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert gset.horizon == math.inf
-        assert gset.horizon_data is None
 
     def test_diagonal(self):
         sys = StateSpaceSystem(A=np.diag([-1.0, -2.0]), B=np.eye(2), C=np.eye(2))
@@ -49,11 +49,30 @@ class TestInfiniteGramians:
         with pytest.raises(StabilityError, match="Hurwitz"):
             infinite_gramians(sys)
 
-    def test_factor_requested(self):
+    def test_factors_always_present(self):
         sys = generate_heat_model(6, 6, 6)
-        gset = infinite_gramians(sys, factor_tol=1e-12)
-        assert gset.lowrank_P is not None
+        gset = infinite_gramians(sys)
         assert np.allclose(gset.lowrank_P @ gset.lowrank_P.T, gset.P, atol=1e-10)
+        assert np.allclose(gset.lowrank_Q @ gset.lowrank_Q.T, gset.Q, atol=1e-10)
+
+
+class TestGramianSet:
+    def test_hand_built_set_is_factored(self):
+        gset = GramianSet(P=np.diag([4.0, 1.0, 0.0]), Q=np.eye(3), horizon=1.0)
+        assert gset.lowrank_P.shape == (3, 2)
+        assert np.allclose(gset.lowrank_P @ gset.lowrank_P.T, gset.P, atol=1e-14)
+        assert gset.lowrank_Q.shape == (3, 3)
+
+    def test_negligible_negative_eigenvalue_is_zeroed(self):
+        gset = GramianSet(P=np.diag([1.0, -1e-12]), Q=np.eye(2), horizon=1.0)
+        assert np.array_equal(gset.P, np.diag([1.0, 0.0]))
+        assert gset.lowrank_P.shape == (2, 1)
+
+    def test_rejects_indefinite_and_asymmetric_input(self):
+        with pytest.raises(NotPsdError, match="Q has eigenvalue"):
+            GramianSet(P=np.eye(2), Q=np.diag([1.0, -1e-3]), horizon=1.0)
+        with pytest.raises(ValueError, match="P must be symmetric"):
+            GramianSet(P=[[1.0, 0.5], [0.0, 1.0]], Q=np.eye(2), horizon=1.0)
 
 
 class TestTimeLimitedGramians:
@@ -62,10 +81,9 @@ class TestTimeLimitedGramians:
         assert gset.P[0, 0] == pytest.approx(SCALAR_TL_1, abs=1e-15)
         assert gset.Q[0, 0] == pytest.approx(SCALAR_TL_1, abs=1e-15)
         assert gset.horizon == 1.0
-        hd = gset.horizon_data
-        assert hd.tbar == 1.0
-        assert hd.F[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert hd.G[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        f, g = scalar_system._operator().propagators(1.0)
+        assert f[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert g[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_long_horizon_approaches_unrestricted(self, scalar_system):
         gset = time_limited_gramians(scalar_system, 20.0)
@@ -75,7 +93,7 @@ class TestTimeLimitedGramians:
         sys = StateSpaceSystem(A=[[-1.0]], B=[[0.0]], C=[[1.0]])
         gset = time_limited_gramians(sys, 3.0)
         assert gset.P[0, 0] == 0.0
-        assert gset.horizon_data.F[0, 0] == 0.0
+        assert sys._operator().propagators(3.0)[0][0, 0] == 0.0
 
     def test_defined_for_unstable_systems(self):
         sys = StateSpaceSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]])
@@ -95,7 +113,7 @@ class TestTimeLimitedGramians:
         g0 = time_limited_gramians(base, 0.7)
         g1 = time_limited_gramians(scaled, 0.7)
         assert np.allclose(g1.P, g0.P, atol=1e-12)
-        assert np.allclose(g1.observability_weighted(scaled.E), g0.Q, atol=1e-10)
+        assert np.allclose(g1.Q, g0.Q, atol=1e-10)
 
 
 class TestQuadratureOracle:
@@ -159,7 +177,7 @@ class TestMixedGramian:
     def test_matches_quadrature(self, rng):
         sys = rand_stable(6, 2, 2, rng)
         tbar = 1.5
-        gset = time_limited_gramians(sys, tbar, factor_tol=1e-12)
+        gset = time_limited_gramians(sys, tbar)
         rom = truncate(sys, balance(gset, sys, r=2))
         pm = mixed_gramian(sys, rom, tbar)
         pm_quad = cross_gramian_quadrature(sys.A, sys.B, rom.A11, rom.B1, tbar, panels=256)
