@@ -24,7 +24,6 @@ import math
 import os
 import sys as _sys
 import tempfile
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -265,41 +264,47 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     return files
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _settled(result):
+    """The value of an ``_attempt``; re-raises the exception it caught."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
+    """BT and TLBT rows per sweep value. The balancings, the full-model
+    trajectories and the input norms shared by rows are computed once, up
+    front; a failure there is reported on every row that needs it."""
     system = parse_model(cfg.model)
     u = parse_input(cfg.input, system.m)
-    lock = threading.Lock()
-    bal_cache: dict = {}
-    traj_cache: dict = {}
+    tbars = [float(value) if axis == "tbar" else cfg.tbar for value in values]
+    horizons = list(dict.fromkeys(t for t in tbars if t is not None))
 
-    def get_balance(method: str, tbar: float):
-        key = (method, tbar if method == "TLBT" else None)
-        with lock:
-            if key not in bal_cache:
-                if method == "BT":
-                    g = infinite_gramians(system)
-                else:
-                    g = time_limited_gramians(system, tbar)
-                bal_cache[key] = (g, balance(g, system))
-            return bal_cache[key]
+    def step(tbar: float) -> float:
+        return cfg.dt if cfg.dt is not None else tbar / 256
 
-    def get_full(tbar: float, dt: float):
-        key = (tbar, dt)
-        with lock:
-            if key not in traj_cache:
-                traj_cache[key] = simulate(system, u, tbar, dt)
-            return traj_cache[key]
+    def balanced(key):
+        method, tbar = key
+        g = infinite_gramians(system) if method == "BT" else time_limited_gramians(system, tbar)
+        return g, balance(g, system)
 
-    def one(value):
+    def one(value, tbar):
         rows = []
         for method in ("BT", "TLBT"):
             row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
                    "bound_level": "", "status": "ok"}
             try:
-                tbar = float(value) if axis == "tbar" else cfg.tbar
                 if tbar is None:
                     raise ValueError("tbar is required")
-                gramians, bal = get_balance(method, tbar)
+                gramians, bal = _settled(balances[(method, tbar if method == "TLBT" else None)])
                 if axis == "r":
                     r = int(value)
                 elif axis == "tau":
@@ -308,22 +313,25 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
                     r = cfg.r if cfg.r is not None else select_order(bal.singular_values, cfg.tau)
                 rom = truncate(system, bal.reduce_to(r))
                 row["r"] = r
-                dt = cfg.dt if cfg.dt is not None else tbar / 256
-                full = get_full(tbar, dt)
-                reduced = simulate(rom, u, tbar, dt)
+                full = _settled(fulls[tbar])
+                reduced = simulate(rom, u, tbar, step(tbar))
                 _, max_tbar, _ = output_error(full, reduced, tbar)
                 row["max_error_tbar"] = _fmt(max_tbar)
                 if method == "TLBT":
                     report = tlbt_h2_bound(system, rom, gramians.P, tbar)
-                    row["bound_level"] = _fmt(report.epsilon * input_l2_norm(u, tbar, dt))
+                    row["bound_level"] = _fmt(report.epsilon * _settled(norms[tbar]))
             except Exception as exc:
                 msg = f"{type(exc).__name__}: {exc}".replace("\n", "; ").replace(",", ";")
                 row["status"] = f"error: {msg}"
             rows.append(row)
         return rows
 
+    keys = [("BT", None)] + [("TLBT", t) for t in horizons]
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        nested = list(pool.map(one, values))
+        balances = dict(zip(keys, pool.map(lambda key: _attempt(balanced, key), keys)))
+        fulls = dict(zip(horizons, pool.map(lambda t: _attempt(simulate, system, u, t, step(t)), horizons)))
+        norms = {t: _attempt(input_l2_norm, u, t, step(t)) for t in horizons}
+        nested = list(pool.map(one, values, tbars))
     return [row for group in nested for row in group]
 
 

@@ -228,20 +228,6 @@ def apply_state_transform(sys: StateSpaceSystem, s) -> StateSpaceSystem:
     )
 
 
-def _star_components(t: float) -> np.ndarray:
-    return np.array(
-        [
-            math.sin(4.0 * t * math.pi / 100.0),
-            math.cos(t * math.pi / 100.0),
-            3.0,
-            math.exp(-2.0 * t),
-            math.cos(t / 100.0) * math.exp(-t),
-            1.0 / (1.0 + t * t),
-            1.0 / (1.0 + math.sqrt(t)),
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class InputSignal:
     """Time-dependent input u(t) on t >= 0.
@@ -249,7 +235,8 @@ class InputSignal:
     Kinds: ``constant`` (fixed vector), ``star`` (the 7-component mixed
     trigonometric/decay benchmark signal), ``zero``, and ``table``
     (linear interpolation of samples, constant extrapolation beyond the
-    last sample).
+    last sample). ``sample`` evaluates a whole time grid at once;
+    ``evaluate`` (and calling the signal) is its one-point case.
     """
 
     kind: str
@@ -291,20 +278,34 @@ class InputSignal:
             raise ValueError("table contains non-finite entries")
         return cls(kind="table", m=v.shape[1], values=_readonly(v), times=_readonly(t[None, :]), label="table")
 
+    def sample(self, times) -> np.ndarray:
+        """Evaluate on a 1-D grid of times t >= 0; row k of the
+        (len(times), m) result is u(times[k])."""
+        t = np.asarray(times, dtype=float).ravel()
+        if t.size and np.min(t) < 0:
+            raise ValueError(f"input signals are defined on t >= 0, got t = {np.min(t)}")
+        if self.kind == "constant":
+            return np.repeat(self.values, t.size, axis=0)
+        if self.kind == "zero":
+            return np.zeros((t.size, self.m))
+        if self.kind == "star":
+            return np.column_stack(
+                [
+                    np.sin(4.0 * t * math.pi / 100.0),
+                    np.cos(t * math.pi / 100.0),
+                    np.full(t.size, 3.0),
+                    np.exp(-2.0 * t),
+                    np.cos(t / 100.0) * np.exp(-t),
+                    1.0 / (1.0 + t * t),
+                    1.0 / (1.0 + np.sqrt(t)),
+                ]
+            )
+        # table: linear interpolation, constant extrapolation
+        return np.column_stack([np.interp(t, self.times[0], self.values[:, j]) for j in range(self.m)])
+
     def evaluate(self, t: float) -> np.ndarray:
         """Evaluate at a scalar time t >= 0."""
-        t = float(t)
-        if t < 0:
-            raise ValueError(f"input signals are defined on t >= 0, got t = {t}")
-        if self.kind == "constant":
-            return self.values[0].copy()
-        if self.kind == "zero":
-            return np.zeros(self.m)
-        if self.kind == "star":
-            return _star_components(t)
-        # table: linear interpolation, constant extrapolation
-        ts = self.times[0]
-        return np.array([np.interp(t, ts, self.values[:, j]) for j in range(self.m)])
+        return self.sample([t])[0]
 
     __call__ = evaluate
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -282,6 +283,42 @@ class TestSweep:
         ref = (out1 / "sweep.csv").read_bytes()
         assert (out2 / "sweep.csv").read_bytes() == ref
         assert (out3 / "sweep.csv").read_bytes() == ref
+
+    def test_shared_work_done_once_up_front(self, tmp_path, monkeypatch):
+        import tlbt.cli
+
+        calls = []
+        for name in ("infinite_gramians", "time_limited_gramians", "input_l2_norm", "simulate"):
+            def counted(*args, _name=name, _fn=getattr(tlbt.cli, name)):
+                calls.append((_name, getattr(args[0], "n", None)))
+                return _fn(*args)
+
+            monkeypatch.setattr(tlbt.cli, name, counted)
+        assert run_cli("sweep", "--model", "gen:8,8,8", "--tbar", 0.4, "--axis", "r",
+                       "--values", "2,3,4", "--jobs", 2, "--out", tmp_path) == 0
+        assert calls.count(("infinite_gramians", 8)) == 1
+        assert calls.count(("time_limited_gramians", 8)) == 1
+        assert calls.count(("simulate", 8)) == 1
+        assert len([c for c in calls if c[0] == "input_l2_norm"]) == 1
+        assert len([c for c in calls if c[0] == "simulate" and c[1] != 8]) == 6
+
+    def test_many_workers_match_serial_run(self, tmp_path):
+        args = ("sweep", "--model", "gen:8,8,8", "--order", 2, "--axis", "tbar",
+                "--values", "0.2,0.4,-1,0.4,0.8,0.2")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_cli(*args, "--out", tmp_path / "a", "--jobs", 6) == 0
+        finally:
+            sys.setswitchinterval(switch)
+        assert run_cli(*args, "--out", tmp_path / "b") == 0
+        text = (tmp_path / "a" / "sweep.csv").read_bytes()
+        assert text == (tmp_path / "b" / "sweep.csv").read_bytes()
+        rows = read_sweep(tmp_path / "a" / "sweep.csv")
+        assert [r["status"] == "ok" for r in rows] == [True] * 4 + [False] * 2 + [True] * 6
+        # the failed horizon's shared work fails both of its rows
+        assert rows[4]["status"].startswith("error: ValueError: dt must be positive")
+        assert rows[5]["status"].startswith("error: ValueError: tbar must be positive")
 
     def test_tbar_axis_requires_order_control(self, tmp_path, capsys):
         assert run_cli("sweep", "--model", "gen:8,8,8", "--axis", "tbar",

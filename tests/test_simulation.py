@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import tlbt.simulation
 from tlbt.balancing import ReducedModel
 from tlbt.simulation import Trajectory, input_l2_norm, output_error, simulate
-from tlbt.systems import InputSignal, StateSpaceSystem, generate_heat_model
+from tlbt.systems import InputSignal, StateSpaceSystem, generate_heat_model, random_piecewise_constant
 
 
 def pulse_input(dt, m=1):
@@ -90,6 +92,82 @@ class TestSimulate:
             simulate(scalar_system, u, t_end=1.0, dt=0.0)
         with pytest.raises(ValueError, match="t_end must be at least dt"):
             simulate(scalar_system, u, t_end=0.05, dt=0.1)
+
+
+    def test_singular_step_matrix_rejected(self):
+        sys = StateSpaceSystem(A=[[2.0]], B=[[1.0]], C=[[1.0]])
+        with pytest.warns(sla.LinAlgWarning), pytest.raises(ValueError, match="singular"):
+            simulate(sys, InputSignal.constant(1.0), t_end=2.0, dt=1.0)
+
+    def test_non_finite_outputs_rejected(self):
+        sys = StateSpaceSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="non-finite"):
+                simulate(sys, InputSignal.constant(1.0), t_end=380.0, dt=1.9)
+
+    def test_sampled_input_shape_checked(self, scalar_system, monkeypatch):
+        monkeypatch.setattr(InputSignal, "sample", lambda self, times: np.zeros((len(times), 2)))
+        with pytest.raises(ValueError, match=r"\(10, 2\).*\(10, 1\)"):
+            simulate(scalar_system, InputSignal.constant(1.0), t_end=1.0, dt=0.1)
+
+    def test_getrs_failure_raises(self, scalar_system, monkeypatch):
+        monkeypatch.setattr(tlbt.simulation, "dgetrs", lambda lu, piv, b, overwrite_b: (b, -3))
+        with pytest.raises(ValueError, match="info = -3"):
+            simulate(scalar_system, InputSignal.constant(1.0), t_end=1.0, dt=0.1)
+
+    def test_input_sampled_once_not_evaluated_per_step(self, monkeypatch):
+        def refuse(self, t):
+            raise AssertionError("evaluate called")
+
+        monkeypatch.setattr(InputSignal, "evaluate", refuse)
+        monkeypatch.setattr(InputSignal, "__call__", refuse)
+        sys = generate_heat_model(10, 3, 2)
+        u = random_piecewise_constant(3, 1.0, 4, np.random.default_rng(3))
+        traj = simulate(sys, u, t_end=1.0, dt=1.0 / 64)
+        assert traj.outputs.shape == (65, 2)
+        assert np.all(np.isfinite(traj.outputs)) and np.any(traj.outputs != 0.0)
+        assert input_l2_norm(u, 1.0, 1.0 / 64) > 0.0
+
+
+def fem_rod(n, m, p):
+    """Linear finite elements for the heat equation: E x' = A x + B u."""
+    h = 1.0 / (n + 1)
+    ones = np.ones(n - 1)
+    e = h / 6.0 * (4.0 * np.eye(n) + np.diag(ones, 1) + np.diag(ones, -1))
+    a = -(2.0 * np.eye(n) - np.diag(ones, 1) - np.diag(ones, -1)) / h
+    return StateSpaceSystem(A=a, B=np.eye(n)[:, :m], C=np.eye(n)[n - p:, :], E=e)
+
+
+def per_step_simulate(model, u, t_end, dt):
+    # the integrator as a per-step loop that evaluates u at each midpoint
+    steps = int(round(t_end / dt))
+    e = model.E if model.E is not None else np.eye(model.n)
+    lu = sla.lu_factor(e - (dt / 2.0) * model.A)
+    m_plus = e + (dt / 2.0) * model.A
+    outputs = np.zeros((steps + 1, model.p))
+    x = np.zeros(model.n)
+    for k in range(steps):
+        x = sla.lu_solve(lu, m_plus @ x + dt * (model.B @ u(k * dt + dt / 2.0)))
+        outputs[k + 1] = model.C @ x
+    return outputs
+
+
+def per_step_l2_norm(u, tbar, dt):
+    steps = int(round(tbar / dt))
+    sq = np.array([float(v @ v) for v in (u(k * dt) for k in range(steps + 1))])
+    return math.sqrt(dt * (np.sum(sq) - 0.5 * (sq[0] + sq[-1])))
+
+
+class TestMatchesPerStepLoop:
+    @pytest.mark.parametrize("model", [generate_heat_model(100, 4, 3), fem_rod(40, 3, 2)],
+                             ids=["rod-100", "fem-mass-40"])
+    def test_table_input(self, model):
+        tbar, dt = 0.05, 0.05 / 128
+        u = random_piecewise_constant(model.m, tbar, 8, np.random.default_rng(11))
+        ref = per_step_simulate(model, u, 2.0 * tbar, dt)
+        out = simulate(model, u, 2.0 * tbar, dt).outputs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert input_l2_norm(u, tbar, dt) == pytest.approx(per_step_l2_norm(u, tbar, dt), rel=1e-13)
 
 
 class TestOutputError:

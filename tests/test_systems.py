@@ -200,6 +200,58 @@ class TestInputSignal:
             InputSignal.from_table([0.0, 1.0], [[1.0]])
 
 
+def star_reference(t):
+    return [math.sin(4.0 * t * math.pi / 100.0), math.cos(t * math.pi / 100.0), 3.0,
+            math.exp(-2.0 * t), math.cos(t / 100.0) * math.exp(-t), 1.0 / (1.0 + t * t),
+            1.0 / (1.0 + math.sqrt(t))]
+
+
+SIGNALS = {
+    "constant": InputSignal.constant([1.5, -2.0, 0.25]),
+    "zero": InputSignal.zero(4),
+    "star": InputSignal.star(),
+    "table": InputSignal.from_table([0.0, 0.3, 1.0, 2.5], [[0.0, 4.0], [1.0, 2.0], [3.0, 0.0], [-1.0, 5.0]]),
+}
+
+
+class TestInputSignalSample:
+    # knots 0.3, 1.0 and 2.5 of the table lie on the grid; 3.0 and 7.0 lie past its last sample
+    GRID = np.array([0.0, 0.1, 0.3, 0.75, 1.0, 1.6, 2.5, 3.0, 7.0])
+
+    @pytest.mark.parametrize("kind", sorted(SIGNALS))
+    def test_matches_evaluate(self, kind):
+        u = SIGNALS[kind]
+        values = u.sample(self.GRID)
+        assert values.shape == (self.GRID.size, u.m)
+        for t, row in zip(self.GRID, values):
+            assert np.array_equal(row, u.evaluate(t))
+            assert np.array_equal(row, u(t))
+
+    def test_table_matches_scalar_interpolation(self):
+        u = SIGNALS["table"]
+        values = u.sample(self.GRID)
+        for j in range(u.m):
+            expected = [np.interp(t, u.times[0], u.values[:, j]) for t in self.GRID]
+            assert np.array_equal(values[:, j], expected)
+        assert np.array_equal(values[[2, 4, 6]], u.values[1:])
+        assert np.array_equal(values[-2:], np.repeat(u.values[-1:], 2, axis=0))
+
+    def test_star_matches_scalar_formula(self):
+        values = SIGNALS["star"].sample(self.GRID)
+        expected = np.array([star_reference(t) for t in self.GRID])
+        assert np.allclose(values, expected, rtol=1e-15, atol=1e-300)
+
+    @pytest.mark.parametrize("kind", sorted(SIGNALS))
+    def test_empty_grid(self, kind):
+        u = SIGNALS[kind]
+        assert u.sample([]).shape == (0, u.m)
+
+    @pytest.mark.parametrize("kind", sorted(SIGNALS))
+    def test_negative_time_rejected(self, kind):
+        with pytest.raises(ValueError, match="t >= 0"):
+            SIGNALS[kind].sample([0.0, 1.0, -1e-3])
+
+
 def table_l2_norm_sq(u, tbar):
     # exact integral of the squared piecewise-linear interpolant
     ts = u.times[0]
