@@ -13,8 +13,10 @@ with F = e^(A tbar) B and G = C e^(A tbar). A system with a mass matrix
 E is handled through its standard form (A, B, C) = (E^-1 A, E^-1 B, C):
 every equation is solved on the system's memoized Schur record, which
 also holds F and G per horizon, and both Gramians are those of the
-standard form. (In the generalized equations' terms, P is unchanged and
-Q is the observability Gramian proper E^T Q_gen E.)
+standard form. The equation for Q is solved on the record's own form
+when A is exactly symmetric, otherwise on a Schur form of A^T made for
+the Gramian pair. (In the generalized equations' terms, P is unchanged
+and Q is the observability Gramian proper E^T Q_gen E.)
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
 Building one runs a single eigendecomposition per Gramian, which
@@ -106,11 +108,12 @@ def _check_horizon(tbar, allow_inf: bool = False) -> float:
 
 def _gramian_set(op, w_p, w_q, horizon: float) -> GramianSet:
     """Solve A P + P A^T = W_p on the operator record's Schur form and
-    A^T Q + Q A = W_q on a transient Schur form of A^T (A = A_std)."""
+    A^T Q + Q A = W_q on the Schur form of A^T (A = A_std): the same
+    form for an exactly symmetric A, a transient one otherwise."""
     s = op.schur
     _require_separated(s, s, "solve_lyapunov")
     p = _solve_lyapunov(s, w_p)
-    q = _solve_lyapunov(_schur_form(s.a.T, spectrum=False), w_q)
+    q = _solve_lyapunov(s.transposed(), w_q)
     return GramianSet(P=p, Q=q, horizon=horizon)
 
 

@@ -10,7 +10,8 @@ the triangular equation goes through a recursive blocked kernel (after
 Jonsson and Kagstrom's RECSY) whose leaves are LAPACK dtrsyl calls. The
 public solvers factor their arguments on every call. A system's operator
 is factored once and its Schur form kept on the system (see
-``systems``); the package's Gramian routines solve on that form.
+``systems``); the package's Gramian routines solve on that form, and
+on the same form for A^T when the operator is exactly symmetric.
 
 Matrices are numpy float64 arrays in C (row-major) order. The functions
 here keep no state, so they are safe to call concurrently.
@@ -122,14 +123,16 @@ def _separation(lam: np.ndarray, mu: np.ndarray, tol: float) -> SpectrumSeparati
 class _SchurForm:
     """Real Schur form A = Z T Z^T of a square matrix.
 
-    ``eigvals`` are read off T's 1x1 and 2x2 diagonal blocks and
-    ``norm2`` is ||A||_2; both are None for a form built without its
-    spectrum.
+    ``symmetric`` records A^T == A exactly. ``eigvals`` are read off T's
+    1x1 and 2x2 diagonal blocks and ``norm2`` is ||A||_2 (for a
+    symmetric A its spectral radius, otherwise an SVD); both are None
+    for a form built without its spectrum.
     """
 
     a: np.ndarray
     t: np.ndarray
     z: np.ndarray
+    symmetric: bool
     eigvals: np.ndarray | None = None
     norm2: float | None = None
 
@@ -138,14 +141,23 @@ class _SchurForm:
         tolerance 1e-8 * (||A||_2 + ||other||_2)."""
         return _separation(self.eigvals, other.eigvals, 1e-8 * (self.norm2 + other.norm2))
 
+    def transposed(self) -> "_SchurForm":
+        """Schur form of A^T: this form itself when A is exactly
+        symmetric (LAPACK would receive the same numbers), otherwise a
+        fresh factorization without its spectrum."""
+        return self if self.symmetric else _schur_form(self.a.T, spectrum=False)
+
 
 def _schur_form(a: np.ndarray, spectrum: bool = True) -> _SchurForm:
     t, z = sla.schur(a, output="real")
     t.flags.writeable = False
     z.flags.writeable = False
+    symmetric = np.array_equal(a, a.T)
     if not spectrum:
-        return _SchurForm(a, t, z)
-    return _SchurForm(a, t, z, _schur_eigvals(t), float(np.linalg.norm(a, 2)))
+        return _SchurForm(a, t, z, symmetric)
+    lam = _schur_eigvals(t)
+    norm2 = float(np.max(np.abs(lam))) if symmetric else float(np.linalg.norm(a, 2))
+    return _SchurForm(a, t, z, symmetric, lam, norm2)
 
 
 def _schur_eigvals(t: np.ndarray) -> np.ndarray:

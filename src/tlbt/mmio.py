@@ -26,7 +26,9 @@ def read_matrix(path) -> np.ndarray:
     """Read a Matrix Market file into a dense (n, m) float array.
 
     Coordinate entries are 1-based; duplicate coordinate entries are
-    rejected; explicit zeros are preserved. Symmetric storage is expanded.
+    rejected; explicit zeros are preserved. Symmetric storage holds the
+    lower triangle only (an entry above the diagonal is rejected) and is
+    expanded.
     """
     path = str(path)
     with open(path, "r", encoding="ascii") as fh:
@@ -131,6 +133,8 @@ def _read_coordinate(path, lines, start, n, m, nnz, symmetry):
             _fail(path, lineno, f"could not parse entry {text!r}")
         if not (1 <= i <= n and 1 <= j <= m):
             _fail(path, lineno, f"index ({i}, {j}) outside {n} x {m}")
+        if symmetry == "symmetric" and i < j:
+            _fail(path, lineno, f"entry ({i}, {j}) above the diagonal; symmetric storage lists only i >= j")
         if (i, j) in seen:
             _fail(path, lineno, f"duplicate entry for ({i}, {j})")
         seen.add((i, j))

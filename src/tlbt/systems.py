@@ -8,9 +8,10 @@ Each system memoizes, on first use, one record of its standard-form
 operator A_std = E^-1 A: the real Schur form (T, Z) of A_std, two n x n
 arrays (with a mass matrix also A_std itself and the n x m B_std), and
 per horizon tbar the n x m block e^(A_std tbar) B_std and the p x n block
-C e^(A_std tbar). Every entry is a deterministic function of the system
-and the horizon, built once under a lock, so systems can still be shared
-freely across threads.
+C e^(A_std tbar). When A_std is exactly symmetric (the heat models
+without a mass matrix) the same Schur form also serves A_std^T. Every
+entry is a deterministic function of the system and the horizon, built
+once under a lock, so systems can still be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -112,7 +113,8 @@ class _OperatorRecord:
 
     ``a``/``b`` are A_std = E^-1 A and B_std = E^-1 B (the system's own A
     and B without a mass matrix), ``schur`` the real Schur form of A_std
-    with its eigenvalues and 2-norm, ``label`` its name in messages.
+    with its eigenvalues, 2-norm and exact-symmetry flag, ``label`` its
+    name in messages.
     """
 
     def __init__(self, sys: StateSpaceSystem):
@@ -270,12 +272,12 @@ class InputSignal:
             v = v[:, None]
         if t.size < 1 or v.shape[0] != t.size:
             raise ValueError(f"table needs one row of values per timestamp, got {v.shape[0]} rows for {t.size} timestamps")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("table contains non-finite entries")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("table timestamps must be strictly increasing")
         if t[0] < 0:
             raise ValueError(f"table timestamps must be nonnegative, first is {t[0]}")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("table contains non-finite entries")
         return cls(kind="table", m=v.shape[1], values=_readonly(v), times=_readonly(t[None, :]), label="table")
 
     def sample(self, times) -> np.ndarray:

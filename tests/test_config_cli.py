@@ -9,6 +9,7 @@ from tlbt.balancing import balance, select_order
 from tlbt.cli import main, parse_input, parse_model
 from tlbt.config import ExperimentConfig
 from tlbt.gramians import time_limited_gramians
+from tlbt.mmio import write_matrix
 from tlbt.systems import generate_heat_model, load_system
 
 
@@ -326,8 +327,9 @@ class TestSweep:
         assert "exactly one" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["reduce", "bound"])
-def test_one_schur_pair_and_one_expm_per_command(command, tmp_path, monkeypatch):
+def count_factorizations(monkeypatch, *argv):
+    """Run the CLI and return the matrices handed to scipy's Schur
+    factorization and the shapes handed to its expm."""
     import scipy.linalg
 
     schur, expm = scipy.linalg.schur, scipy.linalg.expm
@@ -343,13 +345,40 @@ def test_one_schur_pair_and_one_expm_per_command(command, tmp_path, monkeypatch)
 
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-    assert run_cli(command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
-                   "--out", tmp_path) == 0
+    assert run_cli(*argv) == 0
+    return factored, exponentiated
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_one_schur_form_and_one_expm_per_command(command, tmp_path, monkeypatch):
+    factored, exponentiated = count_factorizations(
+        monkeypatch, command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
+        "--out", tmp_path)
     full = [a for a in factored if a.shape == (80, 80)]
     a = generate_heat_model(80, 7, 6).A
+    # A is exactly symmetric, so its Schur form also serves A^T
+    assert len(full) == 1
+    assert np.array_equal(full[0], a)
+    assert exponentiated.count((80, 80)) == 1
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_nonsymmetric_model_factors_a_and_its_transpose(command, tmp_path, monkeypatch):
+    heat = generate_heat_model(30, 2, 2)
+    # upwind advection makes A non-symmetric; it stays Hurwitz
+    a = heat.A + 20.0 * (np.eye(30, k=-1) - np.eye(30))
+    folder = tmp_path / "model"
+    folder.mkdir()
+    for role, mat in (("A", a), ("B", heat.B), ("C", heat.C)):
+        write_matrix(folder / f"{role}.mtx", mat)
+    (folder / "manifest.json").write_text(json.dumps({r: f"{r}.mtx" for r in "ABC"}))
+    factored, exponentiated = count_factorizations(
+        monkeypatch, command, "--model", folder / "manifest.json", "--tbar", 0.05,
+        "--order", 4, "--out", tmp_path / "out")
+    full = [x for x in factored if x.shape == (30, 30)]
     assert len(full) == 2
     assert np.array_equal(full[0], a) and np.array_equal(full[1], a.T)
-    assert exponentiated.count((80, 80)) == 1
+    assert exponentiated.count((30, 30)) == 1
 
 
 @pytest.mark.parametrize("command", ["reduce", "bound"])

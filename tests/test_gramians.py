@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rand_stable
+import tlbt.linalg
 from tlbt.balancing import ReducedModel, balance, truncate
+from tlbt.bounds import tlbt_h2_bound
 from tlbt.errors import DimensionError, NotPsdError, StabilityError
 from tlbt.gramians import (
     GramianSet,
@@ -307,3 +309,24 @@ def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
         assert np.array_equal(other.Q, results[0].Q)
     # one shared Schur form of A, and one transient form of A^T per call
     assert factored.count((40, 40)) == 1 + workers
+
+
+def test_symmetric_operator_reuses_its_schur_form_bit_for_bit(monkeypatch):
+    def pipeline():
+        sys = generate_heat_model(100, 3, 2)
+        assert sys._operator().schur.symmetric
+        g = time_limited_gramians(sys, 0.05)
+        bal = balance(g, sys, 6)
+        rom = truncate(sys, bal)
+        return g, bal, rom, tlbt_h2_bound(sys, rom, g.P, 0.05).epsilon
+
+    g, bal, rom, eps = pipeline()
+    # reference: Q solved on an explicit Schur factorization of A^T
+    monkeypatch.setattr(tlbt.linalg._SchurForm, "transposed",
+                        lambda s: tlbt.linalg._schur_form(s.a.T, spectrum=False))
+    g_ref, bal_ref, rom_ref, eps_ref = pipeline()
+    assert np.array_equal(g.P, g_ref.P) and np.array_equal(g.Q, g_ref.Q)
+    assert np.array_equal(bal.singular_values, bal_ref.singular_values)
+    for name in ("A11", "B1", "C1"):
+        assert np.array_equal(getattr(rom, name), getattr(rom_ref, name))
+    assert eps == eps_ref

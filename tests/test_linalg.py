@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import tlbt.linalg
 from tlbt.errors import DimensionError, NotPsdError, SpectrumSeparationError
 from tlbt.linalg import (
+    _schur_form,
     _trsyl,
     expm,
     solve_lyapunov,
@@ -282,3 +283,25 @@ def test_kernel_reports_an_illegal_argument(monkeypatch):
     monkeypatch.setattr(tlbt.linalg.sla.lapack, "dtrsyl", bad_trsyl)
     with pytest.raises(ValueError, match="argument 3"):
         solve_lyapunov([[-1.0]], [[1.0]])
+
+
+def test_symmetric_norm_is_the_spectral_radius_of_the_schur_form():
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((6, 6)))
+    m = q @ np.diag([-5.0, 3.0, 1.0, -0.5, 2.0, 4.0]) @ q.T
+    a = (m + m.T) / 2.0
+    s = _schur_form(a)
+    assert s.symmetric
+    # the largest |lambda| is the negative eigenvalue -5
+    assert s.norm2 == np.max(np.abs(s.eigvals))
+    assert abs(s.norm2 - np.linalg.norm(a, 2)) <= 1e-14 * np.linalg.norm(a, 2)
+    assert abs(s.norm2 - 5.0) <= 1e-13
+    assert s.transposed() is s
+    # one ulp from symmetric: the SVD norm and a fresh factorization of A^T
+    b = a.copy()
+    b[0, 1] = np.nextafter(b[0, 1], np.inf)
+    sb = _schur_form(b)
+    assert not sb.symmetric
+    assert sb.norm2 == np.linalg.norm(b, 2)
+    tb = sb.transposed()
+    assert tb is not sb and np.array_equal(tb.a, b.T)
+    assert tb.eigvals is None and tb.norm2 is None

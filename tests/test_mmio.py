@@ -42,6 +42,12 @@ def test_coordinate_symmetric_mirrors_offdiagonal(tmp_path):
     assert np.array_equal(read_matrix(write(tmp_path, text)), [[3.0, 4.0], [4.0, 0.0]])
 
 
+def test_coordinate_symmetric_rejects_entry_above_diagonal(tmp_path):
+    text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1\n2 1 5\n1 2 7\n"
+    with pytest.raises(MatrixMarketError, match=r":5: entry \(1, 2\) above the diagonal"):
+        read_matrix(write(tmp_path, text))
+
+
 def test_coordinate_integer_field(tmp_path):
     text = "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 9\n"
     assert read_matrix(write(tmp_path, text))[0, 0] == 9.0

@@ -195,6 +195,10 @@ class TestInputSignal:
         with pytest.raises(ValueError, match="strictly increasing"):
             InputSignal.from_table([0.0, 0.0], [[1.0], [2.0]])
 
+    def test_table_nan_timestamp_reported_as_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            InputSignal.from_table([0.0, math.nan], [[1.0], [2.0]])
+
     def test_table_row_count_mismatch(self):
         with pytest.raises(ValueError, match="one row of values per timestamp"):
             InputSignal.from_table([0.0, 1.0], [[1.0]])
