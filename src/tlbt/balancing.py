@@ -126,18 +126,19 @@ def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -
     return BalancingResult(singular_values=sigma, V=v, W=w, horizon=gramians.horizon, r=r)
 
 
-def full_balancing_transform(p, q, factor_tol: float = 1e-12):
+def full_balancing_transform(p, q):
     """Dense balancing transform for a symmetric positive definite pair.
 
     Returns (S, S_inv, sigma) with S P S^T = S^-T Q S^-1 = diag(sigma).
-    Intended for verification at moderate dimensions; raises for
-    rank-deficient input and suggests the projection route.
+    P and Q are factored at the eigenvalue cutoff 1e-12 ||.||_2 of a
+    :class:`GramianSet`. Raises for rank-deficient input and suggests
+    the projection route.
     """
     p = as_matrix(p, "P")
     q = as_matrix(q, "Q")
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise DimensionError(f"P and Q must be square with equal shapes, got {p.shape} and {q.shape}")
-    return _balancing_transform(spd_factor(p, factor_tol), spd_factor(q, factor_tol))
+    return _balancing_transform(spd_factor(p), spd_factor(q))
 
 
 def _balancing_transform(zp: np.ndarray, zq: np.ndarray):

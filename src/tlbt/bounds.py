@@ -19,8 +19,12 @@ exponentially in tbar for stable systems, and a nonpositive correction:
     R = -2 tr(G1^T G Pm) + tr(G1^T G1 Pr) + tr(F1 F1^T S1),
 
 with S = diag(sigma) the balanced Gramian, F = e^(A tbar) B and
-G = C e^(A tbar) partitioned conformally. Classical unrestricted bounds
-(the 2-sum Hankel bound and the infinite-horizon leading trace) and a
+G = C e^(A tbar) partitioned conformally. The balanced form is not
+solved afresh: with the dense balancing transform S it takes the trace
+route's objects into balanced coordinates (F_bal = S F, G_bal = G S^-1,
+Pm_bal = S Pm), so both forms share one Schur form of A, one set of
+propagators and one mixed Gramian. Classical unrestricted bounds (the
+2-sum Hankel bound and the infinite-horizon leading trace) and a
 sampled frequency-response error are included for comparison.
 """
 from __future__ import annotations
@@ -32,15 +36,8 @@ import numpy as np
 
 from .balancing import ReducedModel, _balancing_transform
 from .errors import DimensionError, SpectrumSeparationError, StabilityError
-from .gramians import GramianSet, mixed_gramian, reduced_gramian
-from .linalg import (
-    _schur_form,
-    _solve_lyapunov,
-    _solve_sylvester,
-    as_matrix,
-    expm,
-    spectrum_separation,
-)
+from .gramians import GramianSet, _check_horizon, mixed_gramian, reduced_gramian
+from .linalg import _schur_form, as_matrix, expm, spectrum_separation
 
 __all__ = [
     "BoundReport",
@@ -56,8 +53,6 @@ __all__ = [
 # negative radicands larger than this (relative to the leading trace) are
 # treated as numerical inconsistency rather than rounding
 _RADICAND_RTOL = 1e-12
-
-DEFAULT_VERIFICATION_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ class RemainderDiagnostics:
 
 def _check_hypotheses(s, a11):
     """Check the bound's spectral hypotheses; ``s`` is the Schur form of
-    the full operator A. Returns the Schur form of A11."""
+    the full operator A."""
     s11 = _schur_form(a11)
     for sep, label in ((spectrum_separation(a11, a11), "Lambda(A11) and -Lambda(A11)"),
                        (s.separation(s11), "Lambda(A) and -Lambda(A11)")):
@@ -141,7 +136,6 @@ def _check_hypotheses(s, a11):
                 f"the error-bound hypothesis that {label} do not intersect fails: "
                 f"pair lambda={lam:.6g}, mu={mu:.6g} has |lambda + mu| = {sep.min_sum_abs:.3e}"
             )
-    return s11
 
 
 def _epsilon_from_radicand(radicand: float, scale: float) -> float:
@@ -175,9 +169,7 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
     -------
     BoundReport
     """
-    tbar = float(tbar)
-    if not (tbar > 0 and math.isfinite(tbar)):
-        raise ValueError(f"tbar must be positive and finite, got {tbar}")
+    tbar = _check_horizon(tbar)
     a11 = as_matrix(rom.A11, "A11")
     c1 = as_matrix(rom.C1, "C1")
     if c1.shape[0] != sys.p:
@@ -207,16 +199,14 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
     )
 
 
-def _balanced_realization(sys, gramians: GramianSet, r: int, cap: int) -> dict:
-    """Balanced realization (A, B, C) of the standard form, the balanced
-    singular values, and the Schur forms of A and of its leading r x r
-    block A11, whose spectral hypotheses are checked."""
+def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dict:
+    """The order-r balanced truncation and the trace route's objects in
+    balanced coordinates x_bal = S x, by change of coordinates: the
+    realization (S A S^-1, S B, C S^-1), F_bal = S F, G_bal = G S^-1,
+    PM_bal = S Pm, and the reduced model's Pr and Fr. Lambda(A_bal) =
+    Lambda(A), so the hypotheses are checked on A's Schur form. With
+    tbar = inf only the realization and PM are formed."""
     n = sys.n
-    if n > cap:
-        raise ValueError(
-            f"balanced-coordinates verification is capped at n = {cap} (got n = {n}); "
-            "raise cap explicitly if this is intended"
-        )
     if not (1 <= r <= n):
         raise ValueError(f"r must be in [1, {n}], got {r}")
     if gramians.P.shape != (n, n):
@@ -224,68 +214,47 @@ def _balanced_realization(sys, gramians: GramianSet, r: int, cap: int) -> dict:
     s, s_inv, sigma = _balancing_transform(gramians.lowrank_P, gramians.lowrank_Q)
     op = sys._operator()
     a_bal = s @ op.a @ s_inv
-    s_bal = _schur_form(a_bal)
-    return {
-        "sigma": sigma,
-        "A": a_bal,
-        "B": s @ op.b,
-        "C": sys.C @ s_inv,
-        "schur": s_bal,
-        "schur11": _check_hypotheses(s_bal, a_bal[:r, :r]),
-        "r": r,
-    }
-
-
-def _balanced_partition(sys, gramians: GramianSet, r: int, tbar: float, cap: int) -> dict:
-    """The balanced realization plus its horizon propagators F and G and
-    the reduced and mixed Gramians Pr, PM in balanced coordinates."""
-    d = _balanced_realization(sys, gramians, r, cap)
-    phi = expm(d["A"], tbar)
-    b1 = d["B"][:r, :]
-    fr = expm(d["A"][:r, :r], tbar) @ b1
-    f_bal = phi @ d["B"]
-    d.update(
-        F=f_bal,
-        G=d["C"] @ phi,
-        Fr=fr,
-        Pr=_solve_lyapunov(d["schur11"], fr @ fr.T - b1 @ b1.T),
-        PM=_solve_sylvester(d["schur"], d["schur11"], f_bal @ fr.T - d["B"] @ b1.T),
-    )
+    b_bal = s @ op.b
+    c_bal = sys.C @ s_inv
+    rom = ReducedModel(A11=a_bal[:r, :r], B1=b_bal[:r, :], C1=c_bal[:, :r], r=r, horizon=tbar)
+    _check_hypotheses(op.schur, rom.A11)
+    d = {"sigma": sigma, "A": a_bal, "B": b_bal, "C": c_bal, "r": r,
+         "PM": s @ mixed_gramian(sys, rom, tbar)}
+    if math.isfinite(tbar):
+        f, g = op.propagators(tbar)
+        d.update(F=s @ f, G=g @ s_inv, Pr=reduced_gramian(rom, tbar),
+                 Fr=expm(rom.A11, tbar) @ rom.B1)
     return d
 
 
-def _remainder_terms(d):
+def _leading_trace(d) -> float:
+    """tr(S2 (B2 B2^T + 2 PM2 A21^T)) over the discarded block."""
     r = d["r"]
-    sigma1 = d["sigma"][:r]
-    g1 = d["G"][:, :r]
-    f1 = d["F"][:r, :]
-    cross = float(np.sum(g1 * (d["G"] @ d["PM"])))
-    obs = float(np.sum((g1 @ d["Pr"]) * g1))
-    reach = float(np.sum(sigma1 * np.sum(f1 * f1, axis=1)))
-    return cross, obs, reach
+    b2, pm2, a21 = d["B"][r:, :], d["PM"][r:, :], d["A"][r:, :r]
+    return float(np.sum(d["sigma"][r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
 
 
-def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float,
-                      cap: int = DEFAULT_VERIFICATION_CAP) -> BoundReport:
+def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float) -> BoundReport:
     """Same bound as :func:`tlbt_h2_bound`, evaluated in balanced
     coordinates as leading trace + remainder + correction.
 
     Requires positive definite Gramians (dense balancing transform). The
-    implied reduced model is the order-r balanced truncation.
+    implied reduced model is the order-r balanced truncation. The
+    propagators and the mixed Gramian are those of the trace route,
+    moved into balanced coordinates, so agreement with
+    :func:`tlbt_h2_bound` checks the identity between the two
+    representations on shared Gramians, not the equation solves
+    themselves (those are checked against quadrature).
     """
-    tbar = float(tbar)
-    if not (tbar > 0 and math.isfinite(tbar)):
-        raise ValueError(f"tbar must be positive and finite, got {tbar}")
-    d = _balanced_partition(sys, gramians, r, tbar, cap)
+    tbar = _check_horizon(tbar)
+    d = _balanced_coordinates(sys, gramians, r, tbar)
     sigma = d["sigma"]
-    sigma1, sigma2 = sigma[:r], sigma[r:]
-    a21 = d["A"][r:, :r]
-    b2 = d["B"][r:, :]
-    pm2 = d["PM"][r:, :]
-    f1 = d["F"][:r, :]
-    c1 = d["C"][:, :r]
-    leading = float(np.sum(sigma2 * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
-    cross, obs, reach = _remainder_terms(d)
+    sigma1 = sigma[:r]
+    g1, f1, c1 = d["G"][:, :r], d["F"][:r, :], d["C"][:, :r]
+    leading = _leading_trace(d)
+    cross = float(np.sum(g1 * (d["G"] @ d["PM"])))
+    obs = float(np.sum((g1 @ d["Pr"]) * g1))
+    reach = float(np.sum(sigma1 * np.sum(f1 * f1, axis=1)))
     remainder = -2.0 * cross + obs + reach
     diff = f1 - d["Fr"]
     last = -float(np.sum(sigma1 * np.sum(diff * diff, axis=1)))
@@ -307,22 +276,16 @@ def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float,
     )
 
 
-def remainder_diagnostics(sys, gramians: GramianSet, r: int, tbar: float,
-                          cap: int = DEFAULT_VERIFICATION_CAP) -> RemainderDiagnostics:
+def remainder_diagnostics(sys, gramians: GramianSet, r: int, tbar: float) -> RemainderDiagnostics:
     """Frobenius certificates for the remainder of the balanced
     representation at horizon tbar."""
-    tbar = float(tbar)
-    if not (tbar > 0 and math.isfinite(tbar)):
-        raise ValueError(f"tbar must be positive and finite, got {tbar}")
-    d = _balanced_partition(sys, gramians, r, tbar, cap)
-    sigma1 = d["sigma"][:r]
-    f1 = d["F"][:r, :]
-    g1 = d["G"][:, :r]
+    d = _balanced_coordinates(sys, gramians, r, _check_horizon(tbar))
+    f1, g1 = d["F"][:r, :], d["G"][:, :r]
     norm_f1 = float(np.linalg.norm(f1))
     norm_g1 = float(np.linalg.norm(g1))
     norm_g = float(np.linalg.norm(d["G"]))
     norm_pm = float(np.linalg.norm(d["PM"]))
-    trace_sigma1 = float(np.sum(sigma1))
+    trace_sigma1 = float(np.sum(d["sigma"][:r]))
     trace_pr = float(np.trace(d["Pr"]))
     return RemainderDiagnostics(
         norm_F1=norm_f1,
@@ -350,8 +313,7 @@ def bt_hinf_bound(hankel_values, r: int) -> float:
     return float(2.0 * np.sum(sigma[r:]))
 
 
-def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int,
-                         cap: int = DEFAULT_VERIFICATION_CAP) -> float:
+def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int) -> float:
     """Squared H2 error bound of unrestricted balanced truncation:
     tr(S2 (B2 B2^T + 2 Pm2 A21^T)) in balanced coordinates.
 
@@ -361,13 +323,7 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int,
         raise ValueError("the unrestricted H2 bound needs Gramians with horizon = inf")
     if np.any(sys._operator().schur.eigvals.real >= 0):
         raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
-    d = _balanced_realization(sys, gramians, r, cap)
-    b_bal = d["B"]
-    pm = _solve_sylvester(d["schur"], d["schur11"], -b_bal @ b_bal[:r, :].T)
-    a21 = d["A"][r:, :r]
-    b2 = b_bal[r:, :]
-    pm2 = pm[r:, :]
-    return float(np.sum(d["sigma"][r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
+    return _leading_trace(_balanced_coordinates(sys, gramians, r, math.inf))
 
 
 def hinf_error_sampled(sys, rom: ReducedModel, frequencies) -> float:

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys as _sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,10 +43,12 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path: str, write) -> None:
     """Run ``write(tmp)`` on a temporary file in the destination
-    directory, then rename it to ``path``."""
+    directory, then rename it to ``path``. The temporary file is created
+    with mode 0o666 less the umask, as ``open(path, "w")`` would create
+    ``path`` itself."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    os.close(fd)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write(tmp)
         os.replace(tmp, path)

@@ -34,7 +34,8 @@ class ExperimentConfig:
     r : int, optional
         Reduced order. Mutually exclusive with ``tau``.
     tau : float, optional
-        Singular-value tail tolerance for automatic order selection.
+        Positive, finite tolerance for automatic order selection: the
+        smallest r whose discarded singular values sum to at most tau.
     input : str
         Input signal spec: ``const:c`` or ``const:c1,...,cm``, ``star``,
         ``zero``, or ``table:path``.
@@ -58,9 +59,9 @@ class ExperimentConfig:
             raise ValueError("give exactly one of r and tau, not both")
         if self.r is not None and (not isinstance(self.r, int) or self.r < 1):
             raise ValueError(f"r must be a positive integer, got {self.r!r}")
-        if self.tau is not None and not (0 <= self.tau < math.inf):
-            raise ValueError(f"tau must be a nonnegative real, got {self.tau!r}")
-        for name in ("tbar", "dt", "tend"):
+        if self.tau is not None and not (self.tau > 0):
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("tau", "tbar", "dt", "tend"):
             val = getattr(self, name)
             if val is not None and not (val > 0 and math.isfinite(val)):
                 raise ValueError(f"{name} must be positive and finite, got {val!r}")

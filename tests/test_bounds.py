@@ -121,6 +121,16 @@ class TestAlternativeRepresentation:
         assert abs(alt.alt_last) <= 1e-12
         assert alt.epsilon_squared <= 1e-12 * alt.term_cpc
 
+    def test_matches_trace_route_on_shared_gramians(self):
+        # both routes read one mixed Gramian, F and G, so they differ
+        # only by a change of coordinates and its rounding
+        sys = generate_heat_model(100, 100, 100)
+        tbar = 0.05
+        gset, rom = balanced_rom(sys, tbar, r=4)
+        direct = tlbt_h2_bound(sys, rom, gset.P, tbar)
+        alt = tlbt_h2_bound_alt(sys, gset, 4, tbar)
+        assert alt.epsilon_squared == pytest.approx(direct.epsilon_squared, rel=1e-12, abs=0.0)
+
     def test_rank_deficient_gramians_rejected(self):
         sys = generate_heat_model(20, 7, 6)
         gset = time_limited_gramians(sys, 1.0)
@@ -199,16 +209,6 @@ class TestClassicalBounds:
         sys = generate_heat_model(6, 6, 6)
         gset = infinite_gramians(sys)
         assert bt_h2_bound_infinite(sys, gset, 6) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_balanced_coordinate_routes_share_one_cap():
-    sys = generate_heat_model(6, 6, 6)
-    tl, inf = time_limited_gramians(sys, 0.5), infinite_gramians(sys)
-    for call in (lambda: tlbt_h2_bound_alt(sys, tl, 3, 0.5, cap=5),
-                 lambda: remainder_diagnostics(sys, tl, 3, 0.5, cap=5),
-                 lambda: bt_h2_bound_infinite(sys, inf, 3, cap=5)):
-        with pytest.raises(ValueError, match="capped at n = 5"):
-            call()
 
 
 class TestSampledHinfError:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -58,6 +60,10 @@ class TestExperimentConfig:
             ExperimentConfig(model="gen:5,1,1", r=0)
         with pytest.raises(ValueError, match="tau must be"):
             ExperimentConfig(model="gen:5,1,1", tau=-1.0)
+        with pytest.raises(ValueError, match="tau must be positive, got 0"):
+            ExperimentConfig(model="gen:5,1,1", tau=0.0)
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            ExperimentConfig(model="gen:5,1,1", tau=math.inf)
         with pytest.raises(ValueError, match="tbar must be"):
             ExperimentConfig(model="gen:5,1,1", tbar=-2.0)
         with pytest.raises(ValueError, match="model"):
@@ -153,6 +159,15 @@ class TestReduce:
         assert summary["r"] == select_order(bal.singular_values, tau)
         assert summary["sigma_tail_sum"] <= tau
 
+    def test_zero_tolerance_exits_2_before_any_gramian(self, tmp_path, capsys, monkeypatch):
+        import tlbt.cli
+
+        monkeypatch.setattr(tlbt.cli, "time_limited_gramians",
+                            lambda *args: pytest.fail("the Gramians were computed"))
+        assert run_cli("reduce", "--model", "gen:6,2,2", "--tbar", 0.5, "--tol", 0,
+                       "--out", tmp_path) == 2
+        assert "tau must be positive, got 0" in capsys.readouterr().err
+
     def test_missing_order_control_exits_2(self, tmp_path, capsys):
         assert run_cli("reduce", "--model", "gen:6,2,2", "--tbar", 0.5,
                        "--out", tmp_path) == 2
@@ -232,6 +247,21 @@ class TestSimulate:
         assert run_cli("simulate", "--model", "gen:8,8,8", "--tbar", 1.0, "--order", 2,
                        "--tend", 0.5, "--out", tmp_path) == 2
         assert "shorter than the horizon" in capsys.readouterr().err
+
+
+def test_artifacts_get_the_mode_open_would_give(tmp_path):
+    args = ("--model", "gen:8,8,8", "--tbar", 0.5, "--order", 3)
+    old = os.umask(0o022)
+    try:
+        # the second round replaces the files the first one wrote
+        for _ in range(2):
+            assert run_cli("reduce", *args, "--out", tmp_path) == 0
+            assert run_cli("simulate", *args, "--dt", 0.5 / 64, "--out", tmp_path) == 0
+            modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+            assert len(modes) == 10
+            assert modes == dict.fromkeys(modes, 0o644)
+    finally:
+        os.umask(old)
 
 
 class TestSweep:
@@ -395,3 +425,18 @@ def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
                    "--out", tmp_path) == 0
     # P and Q, each checked, clamped and factored from one eigendecomposition
     assert shapes.count((80, 80)) == 2
+
+
+def test_verify_adds_no_factorization_to_bound(tmp_path, monkeypatch):
+    args = ("--model", "gen:40,40,40", "--tbar", 0.05, "--order", 4)
+    factored, exponentiated = count_factorizations(
+        monkeypatch, "bound", *args, "--out", tmp_path / "v", "--verify")
+    # the balanced-coordinates route reuses the Schur form and the
+    # propagators of the trace route
+    assert [x.shape for x in factored].count((40, 40)) == 1
+    assert exponentiated.count((40, 40)) == 1
+    assert run_cli("bound", *args, "--out", tmp_path / "b") == 0
+    verified = json.loads((tmp_path / "v" / "bound.json").read_text())
+    plain = json.loads((tmp_path / "b" / "bound.json").read_text())
+    for key in ("epsilon", "term_cpc", "term_cprc", "term_cpmc"):
+        assert verified[key] == plain[key]
