@@ -2,16 +2,41 @@
 horizons.
 
 For a reduced model (A11, B1, C1) of (A, B, C) on a horizon [0, tbar],
-the time-limited squared H2-type mismatch
+the time-limited H2-type mismatch bounds the output error pointwise,
 
-    eps^2 = tr(C P C^T) + tr(C1 Pr C1^T) - 2 tr(C Pm C1^T)
+    max_{t in [0, tbar]} ||y(t) - y_r(t)||_2  <=  eps * ||u||_{L2[0, tbar]},
+
+whenever eps^2 >= int_0^tbar ||K(s)||_F^2 ds with the error kernel
+K(s) = C e^(A s) B - C1 e^(A11 s) B1 (Cauchy-Schwarz). The certificate
+is that integral as a sum of squares, so nothing cancels:
+
+    eps = sqrt(I_64 + |I_64 - I_32|) + R,
+
+where I_N is 4-node composite Gauss-Legendre on N panels of ||K(s)||_F^2
+(graded toward s = 0 for stiff operators, see ``linalg``), so the change
+under panel doubling is added as quadrature slack, and R bounds the L2
+norm of the forward rounding bound of the computed kernel,
+rho(s) = g_{n+2} |C X| e^(Lambda s) |X^T B| + g_{r+2} |C1| |e^(A11 s) B1|
+with g_k = k u:
+
+    R = g_{n+2} || |C X| e^(Lambda s) |X^T B| ||_L2 + g_{r+2} ||C1||_F ||e^(A11 s) B1||_L2
+
+(Minkowski, and |C1| |Y| <= ||C1||_F ||Y||_F entrywise; without an
+eigenbasis ||C||_F ||e^(A s) B||_L2 replaces the first norm). The full
+model's samples are kept per horizon on the system; each reduced model
+adds one batched expm of A11, squarings of it and O(r^2 m N) products.
+
+The paper writes the same integral as three Gramian traces,
+
+    tr(C P C^T) + tr(C1 Pr C1^T) - 2 tr(C Pm C1^T)
 
 (with P the time-limited reachability Gramian, Pr its reduced-model
-analogue, and Pm the mixed Gramian) bounds the output error pointwise:
+analogue, and Pm the mixed Gramian). Once the reduced model is good the
+three traces agree to more digits than the arithmetic carries, so their
+combination is rounding noise; they are kept in the report as the
+paper's cross-check and do not enter eps.
 
-    max_{t in [0, tbar]} ||y(t) - y_r(t)||_2  <=  eps * ||u||_{L2[0, tbar]}.
-
-An equivalent representation of eps^2 written in balanced coordinates
+An equivalent representation of the trace form written in balanced coordinates
 splits into the classical-looking leading trace, a remainder that decays
 exponentially in tbar for stable systems, and a nonpositive correction:
 
@@ -36,8 +61,15 @@ import numpy as np
 
 from .balancing import ReducedModel, _balancing_transform
 from .errors import DimensionError, SpectrumSeparationError, StabilityError
-from .gramians import GramianSet, _check_horizon, mixed_gramian, reduced_gramian
-from .linalg import _schur_form, as_matrix, expm, spectrum_separation
+from .gramians import GramianSet, _check_horizon, _mixed_gramian, _reduced_gramian
+from .linalg import (
+    _mesh_exponentials,
+    _mesh_levels,
+    _mesh_samples,
+    _schur_form,
+    as_matrix,
+    expm,
+)
 
 __all__ = [
     "BoundReport",
@@ -61,9 +93,11 @@ class BoundReport:
 
     ``epsilon`` multiplies the input's L2 norm on [0, horizon] to bound
     the worst output deviation on that window. The three ``term_*``
-    fields are the traces whose combination gives epsilon^2; the
-    ``alt_*`` fields are only set when the balanced-coordinates
-    representation was evaluated.
+    fields are the paper's Gramian traces, whose combination
+    term_cpc + term_cprc - 2 term_cpmc is the trace form of epsilon^2
+    (see the module docstring); the ``alt_*`` fields are only set when
+    the balanced-coordinates representation was evaluated, and then
+    epsilon comes from that representation.
     """
 
     epsilon: float
@@ -124,12 +158,11 @@ class RemainderDiagnostics:
         return 2.0 * self.bound_cross + self.bound_obs + self.bound_reach
 
 
-def _check_hypotheses(s, a11):
-    """Check the bound's spectral hypotheses; ``s`` is the Schur form of
-    the full operator A."""
-    s11 = _schur_form(a11)
-    for sep, label in ((spectrum_separation(a11, a11), "Lambda(A11) and -Lambda(A11)"),
-                       (s.separation(s11), "Lambda(A) and -Lambda(A11)")):
+def _check_hypotheses(form, s11):
+    """Check the bound's spectral hypotheses on the factored full
+    operator A and the Schur form of A11."""
+    for sep, label in ((s11.separation(s11), "Lambda(A11) and -Lambda(A11)"),
+                       (form.separation(s11), "Lambda(A) and -Lambda(A11)")):
         if not sep.is_separated:
             lam, mu = sep.worst_pair
             raise SpectrumSeparationError(
@@ -150,7 +183,9 @@ def _epsilon_from_radicand(radicand: float, scale: float) -> float:
 
 
 def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) -> BoundReport:
-    """Time-limited output-error bound from the Gramian traces.
+    """Time-limited output-error bound: eps from the sum of squares of
+    the error kernel, with the paper's three Gramian traces recorded
+    beside it (see the module docstring).
 
     Parameters
     ----------
@@ -158,8 +193,9 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
     rom : ReducedModel
         Reduction of ``sys`` (any projection with conforming dimensions).
     p_tbar : (n, n) array_like
-        Time-limited reachability Gramian of ``sys`` on [0, tbar]. May be
-        None when ``p_factor`` is given.
+        Time-limited reachability Gramian of ``sys`` on [0, tbar], read
+        for the trace tr(C P C^T) only. May be None when ``p_factor`` is
+        given.
     tbar : float
     p_factor : (n, k) array_like, optional
         Low-rank factor Z with P ~= Z Z^T; when given, the leading trace
@@ -171,40 +207,60 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
     """
     tbar = _check_horizon(tbar)
     a11 = as_matrix(rom.A11, "A11")
+    b1 = as_matrix(rom.B1, "B1")
     c1 = as_matrix(rom.C1, "C1")
     if c1.shape[0] != sys.p:
         raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
     if rom.r > sys.n:
         raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
-    _check_hypotheses(sys._operator().schur, a11)
+    op = sys._operator()
+    s11 = _schur_form(a11)
+    _check_hypotheses(op.form, s11)
     if p_factor is not None:
         z = as_matrix(p_factor, "P factor")
         term_cpc = float(np.sum((sys.C @ z) ** 2))
     else:
         p = as_matrix(p_tbar, "P")
         term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
-    pr = reduced_gramian(rom, tbar)
-    pm = mixed_gramian(sys, rom, tbar)
-    term_cprc = float(np.sum((c1 @ pr) * c1))
-    term_cpmc = float(np.sum((sys.C @ pm) * c1))
-    radicand = term_cpc + term_cprc - 2.0 * term_cpmc
-    eps = _epsilon_from_radicand(radicand, term_cpc)
+    levels = _mesh_levels(tbar, max(op.form.norm2, s11.norm2))
+    phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
+    fr = phi_r @ b1
+    pm = _mixed_gramian(sys, s11, b1, fr, tbar)
+    pr = _reduced_gramian(s11, b1, fr)
     return BoundReport(
-        epsilon=eps,
+        epsilon=_kernel_epsilon(op, b1, c1, base, tbar, levels),
         term_cpc=term_cpc,
-        term_cprc=term_cprc,
-        term_cpmc=term_cpmc,
+        term_cprc=float(np.sum((c1 @ pr) * c1)),
+        term_cpmc=float(np.sum((sys.C @ pm) * c1)),
         horizon=tbar,
         r=rom.r,
     )
+
+
+def _kernel_epsilon(op, b1, c1, base, tbar: float, levels: int) -> float:
+    """eps = sqrt(I_64 + |I_64 - I_32|) + R on the record's memoized samples of
+    the full model and the stepped samples of the reduced one
+    (``base`` from ``_mesh_exponentials`` of A11). The samples carry
+    the square roots of their quadrature weights, so each weighted sum
+    of squares is a dot product."""
+    unit = float(np.finfo(float).eps) / 2.0
+    roots, full, full_coarse, full_envelope = op.kernel_samples(tbar, levels)
+    red, red_coarse, red_energy = _mesh_samples(base, b1, c1, levels, roots)
+    red -= full
+    red_coarse -= full_coarse
+    fine, coarse = (float(np.vdot(d, d)) for d in (red, red_coarse))
+    rounding = ((op.c.shape[1] + 2) * unit * full_envelope
+                + (b1.shape[0] + 2) * unit * float(np.linalg.norm(c1)) * math.sqrt(red_energy))
+    return math.sqrt(fine + abs(fine - coarse)) + rounding
 
 
 def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dict:
     """The order-r balanced truncation and the trace route's objects in
     balanced coordinates x_bal = S x, by change of coordinates: the
     realization (S A S^-1, S B, C S^-1), F_bal = S F, G_bal = G S^-1,
-    PM_bal = S Pm, and the reduced model's Pr and Fr. Lambda(A_bal) =
-    Lambda(A), so the hypotheses are checked on A's Schur form. With
+    PM_bal = S Pm, and the reduced model's Pr and Fr, all on one Schur
+    form of A11. Lambda(A_bal) = Lambda(A), so the hypotheses are checked
+    on A's own factorization. With
     tbar = inf only the realization and PM are formed."""
     n = sys.n
     if not (1 <= r <= n):
@@ -216,14 +272,17 @@ def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dic
     a_bal = s @ op.a @ s_inv
     b_bal = s @ op.b
     c_bal = sys.C @ s_inv
-    rom = ReducedModel(A11=a_bal[:r, :r], B1=b_bal[:r, :], C1=c_bal[:, :r], r=r, horizon=tbar)
-    _check_hypotheses(op.schur, rom.A11)
-    d = {"sigma": sigma, "A": a_bal, "B": b_bal, "C": c_bal, "r": r,
-         "PM": s @ mixed_gramian(sys, rom, tbar)}
+    a11, b1 = a_bal[:r, :r], b_bal[:r, :]
+    s11 = _schur_form(a11)
+    _check_hypotheses(op.form, s11)
+    d = {"sigma": sigma, "A": a_bal, "B": b_bal, "C": c_bal, "r": r}
     if math.isfinite(tbar):
         f, g = op.propagators(tbar)
-        d.update(F=s @ f, G=g @ s_inv, Pr=reduced_gramian(rom, tbar),
-                 Fr=expm(rom.A11, tbar) @ rom.B1)
+        fr = expm(a11, tbar) @ b1
+        d.update(F=s @ f, G=g @ s_inv, Pr=_reduced_gramian(s11, b1, fr), Fr=fr)
+    else:
+        fr = None
+    d["PM"] = s @ _mixed_gramian(sys, s11, b1, fr, tbar)
     return d
 
 
@@ -235,8 +294,10 @@ def _leading_trace(d) -> float:
 
 
 def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float) -> BoundReport:
-    """Same bound as :func:`tlbt_h2_bound`, evaluated in balanced
-    coordinates as leading trace + remainder + correction.
+    """The paper's trace form of :func:`tlbt_h2_bound`'s eps^2, evaluated
+    in balanced coordinates as leading trace + remainder + correction;
+    ``epsilon`` is the square root of that sum (0 for a sum that is
+    negative by rounding only).
 
     Requires positive definite Gramians (dense balancing transform). The
     implied reduced model is the order-r balanced truncation. The
@@ -321,7 +382,7 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int) -> float:
     """
     if math.isfinite(gramians.horizon):
         raise ValueError("the unrestricted H2 bound needs Gramians with horizon = inf")
-    if np.any(sys._operator().schur.eigvals.real >= 0):
+    if np.any(sys._operator().form.eigvals.real >= 0):
         raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
     return _leading_trace(_balanced_coordinates(sys, gramians, r, math.inf))
 

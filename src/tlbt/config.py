@@ -57,13 +57,14 @@ class ExperimentConfig:
             raise ValueError("model must be a nonempty string")
         if self.r is not None and self.tau is not None:
             raise ValueError("give exactly one of r and tau, not both")
-        if self.r is not None and (not isinstance(self.r, int) or self.r < 1):
+        # bool is a subclass of int: JSON true must not pass as 1
+        if self.r is not None and (isinstance(self.r, bool) or not isinstance(self.r, int) or self.r < 1):
             raise ValueError(f"r must be a positive integer, got {self.r!r}")
         if self.tau is not None and not (self.tau > 0):
             raise ValueError(f"tau must be positive, got {self.tau}")
         for name in ("tau", "tbar", "dt", "tend"):
             val = getattr(self, name)
-            if val is not None and not (val > 0 and math.isfinite(val)):
+            if val is not None and (isinstance(val, bool) or not (val > 0 and math.isfinite(val))):
                 raise ValueError(f"{name} must be positive and finite, got {val!r}")
 
     def require_order_control(self) -> None:

@@ -10,13 +10,24 @@ and the time-limited pair on [0, tbar] solves
     A^T Q + Q A + C^T C - G^T G = 0,
 
 with F = e^(A tbar) B and G = C e^(A tbar). A system with a mass matrix
-E is handled through its standard form (A, B, C) = (E^-1 A, E^-1 B, C):
-every equation is solved on the system's memoized Schur record, which
-also holds F and G per horizon, and both Gramians are those of the
-standard form. The equation for Q is solved on the record's own form
-when A is exactly symmetric, otherwise on a Schur form of A^T made for
-the Gramian pair. (In the generalized equations' terms, P is unchanged
-and Q is the observability Gramian proper E^T Q_gen E.)
+E is handled through its standard form (A, B, C) = (E^-1 A, E^-1 B, C),
+and both Gramians are those of the standard form. (In the generalized
+equations' terms, P is unchanged and Q is the observability Gramian
+proper E^T Q_gen E.)
+
+Both Gramians come from the system's memoized operator record. On the
+eigenbasis of a symmetric-definite model (A X = E X Lambda,
+X^T E X = I) they are closed forms with no equation to solve:
+
+    P = X ((X^T B)(X^T B)^T o Phi) X^T,
+    Q = E X ((C X)^T (C X) o Phi) X^T E,
+    Phi_ij = expm1((l_i + l_j) tbar) / (l_i + l_j)   (tbar when l_i + l_j = 0),
+
+and Phi_ij = -1 / (l_i + l_j) for the unrestricted pair. Every other
+operator solves the equations by Bartels-Stewart on its Schur form, and
+the equation for Q on a Schur form of A^T made for the Gramian pair.
+The mixed Gramian of a system and a reduced model is X M on the
+eigenbasis, with Lambda M + M A11^T solved on A11's Schur form.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
 Building one runs a single eigendecomposition per Gramian, which
@@ -36,15 +47,17 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionError, StabilityError
 from .linalg import (
+    _EigForm,
+    _exp_finite,
     _psd_factor,
     _require_separated,
     _schur_form,
     _solve_lyapunov,
     _solve_sylvester,
+    _solve_sylvester_diagonal,
     _symmetric,
     as_matrix,
     expm,
-    solve_lyapunov,
 )
 from .systems import StateSpaceSystem
 
@@ -108,13 +121,27 @@ def _check_horizon(tbar, allow_inf: bool = False) -> float:
 
 def _gramian_set(op, w_p, w_q, horizon: float) -> GramianSet:
     """Solve A P + P A^T = W_p on the operator record's Schur form and
-    A^T Q + Q A = W_q on the Schur form of A^T (A = A_std): the same
-    form for an exactly symmetric A, a transient one otherwise."""
-    s = op.schur
+    A^T Q + Q A = W_q on a Schur form of A^T (A = A_std)."""
+    s = op.form
     _require_separated(s, s, "solve_lyapunov")
     p = _solve_lyapunov(s, w_p)
     q = _solve_lyapunov(s.transposed(), w_q)
     return GramianSet(P=p, Q=q, horizon=horizon)
+
+
+def _eigenbasis_gramians(op, phi: np.ndarray, horizon: float) -> GramianSet:
+    """P = X ((X^T B)(X^T B)^T o Phi) X^T and Q = Y ((C X)^T (C X) o Phi) Y^T."""
+    f = op.form
+
+    def congruence(v, g):
+        g *= phi
+        x = (v @ g) @ v.T
+        x += x.T
+        x *= 0.5
+        return x
+
+    return GramianSet(P=congruence(f.x, op.xb @ op.xb.T), Q=congruence(f.y, op.cx.T @ op.cx),
+                      horizon=horizon)
 
 
 def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
@@ -125,18 +152,34 @@ def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
     GramianSet with horizon = math.inf.
     """
     op = sys._operator()
-    _require_hurwitz(op.schur.eigvals, op.label)
+    _require_hurwitz(op.form.eigvals, op.label)
+    if isinstance(op.form, _EigForm):
+        lam = op.form.eigvals
+        return _eigenbasis_gramians(op, -1.0 / (lam[:, None] + lam[None, :]), math.inf)
     return _gramian_set(op, -op.b @ op.b.T, -op.c.T @ op.c, math.inf)
 
 
 def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
     """Gramians over [0, tbar].
 
-    Solvable whenever Lambda(A) and -Lambda(A) do not overlap; stability
-    is not required.
+    Solvable whenever Lambda(A) and -Lambda(A) do not overlap (always on
+    the eigenbasis of a symmetric-definite model); stability is not
+    required.
     """
     tbar = _check_horizon(tbar)
     op = sys._operator()
+    if isinstance(op.form, _EigForm):
+        lam = op.form.eigvals
+        rates = lam[:, None] + lam[None, :]
+        phi = rates * tbar
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.expm1(phi, out=phi)
+            np.divide(phi, rates, out=phi, where=rates != 0.0)
+        phi[rates == 0.0] = tbar
+        if not np.all(np.isfinite(phi)):
+            raise OverflowError(f"time-limited Gramian overflowed (largest rate {np.max(rates):.3e}, tbar = {tbar:g})")
+        del rates
+        return _eigenbasis_gramians(op, phi, tbar)
     f, g = op.propagators(tbar)
     b, c = op.b, op.c
     return _gramian_set(op, f @ f.T - b @ b.T, g.T @ g - c.T @ c, tbar)
@@ -183,8 +226,13 @@ def reduced_gramian(rom, tbar: float) -> np.ndarray:
     tbar = _check_horizon(tbar)
     a11 = as_matrix(rom.A11, "A11")
     b1 = as_matrix(rom.B1, "B1")
-    fr = expm(a11, tbar) @ b1
-    return _psd_factor(solve_lyapunov(a11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
+    return _reduced_gramian(_schur_form(a11), b1, expm(a11, tbar) @ b1)
+
+
+def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
+    """:func:`reduced_gramian` on the Schur form of A11 and Fr."""
+    _require_separated(s11, s11, "solve_lyapunov")
+    return _psd_factor(_solve_lyapunov(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
 
 
 def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
@@ -198,17 +246,27 @@ def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
     tbar = _check_horizon(tbar, allow_inf=True)
     a11 = as_matrix(rom.A11, "A11")
     b1 = as_matrix(rom.B1, "B1")
+    fr = expm(a11, tbar) @ b1 if math.isfinite(tbar) else None
+    return _mixed_gramian(sys, _schur_form(a11), b1, fr, tbar)
+
+
+def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
+    """:func:`mixed_gramian` on the Schur form of A11 and Fr (None for
+    tbar = inf)."""
     if b1.shape[1] != sys.m:
         raise DimensionError(f"B1 has {b1.shape[1]} columns but the system has m = {sys.m}")
     op = sys._operator()
-    s11 = _schur_form(a11)
-    if math.isfinite(tbar):
-        f, _ = op.propagators(tbar)
-        fr = expm(a11, tbar) @ b1
-        w = f @ fr.T - op.b @ b1.T
-    else:
-        _require_hurwitz(op.schur.eigvals, op.label)
+    if not math.isfinite(tbar):
+        _require_hurwitz(op.form.eigvals, op.label)
         _require_hurwitz(s11.eigvals, "A11")
-        w = -op.b @ b1.T
-    _require_separated(op.schur, s11, "solve_sylvester")
-    return _solve_sylvester(op.schur, s11, w)
+    _require_separated(op.form, s11, "solve_sylvester")
+    if isinstance(op.form, _EigForm):
+        # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
+        w = -op.xb @ b1.T
+        if fr is not None:
+            w += (_exp_finite(op.form.eigvals * tbar)[:, None] * op.xb) @ fr.T
+        return op.form.x @ _solve_sylvester_diagonal(op.form.eigvals, s11, w)
+    w = -op.b @ b1.T
+    if fr is not None:
+        w += op.propagators(tbar)[0] @ fr.T
+    return _solve_sylvester(op.form, s11, w)

@@ -2,22 +2,32 @@
 
 Provides the matrix exponential, Sylvester/Lyapunov solvers, a
 rank-revealing factorization of symmetric positive semidefinite matrices,
-and a spectrum-separation check that guards the solvers' uniqueness
-condition.
+a spectrum-separation check that guards the solvers' uniqueness
+condition, and samples of an impulse response C e^(A s) B on a graded
+Gauss-Legendre mesh.
 
-Every Sylvester/Lyapunov solve is Bartels-Stewart on real Schur forms;
+A system's operator is factored once and the factorization kept on the
+system (see ``systems``). A symmetric-definite pencil (A = A^T, E absent
+or symmetric positive definite) gets one generalized symmetric
+eigendecomposition A X = E X diag(lambda), X^T E X = I; every other
+operator gets a real Schur form. Every Sylvester/Lyapunov solve is
+Bartels-Stewart on real Schur forms (on a diagonal for the eigenbasis);
 the triangular equation goes through a recursive blocked kernel (after
 Jonsson and Kagstrom's RECSY) whose leaves are LAPACK dtrsyl calls. The
-public solvers factor their arguments on every call. A system's operator
-is factored once and its Schur form kept on the system (see
-``systems``); the package's Gramian routines solve on that form, and
-on the same form for A^T when the operator is exactly symmetric.
+public solvers factor their arguments on every call.
+
+The mesh: 4-node composite Gauss-Legendre on [0, tbar] with 64 panels,
+or 32 for the coarse estimate. When the operator is stiff, the panels
+that meet s = 0 are graded geometrically: 2K panels of the finest width,
+then K panels for each doubling of the width (K = 16, or 8 on the coarse
+mesh), so every decay rate of the kernel is resolved where it matters.
 
 Matrices are numpy float64 arrays in C (row-major) order. The functions
 here keep no state, so they are safe to call concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +48,18 @@ __all__ = [
 # the blocked Sylvester kernel hands diagonal blocks of at most this
 # order to LAPACK dtrsyl
 _TRSYL_BLOCK = 64
+
+# the kernel mesh: panels on [0, tbar], panels per run of equal width,
+# and the largest |rate| * width of the finest panels
+_PANELS = 64
+_RUN = 16
+# largest order whose kernel samples are made in one batched pass
+_BATCH_ORDER = 64
+_FINEST_RATE_WIDTH = 0.25
+# 4-node Gauss-Legendre rule on [-1, 1] in closed form
+_GL_NODES = np.array([-1.0, -1.0, 1.0, 1.0]) * np.sqrt(3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * math.sqrt(1.2))
+_GL_WEIGHTS = (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * math.sqrt(30.0)) / 36.0
+_GL_OFFSETS = (_GL_NODES + 1.0) / 2.0
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -119,45 +141,73 @@ def _separation(lam: np.ndarray, mu: np.ndarray, tol: float) -> SpectrumSeparati
     )
 
 
+class _Spectrum:
+    """Eigenvalues ``eigvals`` and a norm ``norm2`` of a factored matrix."""
+
+    def separation(self, other: "_Spectrum") -> SpectrumSeparation:
+        """Separation of Lambda(A) and -Lambda(other) at the default
+        tolerance 1e-8 * (||A||_2 + ||other||_2)."""
+        return _separation(self.eigvals, other.eigvals, 1e-8 * (self.norm2 + other.norm2))
+
+
 @dataclass(frozen=True)
-class _SchurForm:
+class _SchurForm(_Spectrum):
     """Real Schur form A = Z T Z^T of a square matrix.
 
-    ``symmetric`` records A^T == A exactly. ``eigvals`` are read off T's
-    1x1 and 2x2 diagonal blocks and ``norm2`` is ||A||_2 (for a
-    symmetric A its spectral radius, otherwise an SVD); both are None
-    for a form built without its spectrum.
+    ``eigvals`` are read off T's 1x1 and 2x2 diagonal blocks and
+    ``norm2`` is ||A||_2; both are None for a form built without its
+    spectrum.
     """
 
     a: np.ndarray
     t: np.ndarray
     z: np.ndarray
-    symmetric: bool
     eigvals: np.ndarray | None = None
     norm2: float | None = None
 
-    def separation(self, other: "_SchurForm") -> SpectrumSeparation:
-        """Separation of Lambda(A) and -Lambda(other) at the default
-        tolerance 1e-8 * (||A||_2 + ||other||_2)."""
-        return _separation(self.eigvals, other.eigvals, 1e-8 * (self.norm2 + other.norm2))
-
     def transposed(self) -> "_SchurForm":
-        """Schur form of A^T: this form itself when A is exactly
-        symmetric (LAPACK would receive the same numbers), otherwise a
-        fresh factorization without its spectrum."""
-        return self if self.symmetric else _schur_form(self.a.T, spectrum=False)
+        """Schur form of A^T, without its spectrum."""
+        return _schur_form(self.a.T, spectrum=False)
 
 
 def _schur_form(a: np.ndarray, spectrum: bool = True) -> _SchurForm:
     t, z = sla.schur(a, output="real")
     t.flags.writeable = False
     z.flags.writeable = False
-    symmetric = np.array_equal(a, a.T)
     if not spectrum:
-        return _SchurForm(a, t, z, symmetric)
-    lam = _schur_eigvals(t)
-    norm2 = float(np.max(np.abs(lam))) if symmetric else float(np.linalg.norm(a, 2))
-    return _SchurForm(a, t, z, symmetric, lam, norm2)
+        return _SchurForm(a, t, z)
+    return _SchurForm(a, t, z, _schur_eigvals(t), float(np.linalg.norm(a, 2)))
+
+
+@dataclass(frozen=True)
+class _EigForm(_Spectrum):
+    """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lam)
+    with X^T E X = I, so E^-1 A = X diag(lam) Y^T with Y = E X (Y = X
+    without a mass matrix). ``norm2`` is max |lam|, the norm of E^-1 A
+    in the E inner product."""
+
+    eigvals: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    @property
+    def norm2(self) -> float:
+        return float(np.max(np.abs(self.eigvals)))
+
+
+def _eigh_form(a: np.ndarray, e: np.ndarray | None = None) -> _EigForm | None:
+    """The eigenbasis of the pencil (A, E) when A and E are exactly
+    symmetric and E is positive definite (or absent); None otherwise."""
+    if not np.array_equal(a, a.T) or (e is not None and not np.array_equal(e, e.T)):
+        return None
+    try:
+        lam, x = sla.eigh(a, e)
+    except np.linalg.LinAlgError:
+        return None
+    y = x if e is None else e @ x
+    for arr in (lam, x, y):
+        arr.flags.writeable = False
+    return _EigForm(lam, x, y)
 
 
 def _schur_eigvals(t: np.ndarray) -> np.ndarray:
@@ -272,6 +322,15 @@ def _solve_lyapunov(s: _SchurForm, w: np.ndarray) -> np.ndarray:
     return x
 
 
+def _solve_sylvester_diagonal(lam: np.ndarray, s2: _SchurForm, w: np.ndarray) -> np.ndarray:
+    """diag(lam) X + X A2^T = W on the Schur form of A2; the caller
+    checks separation."""
+    y = _trsyl(np.diag(lam), s2.t, w @ s2.z, "solve_sylvester")
+    x = y @ s2.z.T
+    _check_residual(lam[:, None] * x + x @ s2.a.T - w, w, "solve_sylvester")
+    return x
+
+
 def _trsyl(t1: np.ndarray, t2: np.ndarray, f: np.ndarray, context: str) -> np.ndarray:
     """Solve T1 Y + Y T2^T = F for upper quasi-triangular T1 and T2.
 
@@ -369,3 +428,123 @@ def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
         return p, z
     y = (evecs * np.maximum(evals, 0.0)) @ evecs.T
     return (y + y.T) / 2.0, z
+
+
+def _exp_finite(x: np.ndarray) -> np.ndarray:
+    """Elementwise e^x, in place of x; raises OverflowError instead of
+    returning inf."""
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    if not np.all(np.isfinite(x)):
+        raise OverflowError("exponential overflowed")
+    return x
+
+
+def _mesh_levels(tbar: float, norm: float) -> int:
+    """Width doublings between the finest graded panels and the uniform
+    width tbar / 64, so that 2 * norm * (finest width) <= 0.25: the
+    squared kernel's fastest rate is resolved on the panels at s = 0."""
+    x = 2.0 * norm * (tbar / _PANELS) / _FINEST_RATE_WIDTH
+    return max(0, math.ceil(math.log2(x))) if x > 1.0 else 0
+
+
+def _mesh_runs(levels: int) -> tuple[list[int], list[int]]:
+    """The fine mesh as runs of 16 equal panels, in time order: run i has
+    panels of width w0 * 2^js[i] and starts at s = w0 * starts[i], with
+    w0 = (tbar / 64) / 2^levels. The first 32 panels have the finest
+    width, each doubling of the width gets 16, and the last 48 have the
+    uniform width tbar / 64; the coarse mesh pairs up the panels of
+    every run. Every start is 0, a power of two or 48 * 2^levels."""
+    js = [0] + ([0] if levels else []) + list(range(1, levels)) + [levels] * 3
+    starts = [0] + [2**k for k in range(4, levels + 6)] + [48 * 2**levels]
+    return js, starts
+
+
+def _mesh_nodes(tbar: float, levels: int, coarse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Node times of the fine or the coarse mesh, shape (run, node,
+    panel), and the square roots of the node weights, shape (run, node):
+    within a run a weight depends on the node only."""
+    w0 = tbar / _PANELS / 2.0**levels
+    js, starts = _mesh_runs(levels)
+    width = (w0 * 2.0 ** (np.array(js) + coarse))[:, None, None]
+    panels = np.arange(_RUN >> coarse)[None, None, :]
+    times = np.array(starts)[:, None, None] * w0 + width * (panels + _GL_OFFSETS[None, :, None])
+    return times, np.sqrt(0.5 * width[:, :, 0] * _GL_WEIGHTS[None, :])
+
+
+def _mesh_exponentials(a: np.ndarray, tbar: float, levels: int, at: float | None = None):
+    """e^(A w0) and e^(A c_i w0) for the four node offsets c_i, stacked
+    (5, n, n), at the finest panel width w0 of the meshes, from one
+    batched expm; with ``at`` also e^(A at) from the same call. Returns
+    (e^(A at) or None, the stack)."""
+    w0 = tbar / _PANELS / 2.0**levels
+    t = np.concatenate(([at] if at is not None else [], [w0], _GL_OFFSETS * w0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sla.expm(a[None, :, :] * t[:, None, None])
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"matrix exponential overflowed on the kernel mesh (tbar = {tbar:g})")
+    return (out[0], out[1:]) if at is not None else (None, out)
+
+
+def _mesh_samples(base: np.ndarray, b: np.ndarray, c: np.ndarray, levels: int, roots) -> tuple:
+    """sqrt(w) C e^(A s) B at the fine and at the coarse nodes (``roots``
+    holds sqrt(w) of both meshes, from ``_mesh_nodes``), each of shape
+    (run, node, p, panel * m), so a weighted sum of squares is a dot
+    product; and int ||e^(A s) B||_F^2 ds by the fine rule. ``base`` is
+    the stack of ``_mesh_exponentials``; squaring it j times gives the
+    exponentials of the panels of width w0 2^j.
+
+    Up to order _BATCH_ORDER all runs go through one batched pass, each
+    starting from e^(A s) B at its start time (0, a power of two times w0,
+    or 48 * 2^levels * w0) made from the squares. Above it the squares of
+    every width would not fit in memory (about 5 (levels + 6) n x n
+    matrices), so the runs go one at a time, carrying e^(A s) B from one
+    to the next and squaring the exponentials up as the runs widen."""
+    js, _ = _mesh_runs(levels)
+    scale = roots[0][:, :, None, None], roots[1][:, :, None, None]
+    if b.shape[0] <= _BATCH_ORDER:
+        ladder = [base]
+        for _ in range(levels + 5):
+            ladder.append(ladder[-1] @ ladder[-1])
+        ladder = np.stack(ladder)
+        steps = ladder[:, 0]
+        first = np.concatenate((steps[4:levels + 6], (steps[levels + 5] @ steps[levels + 4])[None])) @ b
+        y0 = np.concatenate((b[None], first))
+        return _run_samples(y0, steps[js], ladder[js, 1:] * scale[0],
+                            ladder[np.add(js, 1), 1:] * scale[1], c)[:3]
+    level, wider, at = base, base @ base, 0
+    y, parts = b[None], []
+    for k, j in enumerate(js):
+        while at < j:
+            level, wider, at = wider, wider @ wider, at + 1
+        *part, y = _run_samples(y, level[None, 0], (level[1:] * scale[0][k])[None],
+                                (wider[1:] * scale[1][k])[None], c)
+        parts.append(part)
+    fine, coarse, energy = zip(*parts)
+    return np.concatenate(fine), np.concatenate(coarse), sum(energy)
+
+
+def _run_samples(y0, steps, nodes, coarse_nodes, c) -> tuple:
+    """:func:`_mesh_samples` for a batch of runs: ``y0`` (runs, n, m) is
+    e^(A s) B at each run's start, ``steps`` (runs, n, n) e^(A w) for its
+    panel width w, ``nodes`` and ``coarse_nodes`` (runs, 4, n, n)
+    sqrt(w_i) e^(A c_i w) for its fine and its coarse panels (width 2 w).
+    e^(A s) B at the panel starts comes by doubling ([Y, S^k Y] for
+    k = 1, 2, 4, 8); a coarse panel starts where every other fine panel
+    does. Also returns e^(A s) B at each run's end."""
+    (runs, n, m), p = y0.shape, c.shape[0]
+    y = np.empty((runs, n, _RUN * m))
+    y[:, :, :m] = y0
+    power = steps
+    for k in (1, 2, 4, 8):
+        y[:, :, k * m:2 * k * m] = power @ y[:, :, :k * m]
+        if k < 8:
+            power = power @ power
+    fine = ((c @ nodes).reshape(runs, 4 * p, n) @ y).reshape(runs, 4, p, -1)
+    # sum_i ||N_i y||_F^2 = <sum_i N_i^T N_i, y y^T> per run, N_i the fine nodes
+    energy = float(np.vdot(np.einsum("aikl,aikj->alj", nodes, nodes), y @ y.transpose(0, 2, 1)))
+    end = steps @ y[:, :, -m:]
+    pairs = y.reshape(runs, n, _RUN // 2, 2 * m)[..., :m].reshape(runs, n, -1)
+    del y
+    coarse = ((c @ coarse_nodes).reshape(runs, 4 * p, n) @ pairs).reshape(runs, 4, p, -1)
+    return fine, coarse, energy, end

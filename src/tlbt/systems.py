@@ -5,13 +5,16 @@ matrix E on the left of x'. A system's matrices are immutable after
 construction (its arrays are marked read-only).
 
 Each system memoizes, on first use, one record of its standard-form
-operator A_std = E^-1 A: the real Schur form (T, Z) of A_std, two n x n
-arrays (with a mass matrix also A_std itself and the n x m B_std), and
-per horizon tbar the n x m block e^(A_std tbar) B_std and the p x n block
-C e^(A_std tbar). When A_std is exactly symmetric (the heat models
-without a mass matrix) the same Schur form also serves A_std^T. Every
-entry is a deterministic function of the system and the horizon, built
-once under a lock, so systems can still be shared freely across threads.
+operator A_std = E^-1 A. A symmetric-definite model (A exactly symmetric,
+E absent or exactly symmetric and positive definite: the generated heat
+models and finite-element rods with a consistent mass matrix) is factored by one generalized symmetric
+eigendecomposition A X = E X diag(lambda), X^T E X = I, kept with X^T B
+and C X; every other model by the real Schur form of A_std. Per horizon
+tbar the record also keeps the n x m block e^(A_std tbar) B_std, the
+p x n block C e^(A_std tbar), and the samples of the impulse response
+C e^(A_std s) B_std on the error bound's quadrature meshes. Every entry
+is a deterministic function of the system and the horizon, built once
+under a lock, so systems can still be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -25,7 +28,17 @@ import numpy as np
 
 from . import mmio
 from .errors import DimensionError
-from .linalg import _schur_form, as_matrix, expm
+from .linalg import (
+    _EigForm,
+    _eigh_form,
+    _exp_finite,
+    _mesh_exponentials,
+    _mesh_nodes,
+    _mesh_samples,
+    _schur_form,
+    as_matrix,
+    expm,
+)
 
 __all__ = [
     "StateSpaceSystem",
@@ -111,36 +124,95 @@ class StateSpaceSystem:
 class _OperatorRecord:
     """Standard-form operator of one system, factored once.
 
-    ``a``/``b`` are A_std = E^-1 A and B_std = E^-1 B (the system's own A
-    and B without a mass matrix), ``schur`` the real Schur form of A_std
-    with its eigenvalues, 2-norm and exact-symmetry flag, ``label`` its
-    name in messages.
+    ``form`` is the eigenbasis (an ``_EigForm``) of a symmetric-definite
+    model, kept with ``xb`` = X^T B and ``cx`` = C X, or else the real
+    Schur form of A_std with its eigenvalues and 2-norm. ``b`` is
+    B_std = E^-1 B (the system's own B without a mass matrix), ``a`` is
+    A_std, ``label`` its name in messages.
     """
 
     def __init__(self, sys: StateSpaceSystem):
-        if sys.E is None:
-            self.a, self.b, self.label = sys.A, sys.B, "A"
-        else:
-            self.label = "E^-1 A"
-            self.a = np.linalg.solve(sys.E, sys.A)
-            self.b = np.linalg.solve(sys.E, sys.B)
-            self.a.flags.writeable = False
-            self.b.flags.writeable = False
         self.c = sys.C
-        self.schur = _schur_form(self.a)
+        self.label = "A" if sys.E is None else "E^-1 A"
         self._horizons: dict = {}
+        self.form = _eigh_form(sys.A, sys.E)
+        if isinstance(self.form, _EigForm):
+            self.xb = _readonly(self.form.x.T @ sys.B)
+            self.cx = _readonly(sys.C @ self.form.x)
+            self.b = sys.B if sys.E is None else _readonly(self.form.x @ self.xb)
+            self._a = sys.A if sys.E is None else None
+            return
+        if sys.E is None:
+            self._a, self.b = sys.A, sys.B
+        else:
+            self._a = _readonly(np.linalg.solve(sys.E, sys.A))
+            self.b = _readonly(np.linalg.solve(sys.E, sys.B))
+        self.form = _schur_form(self._a)
+
+    @property
+    def a(self) -> np.ndarray:
+        """A_std; on the eigenbasis with a mass matrix it is formed on
+        first use as X diag(lambda) Y^T."""
+        with _RECORD_LOCK:
+            if self._a is None:
+                f = self.form
+                self._a = _readonly((f.x * f.eigvals) @ f.y.T)
+            return self._a
 
     def propagators(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
         """F = e^(A_std tbar) B_std and G = C e^(A_std tbar); the n x n
         exponential itself is not kept."""
         with _RECORD_LOCK:
             if tbar not in self._horizons:
-                phi = expm(self.a, tbar)
-                f, g = phi @ self.b, self.c @ phi
-                f.flags.writeable = False
-                g.flags.writeable = False
-                self._horizons[tbar] = (f, g)
+                f = self.form
+                if isinstance(f, _EigForm):
+                    decay = _exp_finite(f.eigvals * tbar)
+                    fg = (f.x @ (decay[:, None] * self.xb), (self.cx * decay) @ f.y.T)
+                else:
+                    phi = expm(self._a, tbar)
+                    fg = (phi @ self.b, self.c @ phi)
+                self._horizons[tbar] = tuple(_readonly(x) for x in fg)
             return self._horizons[tbar]
+
+    def kernel_samples(self, tbar: float, levels: int) -> tuple:
+        """The square roots of the fine and the coarse quadrature weights
+        (``linalg._mesh_nodes``); the impulse response C e^(A_std s) B_std
+        at the fine and at the coarse nodes, weighted and laid out as by
+        ``linalg._mesh_samples``; and the L2 norm of its rounding
+        envelope by the fine rule: of |C X| e^(lambda s) |X^T B| on the
+        eigenbasis, ||C||_F ||e^(A_std s) B_std||_F otherwise."""
+        key = ("kernel", tbar, levels)
+        with _RECORD_LOCK:
+            if key not in self._horizons:
+                self._horizons[key] = self._kernel_samples(tbar, levels)
+            return self._horizons[key]
+
+    def _kernel_samples(self, tbar: float, levels: int) -> tuple:
+        f = self.form
+        (times, root), (times_c, root_c) = (_mesh_nodes(tbar, levels, coarse) for coarse in (False, True))
+        if not isinstance(f, _EigForm):
+            base = _mesh_exponentials(self._a, tbar, levels)[1]
+            fine, coarse, energy = _mesh_samples(base, self.b, self.c, levels, (root, root_c))
+            return (root, root_c), fine, coarse, float(np.linalg.norm(self.c)) * math.sqrt(energy)
+        n, (p, m) = f.eigvals.size, (self.c.shape[0], self.b.shape[1])
+        # K(s) = sum_k (C X)_k e^(lambda_k s) (X^T B)_k, one row of p m entries per k
+        signed = (self.cx.T[:, :, None] * self.xb[:, None, :]).reshape(n, p * m)
+        absolute = (np.abs(self.cx).T[:, :, None] * np.abs(self.xb)[:, None, :]).reshape(n, p * m)
+
+        def weighted(decay, t, w):
+            # rows at the nodes (run, node, panel) to (run, node, p, panel * m), weighted
+            rows = (decay @ signed).reshape(*t.shape, p, m).transpose(0, 1, 3, 2, 4)
+            out = np.empty(rows.shape)
+            np.multiply(rows, w[:, :, None, None, None], out=out)
+            return out.reshape(*w.shape, p, -1)
+
+        decay = _exp_finite(np.outer(times, f.eigvals))
+        fine = weighted(decay, times, root)
+        rows = (decay @ absolute).reshape(*times.shape, -1)
+        envelope = math.sqrt(float(np.sum(root[:, :, None] ** 2 * np.einsum("aikj,aikj->aik", rows, rows))))
+        del decay, rows
+        coarse = weighted(_exp_finite(np.outer(times_c, f.eigvals)), times_c, root_c)
+        return (root, root_c), fine, coarse, envelope
 
 
 def load_system(manifest, name: str | None = None) -> StateSpaceSystem:

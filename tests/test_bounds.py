@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys as sys_module
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import rand_stable
+from conftest import error_integral_oracle, fem_rod, rand_stable
 from tlbt.balancing import ReducedModel, balance, truncate
 from tlbt.bounds import (
     bt_h2_bound_infinite,
@@ -92,6 +95,69 @@ class TestDirectBound:
             _, max_err, _ = output_error(full, red, tbar)
             level = report.epsilon * input_l2_norm(u, tbar, dt)
             assert max_err <= level
+
+
+def assert_brackets_the_integral(sys, rom, tbar):
+    """eps^2 >= the oracle integral (sound) and eps <= 1.01 sqrt(oracle)
+    (tight)."""
+    gset = time_limited_gramians(sys, tbar)
+    eps = tlbt_h2_bound(sys, rom, gset.P, tbar).epsilon
+    oracle = error_integral_oracle(sys, rom, tbar)
+    assert eps * eps >= oracle, f"r = {rom.r}: eps^2 {eps * eps:.6e} < integral {oracle:.6e}"
+    assert eps <= 1.01 * math.sqrt(oracle), f"r = {rom.r}: eps {eps:.6e} vs sqrt {math.sqrt(oracle):.6e}"
+
+
+class TestSumOfSquaresCertificate:
+    def test_every_order_of_the_readme_model(self):
+        # the three-trace form under-reports at r = 9 and raises above it
+        sys = generate_heat_model(50, 7, 6)
+        tbar = 0.05
+        bal = balance(time_limited_gramians(sys, tbar), sys)
+        assert bal.n_hat >= 19
+        for r in range(1, bal.n_hat + 1):
+            assert_brackets_the_integral(sys, truncate(sys, bal.reduce_to(r)), tbar)
+
+    @pytest.mark.parametrize("sys, tbar, orders", [
+        (generate_heat_model(100, 7, 6), 0.05, (4, 8)),
+        (rand_stable(12, 3, 2, np.random.default_rng(5)), 1.0, (2, 4, 6)),
+        (fem_rod(40, 7, 6), 0.05, (2, 4, 8)),
+    ], ids=["rod-100", "nonsymmetric-12", "fem-mass-40"])
+    def test_brackets_the_integral(self, sys, tbar, orders):
+        bal = balance(time_limited_gramians(sys, tbar), sys)
+        for r in orders:
+            assert_brackets_the_integral(sys, truncate(sys, bal.reduce_to(r)), tbar)
+
+    def test_stiff_kernel_is_resolved_near_zero(self):
+        # B = C = I excites the fastest modes, which decay within 1e-4 of
+        # a horizon of 10; uniform panels would miss them
+        sys = generate_heat_model(20, 20, 20)
+        tbar = 10.0
+        gset, rom = balanced_rom(sys, tbar, r=5)
+        report = tlbt_h2_bound(sys, rom, gset.P, tbar)
+        trace = report.term_cpc + report.term_cprc - 2.0 * report.term_cpmc
+        assert report.epsilon_squared == pytest.approx(trace, rel=1e-10)
+
+    def test_independent_of_the_blas_thread_count(self):
+        script = (
+            "from conftest import error_integral_oracle\n"
+            "from tlbt import balance, generate_heat_model, time_limited_gramians, tlbt_h2_bound, truncate\n"
+            "sys = generate_heat_model(100, 7, 6)\n"
+            "g = time_limited_gramians(sys, 0.05)\n"
+            "rom = truncate(sys, balance(g, sys, r=8))\n"
+            "print(repr(tlbt_h2_bound(sys, rom, g.P, 0.05).epsilon), repr(error_integral_oracle(sys, rom, 0.05)))\n"
+        )
+        # the subprocess imports tlbt and conftest from where this run does
+        path = os.pathsep.join(p for p in sys_module.path if p)
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run([sys_module.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=120)
+            eps, oracle = (float(x) for x in out.stdout.split())
+            assert eps * eps >= oracle, f"{threads} thread(s): eps^2 {eps * eps:.6e} < {oracle:.6e}"
+            results.append(eps * eps)
+        assert results[1] == pytest.approx(results[0], rel=1e-9, abs=0.0)
 
 
 class TestAlternativeRepresentation:

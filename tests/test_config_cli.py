@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import fem_rod
 from tlbt.balancing import balance, select_order
 from tlbt.cli import main, parse_input, parse_model
 from tlbt.config import ExperimentConfig
@@ -68,6 +69,14 @@ class TestExperimentConfig:
             ExperimentConfig(model="gen:5,1,1", tbar=-2.0)
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig(model="")
+        # bool is a subclass of int, so true would pass as 1
+        with pytest.raises(ValueError, match="r must be a positive integer, got True"):
+            ExperimentConfig(model="gen:5,1,1", r=True)
+        with pytest.raises(ValueError, match="r must be a positive integer, got True"):
+            ExperimentConfig.from_json('{"model": "gen:5,1,1", "r": true}')
+        for name in ("tbar", "dt", "tend", "tau"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite, got True"):
+                ExperimentConfig(model="gen:5,1,1", **{name: True})
 
 
 class TestParsers:
@@ -359,11 +368,12 @@ class TestSweep:
 
 def count_factorizations(monkeypatch, *argv):
     """Run the CLI and return the matrices handed to scipy's Schur
-    factorization and the shapes handed to its expm."""
+    factorization, the shapes handed to its expm and the matrices handed
+    to its eigh."""
     import scipy.linalg
 
-    schur, expm = scipy.linalg.schur, scipy.linalg.expm
-    factored, exponentiated = [], []
+    schur, expm, eigh = scipy.linalg.schur, scipy.linalg.expm, scipy.linalg.eigh
+    factored, exponentiated, decomposed = [], [], []
 
     def counting_schur(a, *args, **kwargs):
         factored.append(np.array(a))
@@ -373,23 +383,57 @@ def count_factorizations(monkeypatch, *argv):
         exponentiated.append(np.shape(a))
         return expm(a, *args, **kwargs)
 
+    def counting_eigh(a, *args, **kwargs):
+        decomposed.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     assert run_cli(*argv) == 0
-    return factored, exponentiated
+    return factored, exponentiated, decomposed
 
 
 @pytest.mark.parametrize("command", ["reduce", "bound"])
-def test_one_schur_form_and_one_expm_per_command(command, tmp_path, monkeypatch):
-    factored, exponentiated = count_factorizations(
+def test_one_eigh_and_no_schur_form_or_expm_per_command(command, tmp_path, monkeypatch):
+    factored, exponentiated, decomposed = count_factorizations(
         monkeypatch, command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
         "--out", tmp_path)
-    full = [a for a in factored if a.shape == (80, 80)]
     a = generate_heat_model(80, 7, 6).A
-    # A is exactly symmetric, so its Schur form also serves A^T
-    assert len(full) == 1
-    assert np.array_equal(full[0], a)
-    assert exponentiated.count((80, 80)) == 1
+    # A is exactly symmetric: its eigenbasis gives the Gramians, the
+    # propagators and the kernel samples
+    assert len(decomposed) == 1 and np.array_equal(decomposed[0], a)
+    assert [x.shape for x in factored].count((80, 80)) == 0
+    assert exponentiated.count((80, 80)) == 0
+
+
+def write_manifest(folder, **roles):
+    folder.mkdir()
+    for role, mat in roles.items():
+        write_matrix(folder / f"{role}.mtx", mat)
+    (folder / "manifest.json").write_text(json.dumps({r: f"{r}.mtx" for r in roles}))
+    return folder / "manifest.json"
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_mass_matrix_model_is_one_generalized_eigh(command, tmp_path, monkeypatch):
+    rod = fem_rod(60, 7, 6)
+    manifest = write_manifest(tmp_path / "model", A=rod.A, E=rod.E, B=rod.B, C=rod.C)
+    factored, exponentiated, decomposed = count_factorizations(
+        monkeypatch, command, "--model", manifest, "--tbar", 0.05, "--order", 6,
+        "--out", tmp_path / "out")
+    assert len(decomposed) == 1 and np.array_equal(decomposed[0], rod.A)
+    assert [x.shape for x in factored].count((60, 60)) == 0
+    assert exponentiated.count((60, 60)) == 0
+
+
+def test_bound_factors_the_reduced_operator_once(tmp_path, monkeypatch):
+    # the hypothesis check, the reduced and mixed Gramians and the kernel
+    # samples of the reduced model share one Schur form of A11
+    factored, _, _ = count_factorizations(
+        monkeypatch, "bound", "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
+        "--out", tmp_path)
+    assert [x.shape for x in factored] == [(9, 9)]
 
 
 @pytest.mark.parametrize("command", ["reduce", "bound"])
@@ -397,13 +441,9 @@ def test_nonsymmetric_model_factors_a_and_its_transpose(command, tmp_path, monke
     heat = generate_heat_model(30, 2, 2)
     # upwind advection makes A non-symmetric; it stays Hurwitz
     a = heat.A + 20.0 * (np.eye(30, k=-1) - np.eye(30))
-    folder = tmp_path / "model"
-    folder.mkdir()
-    for role, mat in (("A", a), ("B", heat.B), ("C", heat.C)):
-        write_matrix(folder / f"{role}.mtx", mat)
-    (folder / "manifest.json").write_text(json.dumps({r: f"{r}.mtx" for r in "ABC"}))
-    factored, exponentiated = count_factorizations(
-        monkeypatch, command, "--model", folder / "manifest.json", "--tbar", 0.05,
+    manifest = write_manifest(tmp_path / "model", A=a, B=heat.B, C=heat.C)
+    factored, exponentiated, _ = count_factorizations(
+        monkeypatch, command, "--model", manifest, "--tbar", 0.05,
         "--order", 4, "--out", tmp_path / "out")
     full = [x for x in factored if x.shape == (30, 30)]
     assert len(full) == 2
@@ -429,12 +469,13 @@ def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
 
 def test_verify_adds_no_factorization_to_bound(tmp_path, monkeypatch):
     args = ("--model", "gen:40,40,40", "--tbar", 0.05, "--order", 4)
-    factored, exponentiated = count_factorizations(
+    factored, exponentiated, decomposed = count_factorizations(
         monkeypatch, "bound", *args, "--out", tmp_path / "v", "--verify")
-    # the balanced-coordinates route reuses the Schur form and the
+    # the balanced-coordinates route reuses the eigenbasis and the
     # propagators of the trace route
-    assert [x.shape for x in factored].count((40, 40)) == 1
-    assert exponentiated.count((40, 40)) == 1
+    assert [x.shape for x in decomposed] == [(40, 40)]
+    assert [x.shape for x in factored].count((40, 40)) == 0
+    assert exponentiated.count((40, 40)) == 0
     assert run_cli("bound", *args, "--out", tmp_path / "b") == 0
     verified = json.loads((tmp_path / "v" / "bound.json").read_text())
     plain = json.loads((tmp_path / "b" / "bound.json").read_text())

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rand_stable
+from conftest import fem_rod, rand_stable
 import tlbt.linalg
 from tlbt.balancing import ReducedModel, balance, truncate
-from tlbt.bounds import tlbt_h2_bound
 from tlbt.errors import DimensionError, NotPsdError, StabilityError
 from tlbt.gramians import (
     GramianSet,
@@ -311,22 +310,22 @@ def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
     assert factored.count((40, 40)) == 1 + workers
 
 
-def test_symmetric_operator_reuses_its_schur_form_bit_for_bit(monkeypatch):
-    def pipeline():
-        sys = generate_heat_model(100, 3, 2)
-        assert sys._operator().schur.symmetric
-        g = time_limited_gramians(sys, 0.05)
-        bal = balance(g, sys, 6)
-        rom = truncate(sys, bal)
-        return g, bal, rom, tlbt_h2_bound(sys, rom, g.P, 0.05).epsilon
-
-    g, bal, rom, eps = pipeline()
-    # reference: Q solved on an explicit Schur factorization of A^T
-    monkeypatch.setattr(tlbt.linalg._SchurForm, "transposed",
-                        lambda s: tlbt.linalg._schur_form(s.a.T, spectrum=False))
-    g_ref, bal_ref, rom_ref, eps_ref = pipeline()
-    assert np.array_equal(g.P, g_ref.P) and np.array_equal(g.Q, g_ref.Q)
-    assert np.array_equal(bal.singular_values, bal_ref.singular_values)
-    for name in ("A11", "B1", "C1"):
-        assert np.array_equal(getattr(rom, name), getattr(rom_ref, name))
-    assert eps == eps_ref
+@pytest.mark.parametrize("sys", [generate_heat_model(120, 7, 6), fem_rod(60, 7, 6)],
+                         ids=["rod-120", "fem-mass-60"])
+def test_eigenbasis_gramians_match_the_schur_route(sys):
+    assert isinstance(sys._operator().form, tlbt.linalg._EigForm)
+    if sys.E is None:
+        a, b = sys.A, sys.B
+    else:
+        a, b = np.linalg.solve(sys.E, sys.A), np.linalg.solve(sys.E, sys.B)
+    c, tbar = sys.C, 0.05
+    phi = tlbt.linalg.expm(a, tbar)
+    f, g = phi @ b, c @ phi
+    want_tl = GramianSet(P=tlbt.linalg.solve_lyapunov(a, f @ f.T - b @ b.T),
+                         Q=tlbt.linalg.solve_lyapunov(a.T, g.T @ g - c.T @ c), horizon=tbar)
+    want_inf = GramianSet(P=tlbt.linalg.solve_lyapunov(a, -b @ b.T),
+                          Q=tlbt.linalg.solve_lyapunov(a.T, -c.T @ c), horizon=math.inf)
+    for got, want in ((time_limited_gramians(sys, tbar), want_tl), (infinite_gramians(sys), want_inf)):
+        for name in ("P", "Q"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y), name

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 import tlbt.linalg
 from tlbt.errors import DimensionError, NotPsdError, SpectrumSeparationError
 from tlbt.linalg import (
-    _schur_form,
     _trsyl,
     expm,
     solve_lyapunov,
@@ -285,23 +284,30 @@ def test_kernel_reports_an_illegal_argument(monkeypatch):
         solve_lyapunov([[-1.0]], [[1.0]])
 
 
-def test_symmetric_norm_is_the_spectral_radius_of_the_schur_form():
-    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((6, 6)))
-    m = q @ np.diag([-5.0, 3.0, 1.0, -0.5, 2.0, 4.0]) @ q.T
-    a = (m + m.T) / 2.0
-    s = _schur_form(a)
-    assert s.symmetric
-    # the largest |lambda| is the negative eigenvalue -5
-    assert s.norm2 == np.max(np.abs(s.eigvals))
-    assert abs(s.norm2 - np.linalg.norm(a, 2)) <= 1e-14 * np.linalg.norm(a, 2)
-    assert abs(s.norm2 - 5.0) <= 1e-13
-    assert s.transposed() is s
-    # one ulp from symmetric: the SVD norm and a fresh factorization of A^T
-    b = a.copy()
-    b[0, 1] = np.nextafter(b[0, 1], np.inf)
-    sb = _schur_form(b)
-    assert not sb.symmetric
-    assert sb.norm2 == np.linalg.norm(b, 2)
-    tb = sb.transposed()
-    assert tb is not sb and np.array_equal(tb.a, b.T)
-    assert tb.eigvals is None and tb.norm2 is None
+# the error bound's quadrature mesh
+
+@pytest.mark.parametrize("levels", [0, 3])
+@pytest.mark.parametrize("one_run_at_a_time", [False, True])
+def test_mesh_samples_match_per_node_exponentials(levels, one_run_at_a_time, monkeypatch):
+    rng = np.random.default_rng(4)
+    a = rand_stable(10, 2, 3, rng).A
+    b, c = rng.standard_normal((10, 2)), rng.standard_normal((3, 10))
+    tbar = 0.7
+    if one_run_at_a_time:
+        monkeypatch.setattr(tlbt.linalg, "_BATCH_ORDER", 0)
+    nodes = [tlbt.linalg._mesh_nodes(tbar, levels, coarse) for coarse in (False, True)]
+    base = tlbt.linalg._mesh_exponentials(a, tbar, levels)[1]
+    fine, coarse, energy = tlbt.linalg._mesh_samples(base, b, c, levels, [w for _, w in nodes])
+    want_energy = 0.0
+    for got, (times, roots) in ((fine, nodes[0]), (coarse, nodes[1])):
+        # the weights sum to tbar
+        assert np.sum(roots[:, :, None] ** 2 * np.ones(times.shape)) == pytest.approx(tbar, rel=1e-14)
+        assert got.shape == times.shape[:2] + (3, 2 * times.shape[2])
+        for (run, node, panel), t in np.ndenumerate(times):
+            block = sla.expm(a * t) @ b
+            want = roots[run, node] * (c @ block)
+            sample = got[run, node, :, 2 * panel:2 * panel + 2]
+            assert np.linalg.norm(sample - want) <= 1e-12 * np.linalg.norm(want)
+            if got is fine:
+                want_energy += roots[run, node] ** 2 * np.sum(block**2)
+    assert energy == pytest.approx(want_energy, rel=1e-12)

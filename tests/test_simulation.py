@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import tlbt.simulation
+from conftest import fem_rod
 from tlbt.balancing import ReducedModel
 from tlbt.simulation import Trajectory, input_l2_norm, output_error, simulate
 from tlbt.systems import InputSignal, StateSpaceSystem, generate_heat_model, random_piecewise_constant
@@ -127,15 +128,6 @@ class TestSimulate:
         assert traj.outputs.shape == (65, 2)
         assert np.all(np.isfinite(traj.outputs)) and np.any(traj.outputs != 0.0)
         assert input_l2_norm(u, 1.0, 1.0 / 64) > 0.0
-
-
-def fem_rod(n, m, p):
-    """Linear finite elements for the heat equation: E x' = A x + B u."""
-    h = 1.0 / (n + 1)
-    ones = np.ones(n - 1)
-    e = h / 6.0 * (4.0 * np.eye(n) + np.diag(ones, 1) + np.diag(ones, -1))
-    a = -(2.0 * np.eye(n) - np.diag(ones, 1) - np.diag(ones, -1)) / h
-    return StateSpaceSystem(A=a, B=np.eye(n)[:, :m], C=np.eye(n)[n - p:, :], E=e)
 
 
 def per_step_simulate(model, u, t_end, dt):
