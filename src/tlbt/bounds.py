@@ -22,9 +22,14 @@ with g_k = k u:
     R = g_{n+2} || |C X| e^(Lambda s) |X^T B| ||_L2 + g_{r+2} ||C1||_F ||e^(A11 s) B1||_L2
 
 (Minkowski, and |C1| |Y| <= ||C1||_F ||Y||_F entrywise; without an
-eigenbasis ||C||_F ||e^(A s) B||_L2 replaces the first norm). The full
-model's samples are kept per horizon on the system; each reduced model
-adds one batched expm of A11, squarings of it and O(r^2 m N) products.
+eigenbasis ||C||_F ||e^(A s) B||_L2 replaces the first norm). R is the
+rounding of the products that form the samples given the computed
+factorizations; the error of the factorizations themselves (eigh's X
+and Lambda, the expm at the finest panel width and its squarings up the
+mesh) is outside it, and is checked by the tests against an independent
+quadrature rather than bounded. The full model's samples are kept per
+horizon on the system; each reduced model adds one batched expm of A11,
+squarings of it and O(r^2 m N) products.
 
 The paper writes the same integral as three Gramian traces,
 

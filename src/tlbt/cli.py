@@ -215,7 +215,9 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
         data["alt_remainder"] = alt.alt_remainder
         data["alt_last"] = alt.alt_last
         data["epsilon_squared_alt"] = alt.epsilon_squared
-        data["representation_discrepancy"] = abs(alt.epsilon_squared - report.epsilon_squared)
+        # the paper's identity: the balanced-coordinates form equals the trace form
+        trace = report.term_cpc + report.term_cprc - 2.0 * report.term_cpmc
+        data["representation_discrepancy"] = abs(alt.epsilon_squared - trace)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "bound.json")
     _atomic_write_json(path, data)

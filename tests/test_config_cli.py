@@ -220,6 +220,9 @@ class TestBound:
             assert key in data
         eps_sq = data["epsilon"] ** 2
         assert data["representation_discrepancy"] <= 1e-7 * max(eps_sq, 1e-12 * data["term_cpc"])
+        # the gap is to the trace form, not to the certified eps
+        trace = data["term_cpc"] + data["term_cprc"] - 2.0 * data["term_cpmc"]
+        assert data["representation_discrepancy"] == abs(data["epsilon_squared_alt"] - trace)
 
 
 class TestSimulate:
@@ -368,8 +371,9 @@ class TestSweep:
 
 def count_factorizations(monkeypatch, *argv):
     """Run the CLI and return the matrices handed to scipy's Schur
-    factorization, the shapes handed to its expm and the matrices handed
-    to its eigh."""
+    factorization, the shapes handed to its expm (one (n, n) entry per
+    call, also for a batched call on a stack of n x n matrices) and the
+    matrices handed to its eigh."""
     import scipy.linalg
 
     schur, expm, eigh = scipy.linalg.schur, scipy.linalg.expm, scipy.linalg.eigh
@@ -380,7 +384,7 @@ def count_factorizations(monkeypatch, *argv):
         return schur(a, *args, **kwargs)
 
     def counting_expm(a, *args, **kwargs):
-        exponentiated.append(np.shape(a))
+        exponentiated.append(np.shape(a)[-2:])
         return expm(a, *args, **kwargs)
 
     def counting_eigh(a, *args, **kwargs):
@@ -429,11 +433,13 @@ def test_mass_matrix_model_is_one_generalized_eigh(command, tmp_path, monkeypatc
 
 def test_bound_factors_the_reduced_operator_once(tmp_path, monkeypatch):
     # the hypothesis check, the reduced and mixed Gramians and the kernel
-    # samples of the reduced model share one Schur form of A11
-    factored, _, _ = count_factorizations(
+    # samples of the reduced model share one Schur form of A11 and one
+    # batched expm of it
+    factored, exponentiated, _ = count_factorizations(
         monkeypatch, "bound", "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
         "--out", tmp_path)
     assert [x.shape for x in factored] == [(9, 9)]
+    assert exponentiated == [(9, 9)]
 
 
 @pytest.mark.parametrize("command", ["reduce", "bound"])
@@ -448,7 +454,9 @@ def test_nonsymmetric_model_factors_a_and_its_transpose(command, tmp_path, monke
     full = [x for x in factored if x.shape == (30, 30)]
     assert len(full) == 2
     assert np.array_equal(full[0], a) and np.array_equal(full[1], a.T)
-    assert exponentiated.count((30, 30)) == 1
+    # e^(A tbar) for the propagators; bound adds one batched expm of A at
+    # the kernel mesh's finest panel width and its four node offsets
+    assert exponentiated.count((30, 30)) == (2 if command == "bound" else 1)
 
 
 @pytest.mark.parametrize("command", ["reduce", "bound"])

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
 import tlbt.linalg
+from tlbt import generate_heat_model
 from tlbt.errors import DimensionError, NotPsdError, SpectrumSeparationError
 from tlbt.linalg import (
     _trsyl,
@@ -287,14 +288,11 @@ def test_kernel_reports_an_illegal_argument(monkeypatch):
 # the error bound's quadrature mesh
 
 @pytest.mark.parametrize("levels", [0, 3])
-@pytest.mark.parametrize("one_run_at_a_time", [False, True])
-def test_mesh_samples_match_per_node_exponentials(levels, one_run_at_a_time, monkeypatch):
+def test_mesh_samples_match_per_node_exponentials(levels):
     rng = np.random.default_rng(4)
     a = rand_stable(10, 2, 3, rng).A
     b, c = rng.standard_normal((10, 2)), rng.standard_normal((3, 10))
     tbar = 0.7
-    if one_run_at_a_time:
-        monkeypatch.setattr(tlbt.linalg, "_BATCH_ORDER", 0)
     nodes = [tlbt.linalg._mesh_nodes(tbar, levels, coarse) for coarse in (False, True)]
     base = tlbt.linalg._mesh_exponentials(a, tbar, levels)[1]
     fine, coarse, energy = tlbt.linalg._mesh_samples(base, b, c, levels, [w for _, w in nodes])
@@ -311,3 +309,28 @@ def test_mesh_samples_match_per_node_exponentials(levels, one_run_at_a_time, mon
             if got is fine:
                 want_energy += roots[run, node] ** 2 * np.sum(block**2)
     assert energy == pytest.approx(want_energy, rel=1e-12)
+
+
+def test_mesh_samples_of_a_stiff_transport_operator():
+    # upwind transport from the inputs to the outputs: the kernel stays
+    # below 1e-40 of its peak for a while, and squaring up the finest
+    # exponentials meets entries that would underflow. Those are flushed,
+    # which costs no more than rounding against the largest sample.
+    heat = generate_heat_model(30, 2, 3)
+    a = heat.A + 20.0 * (np.eye(30, k=-1) - np.eye(30))
+    tbar = 0.5
+    levels = tlbt.linalg._mesh_levels(tbar, np.linalg.norm(a, 2))
+    assert levels == 8
+    nodes = [tlbt.linalg._mesh_nodes(tbar, levels, coarse) for coarse in (False, True)]
+    base = tlbt.linalg._mesh_exponentials(a, tbar, levels)[1]
+    got = tlbt.linalg._mesh_samples(base, heat.B, heat.C, levels, [w for _, w in nodes])
+    want_energy = 0.0
+    for samples, (times, roots) in zip(got, nodes):
+        want = np.empty(samples.shape)
+        for (run, node, panel), t in np.ndenumerate(times):
+            block = sla.expm(a * t) @ heat.B
+            want[run, node, :, 2 * panel:2 * panel + 2] = roots[run, node] * (heat.C @ block)
+            if samples is got[0]:
+                want_energy += roots[run, node] ** 2 * np.sum(block**2)
+        assert np.max(np.abs(samples - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got[2] == pytest.approx(want_energy, rel=1e-12)
