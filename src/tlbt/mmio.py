@@ -3,8 +3,16 @@
 Supports the ``array`` and ``coordinate`` formats with ``general`` or
 ``symmetric`` symmetry, which covers the benchmark collections this
 toolkit ingests. Parse errors report the 1-based line number.
+
+An ``array`` data block is split once and converted by one
+``np.array(tokens, dtype=np.float64)``, which parses each token as
+Python's ``float`` does; only when that fails, or the entry count is
+wrong, is the block scanned again line by line to name the line at
+fault.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -12,6 +20,9 @@ __all__ = ["read_matrix", "write_matrix"]
 
 _FIELDS = {"real", "integer"}
 _SYMMETRIES = {"general", "symmetric"}
+
+# the ASCII line boundaries of str.splitlines, so that line numbers agree with it
+_EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e]")
 
 
 class MatrixMarketError(ValueError):
@@ -22,22 +33,45 @@ def _fail(path, lineno, msg):
     raise MatrixMarketError(f"{path}:{lineno}: {msg}")
 
 
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # the number of the line that holds the byte
+        lineno = len((raw[:exc.start].decode("ascii") + "x").splitlines())
+        _fail(path, lineno, f"non-ASCII byte 0x{raw[exc.start]:02x}; Matrix Market files are ASCII")
+
+
+def _lines(text):
+    """Yield (line number, line, offset after its line break) of ``text``."""
+    pos, lineno = 0, 0
+    while pos < len(text):
+        eol = _EOL.search(text, pos)
+        stop, end = (eol.start(), eol.end()) if eol else (len(text), len(text))
+        lineno += 1
+        yield lineno, text[pos:stop], end
+        pos = end
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a Matrix Market file into a dense (n, m) float array.
 
     Coordinate entries are 1-based; duplicate coordinate entries are
     rejected; explicit zeros are preserved. Symmetric storage holds the
     lower triangle only (an entry above the diagonal is rejected) and is
-    expanded.
+    expanded. The file must be ASCII.
     """
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    text = _read_text(path)
+    lines = _lines(text)
+    first = next(lines, None)
+    if first is None:
         _fail(path, 1, "empty file")
-    header = lines[0].split()
+    header = first[1].split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
-        _fail(path, 1, f"expected '%%MatrixMarket matrix <format> <field> <symmetry>', got {lines[0]!r}")
+        _fail(path, 1, f"expected '%%MatrixMarket matrix <format> <field> <symmetry>', got {first[1]!r}")
     layout, field, symmetry = header[2].lower(), header[3].lower(), header[4].lower()
     if layout not in ("array", "coordinate"):
         _fail(path, 1, f"unsupported format {layout!r} (only 'array' and 'coordinate')")
@@ -47,90 +81,109 @@ def read_matrix(path) -> np.ndarray:
         _fail(path, 1, f"unsupported symmetry {symmetry!r} (only 'general' and 'symmetric')")
 
     # skip comments, locate the size line
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx >= len(lines):
-        _fail(path, len(lines), "missing size line")
-    size = lines[idx].split()
+    lineno = 1
+    for lineno, line, start in lines:
+        if not line.startswith("%") and line.strip():
+            break
+    else:
+        _fail(path, lineno, "missing size line")
+    size = line.split()
     if layout == "array":
         if len(size) != 2:
-            _fail(path, idx + 1, f"array size line must be 'rows cols', got {lines[idx]!r}")
+            _fail(path, lineno, f"array size line must be 'rows cols', got {line!r}")
         try:
             n, m = int(size[0]), int(size[1])
         except ValueError:
-            _fail(path, idx + 1, f"non-integer dimensions in {lines[idx]!r}")
+            _fail(path, lineno, f"non-integer dimensions in {line!r}")
         if n < 1 or m < 1:
-            _fail(path, idx + 1, f"dimensions must be positive, got {n} x {m}")
+            _fail(path, lineno, f"dimensions must be positive, got {n} x {m}")
         if symmetry == "symmetric" and n != m:
-            _fail(path, idx + 1, "symmetric matrices must be square")
-        out = _read_array(path, lines, idx + 1, n, m, symmetry)
+            _fail(path, lineno, "symmetric matrices must be square")
+        out = _read_array(path, text, start, lineno, n, m, symmetry)
     else:
         if len(size) != 3:
-            _fail(path, idx + 1, f"coordinate size line must be 'rows cols nnz', got {lines[idx]!r}")
+            _fail(path, lineno, f"coordinate size line must be 'rows cols nnz', got {line!r}")
         try:
             n, m, nnz = int(size[0]), int(size[1]), int(size[2])
         except ValueError:
-            _fail(path, idx + 1, f"non-integer dimensions in {lines[idx]!r}")
+            _fail(path, lineno, f"non-integer dimensions in {line!r}")
         if n < 1 or m < 1 or nnz < 0:
-            _fail(path, idx + 1, f"bad dimensions {n} x {m} with {nnz} entries")
+            _fail(path, lineno, f"bad dimensions {n} x {m} with {nnz} entries")
         if symmetry == "symmetric" and n != m:
-            _fail(path, idx + 1, "symmetric matrices must be square")
-        out = _read_coordinate(path, lines, idx + 1, n, m, nnz, symmetry)
+            _fail(path, lineno, "symmetric matrices must be square")
+        out = _read_coordinate(path, text, start, lineno, n, m, nnz, symmetry)
     if not np.all(np.isfinite(out)):
         raise MatrixMarketError(f"{path}: matrix contains non-finite values")
     return out
 
 
-def _data_lines(lines, start):
-    for offset, line in enumerate(lines[start:]):
+def _data_lines(text, start, lineno):
+    """(line number, stripped line) of the lines of ``text[start:]`` that
+    are neither blank nor comments; ``lineno`` is the line before them."""
+    for lineno, line in enumerate(text[start:].splitlines(), start=lineno + 1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield start + offset + 1, stripped
+        if stripped and not stripped.startswith("%"):
+            yield lineno, stripped
 
 
-def _read_array(path, lines, start, n, m, symmetry):
-    out = np.zeros((n, m))
+def _read_array(path, text, start, lineno, n, m, symmetry):
     # array format stores entries column by column
-    if symmetry == "general":
-        coords = [(i, j) for j in range(m) for i in range(n)]
+    count = n * m if symmetry == "general" else n * (n + 1) // 2
+    if text.find("%", start) < 0:
+        tokens = text[start:].split()
     else:
-        coords = [(i, j) for j in range(m) for i in range(j, n)]
-    it = iter(coords)
-    count = 0
-    for lineno, text in _data_lines(lines, start):
-        for token in text.split():
-            try:
-                i, j = next(it)
-            except StopIteration:
-                _fail(path, lineno, f"more than {len(coords)} entries for a {n} x {m} array")
-            try:
-                v = float(token)
-            except ValueError:
-                _fail(path, lineno, f"could not parse value {token!r}")
-            out[i, j] = v
-            if symmetry == "symmetric":
-                out[j, i] = v
-            count += 1
-    if count != len(coords):
-        _fail(path, len(lines), f"expected {len(coords)} entries, found {count}")
+        tokens = "\n".join(line for _, line in _data_lines(text, start, lineno)).split()
+    values = None
+    if len(tokens) == count:
+        try:
+            values = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            pass
+    if values is None:
+        _array_error(path, text, start, lineno, count, n, m)
+    if symmetry == "general":
+        return np.ascontiguousarray(values.reshape(m, n).T)
+    out = np.zeros((n, m))
+    # column j holds rows j..n-1: the upper triangle's (row, col) pairs in
+    # row-major order, swapped
+    cols, rows = np.triu_indices(n)
+    out[rows, cols] = values
+    out[cols, rows] = values
     return out
 
 
-def _read_coordinate(path, lines, start, n, m, nnz, symmetry):
+def _array_error(path, text, start, lineno, count, n, m):
+    """Raise the error of an array data block that did not convert to
+    ``count`` floats: the line of its first surplus entry or unparsable
+    token, or else the entry count."""
+    found = 0
+    for lineno, line in _data_lines(text, start, lineno):
+        for token in line.split():
+            if found == count:
+                _fail(path, lineno, f"more than {count} entries for a {n} x {m} array")
+            try:
+                float(token)
+            except ValueError:
+                _fail(path, lineno, f"could not parse value {token!r}")
+            found += 1
+    if found != count:
+        _fail(path, len(text.splitlines()), f"expected {count} entries, found {found}")
+    raise MatrixMarketError(f"{path}: could not convert the {count} entries of a {n} x {m} array")
+
+
+def _read_coordinate(path, text, start, lineno, n, m, nnz, symmetry):
     out = np.zeros((n, m))
     seen = set()
     count = 0
-    for lineno, text in _data_lines(lines, start):
-        parts = text.split()
+    for lineno, line in _data_lines(text, start, lineno):
+        parts = line.split()
         if len(parts) != 3:
-            _fail(path, lineno, f"coordinate entry must be 'i j value', got {text!r}")
+            _fail(path, lineno, f"coordinate entry must be 'i j value', got {line!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
             v = float(parts[2])
         except ValueError:
-            _fail(path, lineno, f"could not parse entry {text!r}")
+            _fail(path, lineno, f"could not parse entry {line!r}")
         if not (1 <= i <= n and 1 <= j <= m):
             _fail(path, lineno, f"index ({i}, {j}) outside {n} x {m}")
         if symmetry == "symmetric" and i < j:
@@ -143,7 +196,7 @@ def _read_coordinate(path, lines, start, n, m, nnz, symmetry):
             out[j - 1, i - 1] = v
         count += 1
     if count != nnz:
-        _fail(path, len(lines), f"header declares {nnz} entries, found {count}")
+        _fail(path, len(text.splitlines()), f"header declares {nnz} entries, found {count}")
     return out
 
 
@@ -151,18 +204,26 @@ def write_matrix(path, a, comment: str | None = None) -> None:
     """Write a dense matrix in 'array real general' format.
 
     Values are formatted with 17 significant digits so they parse back
-    to the original float64 values.
+    to the original float64 values. Non-ASCII characters of ``comment``
+    are written as backslash escapes. A matrix that ``read_matrix`` would
+    refuse (empty or non-finite) raises ``ValueError`` before the file is
+    opened.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     n, m = a.shape
+    if n < 1 or m < 1:
+        raise ValueError(f"expected at least one row and one column, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite values")
+    head = ["%%MatrixMarket matrix array real general\n"]
+    if comment:
+        comment = comment.encode("ascii", "backslashreplace").decode("ascii")
+        head.extend(f"% {line}\n" for line in comment.splitlines())
+    head.append(f"{n} {m}\n")
+    # one format operation over all entries, column by column
+    body = ("%.17g\n" * a.size) % tuple(a.ravel(order="F").tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{n} {m}\n")
-        for j in range(m):
-            for i in range(n):
-                fh.write(f"{a[i, j]:.17g}\n")
+        fh.write("".join(head))
+        fh.write(body)

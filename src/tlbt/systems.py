@@ -94,7 +94,12 @@ class StateSpaceSystem:
             e = as_matrix(self.E, "E")
             if e.shape != (n, n):
                 raise DimensionError(f"E must have shape {(n, n)} to match A, got {e.shape}")
-            cond = np.linalg.cond(e)
+            if np.array_equal(e, e.T):
+                # the singular values of a symmetric matrix are |eigenvalues|
+                lam = np.abs(np.linalg.eigvalsh(e))
+                cond = lam.max() / lam.min() if lam.min() > 0.0 else np.inf
+            else:
+                cond = np.linalg.cond(e)
             if not np.isfinite(cond) or cond > 1.0 / _E_COND_TOL:
                 raise ValueError(f"E is numerically singular (condition estimate {cond:.3e})")
             object.__setattr__(self, "E", _readonly(e))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -127,6 +128,31 @@ class TestGenModel:
         assert np.array_equal(loaded.A, direct.A)
         assert np.array_equal(loaded.B, direct.B)
         assert np.array_equal(loaded.C, direct.C)
+
+    def test_mass_matrix_rod_through_files_gives_the_pinned_rom(self, tmp_path):
+        # sha256 of rom_A.mtx + rom_B.mtx + rom_C.mtx, taken before the
+        # Matrix Market reader and writer were vectorised
+        rod = fem_rod(60, 7, 6)
+        source = write_manifest(tmp_path / "rod", A=rod.A, E=rod.E, B=rod.B, C=rod.C)
+        model = tmp_path / "model"
+        assert run_cli("gen-model", "--model", source, "--out", model) == 0
+        assert run_cli("reduce", "--model", model / "manifest.json", "--tbar", 0.05, "--order", 6,
+                       "--out", tmp_path / "out") == 0
+        digest = hashlib.sha256()
+        for k in "ABC":
+            digest.update((tmp_path / "out" / f"rom_{k}.mtx").read_bytes())
+        assert digest.hexdigest() == "8ecd8277a001862a5b1e2ff71e5bf07fbab1317b0a9fffdfaf1f7a291a6582ae"
+
+    def test_non_ascii_model_name_is_escaped_in_comments(self, tmp_path):
+        rod = fem_rod(5, 2, 2)
+        source = write_manifest(tmp_path / "dir", A=rod.A, E=rod.E, B=rod.B, C=rod.C)
+        named = source.with_name("modèle.json")
+        source.rename(named)
+        out = tmp_path / "out"
+        assert run_cli("gen-model", "--model", named, "--out", out) == 0
+        assert (out / "E.mtx").read_text().splitlines()[1] == "% mod\\xe8le E, n = 5"
+        loaded = load_system(out / "manifest.json")
+        assert np.array_equal(loaded.E, rod.E) and np.array_equal(loaded.A, rod.A)
 
     def test_bad_manifest_path_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -123,3 +125,82 @@ def test_round_trip_property(n, m, seed):
         assert np.array_equal(read_matrix(path), a)
     finally:
         os.unlink(path)
+
+
+def test_round_trip_bit_exact_across_the_exponent_range(tmp_path):
+    rng = np.random.default_rng(8)
+    a = rng.choice([-1.0, 1.0], size=(300, 200)) * 10.0 ** rng.uniform(-300, 300, size=(300, 200))
+    path = tmp_path / "wide.mtx"
+    write_matrix(path, a)
+    out = read_matrix(path)
+    assert out.shape == (300, 200) and out.flags.c_contiguous
+    assert np.array_equal(out.view(np.int64), a.view(np.int64))
+
+
+def test_array_symmetric_matches_column_by_column_definition(tmp_path):
+    n = 50
+    values = np.random.default_rng(9).standard_normal(n * (n + 1) // 2).tolist()
+    text = "%%MatrixMarket matrix array real symmetric\n% lower triangle\n50 50\n"
+    text += "".join(f"{v!r}\n" for v in values)
+    expect = np.zeros((n, n))
+    k = 0
+    for j in range(n):
+        for i in range(j, n):
+            expect[i, j] = expect[j, i] = values[k]
+            k += 1
+    assert np.array_equal(read_matrix(write(tmp_path, text)), expect)
+
+
+def test_array_comment_and_blank_lines_between_entries_are_skipped(tmp_path):
+    text = ("%%MatrixMarket matrix array real general\n% size next\n\n2 3\n1 2\n% between\n"
+            "\n   \n3\n  % indented comment\n4 5 6\n\n")
+    assert np.array_equal(read_matrix(write(tmp_path, text)), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+
+
+def test_unparsable_token_deep_in_a_large_file_names_its_line(tmp_path):
+    # 20,000 entries, two per line; entry 10,000 is the second token of line 5002
+    tokens = [f"{k}.5" for k in range(20000)]
+    tokens[9999] = "1.2.3"
+    rows = [f"{tokens[k]} {tokens[k + 1]}" for k in range(0, 20000, 2)]
+    text = "%%MatrixMarket matrix array real general\n% c\n100 200\n" + "\n".join(rows) + "\n"
+    with pytest.raises(MatrixMarketError, match=r":5003: could not parse value '1\.2\.3'"):
+        read_matrix(write(tmp_path, text))
+
+
+def test_surplus_entry_names_the_line_of_the_first_extra_value(tmp_path):
+    text = "%%MatrixMarket matrix array real general\n2 2\n1 2\n% c\n3\n4 5\n6\n"
+    with pytest.raises(MatrixMarketError, match=r":6: more than 4 entries for a 2 x 2 array"):
+        read_matrix(write(tmp_path, text))
+
+
+def test_unconvertible_block_still_raises_when_the_rescan_finds_nothing(tmp_path, monkeypatch):
+    # if numpy ever rejected a token Python's float accepts, the error
+    # path must still fail with MatrixMarketError
+    import tlbt.mmio
+
+    monkeypatch.setattr(tlbt.mmio, "float", lambda token: 0.0, raising=False)
+    path = write(tmp_path, "%%MatrixMarket matrix array real general\n1 2\n1\nabc\n")
+    with pytest.raises(MatrixMarketError, match="could not convert the 2 entries"):
+        read_matrix(path)
+
+
+def test_non_ascii_byte_names_path_and_line(tmp_path):
+    path = tmp_path / "cafe.mtx"
+    path.write_bytes("%%MatrixMarket matrix array real general\n% café\n1 1\n1\n".encode("utf-8"))
+    with pytest.raises(MatrixMarketError, match=re.escape(f"{path}:2: non-ASCII byte 0xc3")):
+        read_matrix(path)
+
+
+def test_non_ascii_comment_is_escaped(tmp_path):
+    path = tmp_path / "c.mtx"
+    write_matrix(path, [[1.0]], comment="café\nmodèle")
+    assert path.read_bytes() == b"%%MatrixMarket matrix array real general\n% caf\\xe9\n% mod\\xe8le\n1 1\n1\n"
+    assert read_matrix(path).tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("bad", [[[1.0, np.nan]], [[np.inf]], np.zeros((0, 3)), np.zeros((3, 0))])
+def test_write_refuses_what_read_refuses_before_opening(tmp_path, bad):
+    path = tmp_path / "bad.mtx"
+    with pytest.raises(ValueError):
+        write_matrix(path, bad)
+    assert not path.exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestStateSpaceSystem:
     def test_singular_e_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             StateSpaceSystem(A=[[-1.0, 0.0], [0.0, -1.0]], B=np.ones((2, 1)), C=np.ones((1, 2)), E=np.zeros((2, 2)))
+
+    def test_condition_of_a_symmetric_e_comes_from_its_eigenvalues(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called on a symmetric E")
+
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        a, b, c = -np.eye(3), np.ones((3, 1)), np.ones((1, 3))
+        assert StateSpaceSystem(A=a, B=b, C=c, E=np.diag([1.0, 2e-12, -1.0])).E is not None
+        with pytest.raises(ValueError, match=r"singular \(condition estimate 2\.000e\+13\)"):
+            StateSpaceSystem(A=a, B=b, C=c, E=np.diag([2.0, 1e-13, -1.0]))
+
+    def test_condition_of_a_nonsymmetric_e_keeps_the_svd(self):
+        e = np.array([[1.0, 1e13], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=re.escape(f"condition estimate {np.linalg.cond(e):.3e}")):
+            StateSpaceSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)), E=e)
 
 
 class TestLoadSystem:
