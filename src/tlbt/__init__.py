@@ -11,12 +11,11 @@ from .balancing import (
     truncate,
 )
 from .bounds import (
+    BalancedRepresentation,
     BoundReport,
-    RemainderDiagnostics,
     bt_h2_bound_infinite,
     bt_hinf_bound,
     hinf_error_sampled,
-    remainder_diagnostics,
     tlbt_h2_bound,
     tlbt_h2_bound_alt,
 )
@@ -57,6 +56,7 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BalancedRepresentation",
     "BalancingResult",
     "BoundReport",
     "DimensionError",
@@ -65,7 +65,6 @@ __all__ = [
     "InputSignal",
     "NotPsdError",
     "ReducedModel",
-    "RemainderDiagnostics",
     "SpectrumSeparation",
     "SpectrumSeparationError",
     "StabilityError",
@@ -88,7 +87,6 @@ __all__ = [
     "output_error",
     "random_piecewise_constant",
     "reduced_gramian",
-    "remainder_diagnostics",
     "select_order",
     "simulate",
     "spd_factor",

@@ -49,18 +49,21 @@ exponentially in tbar for stable systems, and a nonpositive correction:
     R = -2 tr(G1^T G Pm) + tr(G1^T G1 Pr) + tr(F1 F1^T S1),
 
 with S = diag(sigma) the balanced Gramian, F = e^(A tbar) B and
-G = C e^(A tbar) partitioned conformally. The balanced form is not
-solved afresh: with the dense balancing transform S it takes the trace
-route's objects into balanced coordinates (F_bal = S F, G_bal = G S^-1,
-Pm_bal = S Pm), so both forms share one Schur form of A, one set of
-propagators and one mixed Gramian. Classical unrestricted bounds (the
-2-sum Hankel bound and the infinite-horizon leading trace) and a
-sampled frequency-response error are included for comparison.
+G = C e^(A tbar) partitioned conformally. With the dense balancing
+transform S, the full model's propagators are moved into balanced
+coordinates (F_bal = S F, G_bal = G S^-1), so both forms share the
+factorization of A and the propagators. The order-r balanced truncation
+is a reduced model of its own: its A11 gets one Schur form and one
+expm, and Pr and Pm are solved again on them. The terms, their sum and
+Frobenius certificates of the remainder come from one evaluation. Classical
+unrestricted bounds (the 2-sum Hankel bound and the infinite-horizon
+leading trace) and a sampled frequency-response error are included for
+comparison.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,11 +80,10 @@ from .linalg import (
 )
 
 __all__ = [
+    "BalancedRepresentation",
     "BoundReport",
-    "RemainderDiagnostics",
     "tlbt_h2_bound",
     "tlbt_h2_bound_alt",
-    "remainder_diagnostics",
     "bt_hinf_bound",
     "bt_h2_bound_infinite",
     "hinf_error_sampled",
@@ -100,9 +102,7 @@ class BoundReport:
     the worst output deviation on that window. The three ``term_*``
     fields are the paper's Gramian traces, whose combination
     term_cpc + term_cprc - 2 term_cpmc is the trace form of epsilon^2
-    (see the module docstring); the ``alt_*`` fields are only set when
-    the balanced-coordinates representation was evaluated, and then
-    epsilon comes from that representation.
+    (see the module docstring); they do not enter epsilon.
     """
 
     epsilon: float
@@ -111,44 +111,41 @@ class BoundReport:
     term_cpmc: float
     horizon: float
     r: int
-    alt_leading: float | None = None
-    alt_remainder: float | None = None
-    alt_last: float | None = None
 
     @property
     def epsilon_squared(self) -> float:
         return self.epsilon * self.epsilon
 
     def to_dict(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "term_cpc": self.term_cpc,
-            "term_cprc": self.term_cprc,
-            "term_cpmc": self.term_cpmc,
-            "horizon": self.horizon,
-            "r": self.r,
-        }
-        for key in ("alt_leading", "alt_remainder", "alt_last"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class RemainderDiagnostics:
-    """Frobenius-norm certificates for the remainder term R.
+class BalancedRepresentation:
+    """The trace form of eps^2 in balanced coordinates, with Frobenius
+    certificates for its remainder (see the module docstring).
 
-    Each summand of R obeys a product bound:
+    ``epsilon_squared`` is leading + remainder + last, unclamped, so
+    rounding may leave it slightly negative; the ``term_*`` fields are
+    the three Gramian traces in balanced coordinates. Each summand of
+    the remainder obeys a product bound:
 
         |tr(G1^T G Pm)|  <= norm_G1 * norm_G * norm_PM   (= bound_cross),
         tr(G1^T G1 Pr)   <= norm_G1^2 * trace_Pr         (= bound_obs),
         tr(F1 F1^T S1)   <= norm_F1^2 * trace_Sigma1     (= bound_reach),
 
-    so |R| <= 2 * bound_cross + bound_obs + bound_reach. For a Hurwitz
-    system every certificate decays exponentially in the horizon.
+    so |remainder| <= 2 * bound_cross + bound_obs + bound_reach. For a
+    Hurwitz system every certificate decays exponentially in the horizon.
     """
 
+    leading: float
+    remainder: float
+    last: float
+    term_cpc: float
+    term_cprc: float
+    term_cpmc: float
+    horizon: float
+    r: int
     norm_F1: float
     norm_G1: float
     norm_G: float
@@ -158,6 +155,10 @@ class RemainderDiagnostics:
     bound_cross: float
     bound_obs: float
     bound_reach: float
+
+    @property
+    def epsilon_squared(self) -> float:
+        return self.leading + self.remainder + self.last
 
     def total_remainder_bound(self) -> float:
         return 2.0 * self.bound_cross + self.bound_obs + self.bound_reach
@@ -176,18 +177,7 @@ def _check_hypotheses(form, s11):
             )
 
 
-def _epsilon_from_radicand(radicand: float, scale: float) -> float:
-    if radicand < 0:
-        if radicand < -_RADICAND_RTOL * max(scale, 0.0):
-            raise ArithmeticError(
-                f"bound radicand {radicand:.6e} is negative beyond rounding "
-                f"(leading trace {scale:.6e}); the Gramians are numerically inconsistent"
-            )
-        return 0.0
-    return math.sqrt(radicand)
-
-
-def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) -> BoundReport:
+def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     """Time-limited output-error bound: eps from the sum of squares of
     the error kernel, with the paper's three Gramian traces recorded
     beside it (see the module docstring).
@@ -199,12 +189,8 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
         Reduction of ``sys`` (any projection with conforming dimensions).
     p_tbar : (n, n) array_like
         Time-limited reachability Gramian of ``sys`` on [0, tbar], read
-        for the trace tr(C P C^T) only. May be None when ``p_factor`` is
-        given.
+        for the trace tr(C P C^T) only.
     tbar : float
-    p_factor : (n, k) array_like, optional
-        Low-rank factor Z with P ~= Z Z^T; when given, the leading trace
-        is evaluated as ||C Z||_F^2 instead of tr(C P C^T).
 
     Returns
     -------
@@ -221,12 +207,8 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float, p_factor=None) ->
     op = sys._operator()
     s11 = _schur_form(a11)
     _check_hypotheses(op.form, s11)
-    if p_factor is not None:
-        z = as_matrix(p_factor, "P factor")
-        term_cpc = float(np.sum((sys.C @ z) ** 2))
-    else:
-        p = as_matrix(p_tbar, "P")
-        term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
+    p = as_matrix(p_tbar, "P")
+    term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
     levels = _mesh_levels(tbar, max(op.form.norm2, s11.norm2))
     phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
     fr = phi_r @ b1
@@ -298,62 +280,44 @@ def _leading_trace(d) -> float:
     return float(np.sum(d["sigma"][r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
 
 
-def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float) -> BoundReport:
+def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float) -> BalancedRepresentation:
     """The paper's trace form of :func:`tlbt_h2_bound`'s eps^2, evaluated
-    in balanced coordinates as leading trace + remainder + correction;
-    ``epsilon`` is the square root of that sum (0 for a sum that is
-    negative by rounding only).
+    in balanced coordinates as leading trace + remainder + correction,
+    with the remainder's certificates, from one change of coordinates.
 
     Requires positive definite Gramians (dense balancing transform). The
     implied reduced model is the order-r balanced truncation. The
-    propagators and the mixed Gramian are those of the trace route,
-    moved into balanced coordinates, so agreement with
-    :func:`tlbt_h2_bound` checks the identity between the two
-    representations on shared Gramians, not the equation solves
-    themselves (those are checked against quadrature).
+    factorization of A and the propagators are those of the trace
+    route, moved into balanced coordinates; Pr and Pm are solved again
+    on the balanced A11. Agreement with :func:`tlbt_h2_bound` therefore
+    checks the identity between the two representations, not the
+    solves of the full model's equations (those are checked against
+    quadrature).
+
+    Raises ArithmeticError when the sum is negative beyond rounding
+    (below -1e-12 tr(C P C^T)): the Gramians are then inconsistent.
     """
     tbar = _check_horizon(tbar)
     d = _balanced_coordinates(sys, gramians, r, tbar)
     sigma = d["sigma"]
     sigma1 = sigma[:r]
-    g1, f1, c1 = d["G"][:, :r], d["F"][:r, :], d["C"][:, :r]
-    leading = _leading_trace(d)
-    cross = float(np.sum(g1 * (d["G"] @ d["PM"])))
-    obs = float(np.sum((g1 @ d["Pr"]) * g1))
+    g, pm, pr = d["G"], d["PM"], d["Pr"]
+    g1, f1, c1 = g[:, :r], d["F"][:r, :], d["C"][:, :r]
+    cross = float(np.sum(g1 * (g @ pm)))
+    obs = float(np.sum((g1 @ pr) * g1))
     reach = float(np.sum(sigma1 * np.sum(f1 * f1, axis=1)))
-    remainder = -2.0 * cross + obs + reach
     diff = f1 - d["Fr"]
-    last = -float(np.sum(sigma1 * np.sum(diff * diff, axis=1)))
-    eps_sq = leading + remainder + last
-    term_cpc = float(np.sum(sigma * np.sum(d["C"] ** 2, axis=0)))
-    term_cprc = float(np.sum((c1 @ d["Pr"]) * c1))
-    term_cpmc = float(np.sum((d["C"] @ d["PM"]) * c1))
-    eps = _epsilon_from_radicand(eps_sq, term_cpc)
-    return BoundReport(
-        epsilon=eps,
-        term_cpc=term_cpc,
-        term_cprc=term_cprc,
-        term_cpmc=term_cpmc,
+    norm_f1, norm_g1, norm_g, norm_pm = (float(np.linalg.norm(x)) for x in (f1, g1, g, pm))
+    trace_sigma1, trace_pr = float(np.sum(sigma1)), float(np.trace(pr))
+    rep = BalancedRepresentation(
+        leading=_leading_trace(d),
+        remainder=-2.0 * cross + obs + reach,
+        last=-float(np.sum(sigma1 * np.sum(diff * diff, axis=1))),
+        term_cpc=float(np.sum(sigma * np.sum(d["C"] ** 2, axis=0))),
+        term_cprc=float(np.sum((c1 @ pr) * c1)),
+        term_cpmc=float(np.sum((d["C"] @ pm) * c1)),
         horizon=tbar,
         r=r,
-        alt_leading=leading,
-        alt_remainder=remainder,
-        alt_last=last,
-    )
-
-
-def remainder_diagnostics(sys, gramians: GramianSet, r: int, tbar: float) -> RemainderDiagnostics:
-    """Frobenius certificates for the remainder of the balanced
-    representation at horizon tbar."""
-    d = _balanced_coordinates(sys, gramians, r, _check_horizon(tbar))
-    f1, g1 = d["F"][:r, :], d["G"][:, :r]
-    norm_f1 = float(np.linalg.norm(f1))
-    norm_g1 = float(np.linalg.norm(g1))
-    norm_g = float(np.linalg.norm(d["G"]))
-    norm_pm = float(np.linalg.norm(d["PM"]))
-    trace_sigma1 = float(np.sum(d["sigma"][:r]))
-    trace_pr = float(np.trace(d["Pr"]))
-    return RemainderDiagnostics(
         norm_F1=norm_f1,
         norm_G1=norm_g1,
         norm_G=norm_g,
@@ -364,6 +328,12 @@ def remainder_diagnostics(sys, gramians: GramianSet, r: int, tbar: float) -> Rem
         bound_obs=norm_g1 * norm_g1 * trace_pr,
         bound_reach=norm_f1 * norm_f1 * trace_sigma1,
     )
+    if rep.epsilon_squared < -_RADICAND_RTOL * rep.term_cpc:
+        raise ArithmeticError(
+            f"bound radicand {rep.epsilon_squared:.6e} is negative beyond rounding "
+            f"(leading trace {rep.term_cpc:.6e}); the Gramians are numerically inconsistent"
+        )
+    return rep
 
 
 def bt_hinf_bound(hankel_values, r: int) -> float:

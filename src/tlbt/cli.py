@@ -211,9 +211,9 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
     data = report.to_dict()
     if verify:
         alt = tlbt_h2_bound_alt(system, gramians, r, cfg.tbar)
-        data["alt_leading"] = alt.alt_leading
-        data["alt_remainder"] = alt.alt_remainder
-        data["alt_last"] = alt.alt_last
+        data["alt_leading"] = alt.leading
+        data["alt_remainder"] = alt.remainder
+        data["alt_last"] = alt.last
         data["epsilon_squared_alt"] = alt.epsilon_squared
         # the paper's identity: the balanced-coordinates form equals the trace form
         trace = report.term_cpc + report.term_cprc - 2.0 * report.term_cpmc

@@ -24,8 +24,9 @@ X^T E X = I) they are closed forms with no equation to solve:
     Phi_ij = expm1((l_i + l_j) tbar) / (l_i + l_j)   (tbar when l_i + l_j = 0),
 
 and Phi_ij = -1 / (l_i + l_j) for the unrestricted pair. Every other
-operator solves the equations by Bartels-Stewart on its Schur form, and
-the equation for Q on a Schur form of A^T made for the Gramian pair.
+operator solves the equations by Bartels-Stewart on its Schur form
+A = Z T Z^T, the equation for Q on the Schur form of A^T that it gives
+by reversing the order of the Schur vectors (no second factorization).
 The mixed Gramian of a system and a reduced model is X M on the
 eigenbasis, with Lambda M + M A11^T solved on A11's Schur form.
 
@@ -121,7 +122,8 @@ def _check_horizon(tbar, allow_inf: bool = False) -> float:
 
 def _gramian_set(op, w_p, w_q, horizon: float) -> GramianSet:
     """Solve A P + P A^T = W_p on the operator record's Schur form and
-    A^T Q + Q A = W_q on a Schur form of A^T (A = A_std)."""
+    A^T Q + Q A = W_q on the Schur form of A^T derived from it
+    (A = A_std)."""
     s = op.form
     _require_separated(s, s, "solve_lyapunov")
     p = _solve_lyapunov(s, w_p)

@@ -156,30 +156,31 @@ class _Spectrum:
 
 @dataclass(frozen=True)
 class _SchurForm(_Spectrum):
-    """Real Schur form A = Z T Z^T of a square matrix.
-
-    ``eigvals`` are read off T's 1x1 and 2x2 diagonal blocks and
-    ``norm2`` is ||A||_2; both are None for a form built without its
-    spectrum.
-    """
+    """Real Schur form A = Z T Z^T of a square matrix, with the
+    eigenvalues ``eigvals`` read off T's 1x1 and 2x2 diagonal blocks and
+    ``norm2`` = ||A||_2."""
 
     a: np.ndarray
     t: np.ndarray
     z: np.ndarray
-    eigvals: np.ndarray | None = None
-    norm2: float | None = None
+    eigvals: np.ndarray
+    norm2: float
 
     def transposed(self) -> "_SchurForm":
-        """Schur form of A^T, without its spectrum."""
-        return _schur_form(self.a.T, spectrum=False)
+        """Schur form of A^T from this one: with J the reversal
+        permutation, A^T = (Z J)(J T^T J)(Z J)^T, and J T^T J is upper
+        quasi-triangular with the same standardized 2x2 blocks."""
+        t = np.ascontiguousarray(self.t.T[::-1, ::-1])
+        z = np.ascontiguousarray(self.z[:, ::-1])
+        t.flags.writeable = False
+        z.flags.writeable = False
+        return _SchurForm(self.a.T, t, z, self.eigvals, self.norm2)
 
 
-def _schur_form(a: np.ndarray, spectrum: bool = True) -> _SchurForm:
+def _schur_form(a: np.ndarray) -> _SchurForm:
     t, z = sla.schur(a, output="real")
     t.flags.writeable = False
     z.flags.writeable = False
-    if not spectrum:
-        return _SchurForm(a, t, z)
     return _SchurForm(a, t, z, _schur_eigvals(t), float(np.linalg.norm(a, 2)))
 
 

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,24 +322,23 @@ class InputSignal:
     m: int
     values: np.ndarray | None = None
     times: np.ndarray | None = None
-    label: str = field(default="")
 
     @classmethod
     def constant(cls, values) -> "InputSignal":
         v = np.atleast_1d(np.asarray(values, dtype=float)).ravel()
         if v.size < 1 or not np.all(np.isfinite(v)):
             raise ValueError("constant input needs a finite, nonempty vector")
-        return cls(kind="constant", m=v.size, values=_readonly(v[None, :]), label="const")
+        return cls(kind="constant", m=v.size, values=_readonly(v[None, :]))
 
     @classmethod
     def star(cls) -> "InputSignal":
-        return cls(kind="star", m=7, label="star")
+        return cls(kind="star", m=7)
 
     @classmethod
     def zero(cls, m: int) -> "InputSignal":
         if m < 1:
             raise ValueError(f"m must be positive, got {m}")
-        return cls(kind="zero", m=m, label="zero")
+        return cls(kind="zero", m=m)
 
     @classmethod
     def from_table(cls, times, values) -> "InputSignal":
@@ -355,7 +354,7 @@ class InputSignal:
             raise ValueError("table timestamps must be strictly increasing")
         if t[0] < 0:
             raise ValueError(f"table timestamps must be nonnegative, first is {t[0]}")
-        return cls(kind="table", m=v.shape[1], values=_readonly(v), times=_readonly(t[None, :]), label="table")
+        return cls(kind="table", m=v.shape[1], values=_readonly(v), times=_readonly(t[None, :]))
 
     def sample(self, times) -> np.ndarray:
         """Evaluate on a 1-D grid of times t >= 0; row k of the

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import error_integral_oracle, fem_rod, rand_stable
+import tlbt.bounds
 from tlbt.balancing import ReducedModel, balance, truncate
 from tlbt.bounds import (
     bt_h2_bound_infinite,
     bt_hinf_bound,
     hinf_error_sampled,
-    remainder_diagnostics,
     tlbt_h2_bound,
     tlbt_h2_bound_alt,
 )
@@ -56,15 +56,6 @@ class TestDirectBound:
         p_mix = (1.0 - math.exp(-3.0)) / 3.0
         expect = p_full + p_red - 2.0 * p_mix
         assert report.epsilon_squared == pytest.approx(expect, rel=1e-12)
-
-    def test_low_rank_factor_route_matches_dense(self):
-        sys = generate_heat_model(6, 6, 6)
-        tbar = 0.5
-        gset = time_limited_gramians(sys, tbar)
-        rom = truncate(sys, balance(gset, sys, r=3))
-        dense = tlbt_h2_bound(sys, rom, gset.P, tbar)
-        factored = tlbt_h2_bound(sys, rom, None, tbar, p_factor=gset.lowrank_P)
-        assert factored.epsilon == pytest.approx(dense.epsilon, rel=1e-10)
 
     def test_report_terms_reconstruct_epsilon(self):
         sys = generate_heat_model(10, 4, 3)
@@ -169,27 +160,27 @@ class TestAlternativeRepresentation:
         alt = tlbt_h2_bound_alt(sys, gset, 3, tbar)
         scale = max(direct.epsilon_squared, 1e-12 * direct.term_cpc)
         assert abs(alt.epsilon_squared - direct.epsilon_squared) <= 1e-7 * scale
-        assert alt.alt_leading is not None
+        assert alt.r == 3 and alt.horizon == tbar
 
     def test_components_sum_to_epsilon_squared(self):
         sys = generate_heat_model(8, 8, 8)
         gset = time_limited_gramians(sys, 0.4)
         alt = tlbt_h2_bound_alt(sys, gset, 4, 0.4)
-        total = alt.alt_leading + alt.alt_remainder + alt.alt_last
-        assert alt.epsilon_squared == pytest.approx(max(total, 0.0), abs=1e-12 * alt.term_cpc)
-        assert alt.alt_last <= 0.0
+        # the plain sum: no square root, no clamp
+        assert alt.epsilon_squared == alt.leading + alt.remainder + alt.last
+        assert alt.last <= 0.0
 
     def test_full_order_collapses(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)
         alt = tlbt_h2_bound_alt(sys, gset, 6, 0.5)
-        assert alt.alt_leading == 0.0
-        assert abs(alt.alt_last) <= 1e-12
-        assert alt.epsilon_squared <= 1e-12 * alt.term_cpc
+        assert alt.leading == 0.0
+        assert abs(alt.last) <= 1e-12
+        assert abs(alt.epsilon_squared) <= 1e-12 * alt.term_cpc
 
     def test_matches_trace_route_on_shared_gramians(self):
-        # both routes read one mixed Gramian, F and G, so they differ
-        # only by a change of coordinates and its rounding
+        # both routes read one factorization of A, F and G, and their
+        # order-4 balanced truncations agree up to rounding
         sys = generate_heat_model(100, 100, 100)
         tbar = 0.05
         gset, rom = balanced_rom(sys, tbar, r=4)
@@ -203,28 +194,48 @@ class TestAlternativeRepresentation:
         with pytest.raises(ValueError, match="positive definite"):
             tlbt_h2_bound_alt(sys, gset, 4, 1.0)
 
+    def test_negative_sum_kept_within_rounding_and_rejected_beyond(self, monkeypatch):
+        # a leading trace off by more than rounding stands in for
+        # Gramians that do not belong to the model
+        sys = generate_heat_model(8, 8, 8)
+        gset = time_limited_gramians(sys, 0.5)
+        monkeypatch.setattr(tlbt.bounds, "_leading_trace", lambda d: -1e-15)
+        assert tlbt_h2_bound_alt(sys, gset, 3, 0.5).epsilon_squared < 0.0
+        monkeypatch.setattr(tlbt.bounds, "_leading_trace", lambda d: -1e-9)
+        with pytest.raises(ArithmeticError, match="negative beyond rounding"):
+            tlbt_h2_bound_alt(sys, gset, 3, 0.5)
+
 
 class TestRemainderDiagnostics:
-    def test_certificate_covers_remainder(self):
+    def test_certificate_covers_remainder(self, monkeypatch):
+        transform = tlbt.bounds._balancing_transform
+        calls = []
+
+        def counting_transform(*args):
+            calls.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(tlbt.bounds, "_balancing_transform", counting_transform)
         sys = generate_heat_model(8, 8, 8)
         tbar = 0.5
         gset = time_limited_gramians(sys, tbar)
         alt = tlbt_h2_bound_alt(sys, gset, 3, tbar)
-        diag = remainder_diagnostics(sys, gset, 3, tbar)
-        assert abs(alt.alt_remainder) <= diag.total_remainder_bound() * (1.0 + 1e-12)
+        # the terms and their certificates come from one dense transform
+        assert len(calls) == 1
+        assert abs(alt.remainder) <= alt.total_remainder_bound() * (1.0 + 1e-12)
 
     def test_certificates_decay_with_horizon(self):
         sys = generate_heat_model(8, 8, 8)
         norms = []
         for tbar in (0.25, 0.5, 1.0):
             gset = time_limited_gramians(sys, tbar)
-            norms.append(remainder_diagnostics(sys, gset, 3, tbar).norm_F1)
+            norms.append(tlbt_h2_bound_alt(sys, gset, 3, tbar).norm_F1)
         assert norms[0] > norms[1] > norms[2]
 
     def test_product_bounds_consistent(self):
         sys = generate_heat_model(8, 8, 8)
         gset = time_limited_gramians(sys, 0.5)
-        diag = remainder_diagnostics(sys, gset, 3, 0.5)
+        diag = tlbt_h2_bound_alt(sys, gset, 3, 0.5)
         assert diag.bound_cross == pytest.approx(diag.norm_G1 * diag.norm_G * diag.norm_PM)
         assert diag.bound_obs == pytest.approx(diag.norm_G1**2 * diag.trace_Pr)
         assert diag.bound_reach == pytest.approx(diag.norm_F1**2 * diag.trace_Sigma1)
