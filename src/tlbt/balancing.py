@@ -8,9 +8,9 @@ yields the truncation projectors
 
 with W^T V = I_r, and the reduced model (W^T A V, W^T B, C V) of the
 standard form (A, B, C) = (E^-1 A, E^-1 B, C). The singular values are
-the (time-limited) Hankel singular values. On the eigenbasis of a
-symmetric-definite model, E^-1 A = X Lambda (E X)^T, the reduction is
-formed as ((W^T X) Lambda (X^T E V), (W^T X)(X^T B), C V). For verification,
+the (time-limited) Hankel singular values. The system's operator
+record (``systems``) forms W^T A V and W^T B on its own factorization of
+A. For verification,
 :func:`full_balancing_transform` builds the dense transform S with
 S P S^T = S^-T Q S^-1 = diag(sigma) from positive definite Gramians.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .gramians import GramianSet
-from .linalg import _EigForm, as_matrix, spd_factor
+from .linalg import as_matrix, spd_factor
 from .systems import StateSpaceSystem
 
 __all__ = [
@@ -174,12 +174,7 @@ def truncate(sys: StateSpaceSystem, bal: BalancingResult) -> ReducedModel:
         raise DimensionError(
             f"balancing bases have {bal.V.shape[0]} rows but the system dimension is {sys.n}"
         )
-    op = sys._operator()
-    if isinstance(op.form, _EigForm):
-        wx = bal.W.T @ op.form.x
-        a11, b1 = (wx * op.form.eigvals) @ (op.form.y.T @ bal.V), wx @ op.xb
-    else:
-        a11, b1 = bal.W.T @ op.a @ bal.V, bal.W.T @ op.b
+    a11, b1 = sys._operator().project(bal.W, bal.V)
     return ReducedModel(
         A11=a11,
         B1=b1,

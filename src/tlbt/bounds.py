@@ -164,11 +164,11 @@ class BalancedRepresentation:
         return 2.0 * self.bound_cross + self.bound_obs + self.bound_reach
 
 
-def _check_hypotheses(form, s11):
-    """Check the bound's spectral hypotheses on the factored full
-    operator A and the Schur form of A11."""
+def _check_hypotheses(op, s11):
+    """Check the bound's spectral hypotheses on the operator record of A
+    and the Schur form of A11."""
     for sep, label in ((s11.separation(s11), "Lambda(A11) and -Lambda(A11)"),
-                       (form.separation(s11), "Lambda(A) and -Lambda(A11)")):
+                       (op.separation(s11), "Lambda(A) and -Lambda(A11)")):
         if not sep.is_separated:
             lam, mu = sep.worst_pair
             raise SpectrumSeparationError(
@@ -206,10 +206,10 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
         raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
     op = sys._operator()
     s11 = _schur_form(a11)
-    _check_hypotheses(op.form, s11)
+    _check_hypotheses(op, s11)
     p = as_matrix(p_tbar, "P")
     term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
-    levels = _mesh_levels(tbar, max(op.form.norm2, s11.norm2))
+    levels = _mesh_levels(tbar, max(op.norm2, s11.norm2))
     phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
     fr = phi_r @ b1
     pm = _mixed_gramian(sys, s11, b1, fr, tbar)
@@ -261,7 +261,7 @@ def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dic
     c_bal = sys.C @ s_inv
     a11, b1 = a_bal[:r, :r], b_bal[:r, :]
     s11 = _schur_form(a11)
-    _check_hypotheses(op.form, s11)
+    _check_hypotheses(op, s11)
     d = {"sigma": sigma, "A": a_bal, "B": b_bal, "C": c_bal, "r": r}
     if math.isfinite(tbar):
         f, g = op.propagators(tbar)
@@ -357,7 +357,7 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int) -> float:
     """
     if math.isfinite(gramians.horizon):
         raise ValueError("the unrestricted H2 bound needs Gramians with horizon = inf")
-    if np.any(sys._operator().form.eigvals.real >= 0):
+    if np.any(sys._operator().eigvals.real >= 0):
         raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
     return _leading_trace(_balanced_coordinates(sys, gramians, r, math.inf))
 

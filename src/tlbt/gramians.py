@@ -15,20 +15,12 @@ and both Gramians are those of the standard form. (In the generalized
 equations' terms, P is unchanged and Q is the observability Gramian
 proper E^T Q_gen E.)
 
-Both Gramians come from the system's memoized operator record. On the
-eigenbasis of a symmetric-definite model (A X = E X Lambda,
-X^T E X = I) they are closed forms with no equation to solve:
-
-    P = X ((X^T B)(X^T B)^T o Phi) X^T,
-    Q = E X ((C X)^T (C X) o Phi) X^T E,
-    Phi_ij = expm1((l_i + l_j) tbar) / (l_i + l_j)   (tbar when l_i + l_j = 0),
-
-and Phi_ij = -1 / (l_i + l_j) for the unrestricted pair. Every other
-operator solves the equations by Bartels-Stewart on its Schur form
-A = Z T Z^T, the equation for Q on the Schur form of A^T that it gives
-by reversing the order of the Schur vectors (no second factorization).
-The mixed Gramian of a system and a reduced model is X M on the
-eigenbasis, with Lambda M + M A11^T solved on A11's Schur form.
+Both Gramians, the propagators and the mixed Gramian of a system and a
+reduced model come from the system's memoized operator record
+(``systems``), the one place that knows how A is factored: closed forms
+on the eigenbasis of a symmetric-definite model, Bartels-Stewart on the
+real Schur form of A for every other one. This module checks the
+arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
 Building one runs a single eigendecomposition per Gramian, which
@@ -48,14 +40,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionError, StabilityError
 from .linalg import (
-    _EigForm,
-    _exp_finite,
     _psd_factor,
     _require_separated,
     _schur_form,
     _solve_lyapunov,
-    _solve_sylvester,
-    _solve_sylvester_diagonal,
     _symmetric,
     as_matrix,
     expm,
@@ -120,32 +108,6 @@ def _check_horizon(tbar, allow_inf: bool = False) -> float:
     return tbar
 
 
-def _gramian_set(op, w_p, w_q, horizon: float) -> GramianSet:
-    """Solve A P + P A^T = W_p on the operator record's Schur form and
-    A^T Q + Q A = W_q on the Schur form of A^T derived from it
-    (A = A_std)."""
-    s = op.form
-    _require_separated(s, s, "solve_lyapunov")
-    p = _solve_lyapunov(s, w_p)
-    q = _solve_lyapunov(s.transposed(), w_q)
-    return GramianSet(P=p, Q=q, horizon=horizon)
-
-
-def _eigenbasis_gramians(op, phi: np.ndarray, horizon: float) -> GramianSet:
-    """P = X ((X^T B)(X^T B)^T o Phi) X^T and Q = Y ((C X)^T (C X) o Phi) Y^T."""
-    f = op.form
-
-    def congruence(v, g):
-        g *= phi
-        x = (v @ g) @ v.T
-        x += x.T
-        x *= 0.5
-        return x
-
-    return GramianSet(P=congruence(f.x, op.xb @ op.xb.T), Q=congruence(f.y, op.cx.T @ op.cx),
-                      horizon=horizon)
-
-
 def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
     """Gramians over [0, inf) of a Hurwitz system.
 
@@ -154,11 +116,9 @@ def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
     GramianSet with horizon = math.inf.
     """
     op = sys._operator()
-    _require_hurwitz(op.form.eigvals, op.label)
-    if isinstance(op.form, _EigForm):
-        lam = op.form.eigvals
-        return _eigenbasis_gramians(op, -1.0 / (lam[:, None] + lam[None, :]), math.inf)
-    return _gramian_set(op, -op.b @ op.b.T, -op.c.T @ op.c, math.inf)
+    _require_hurwitz(op.eigvals, op.label)
+    p, q = op.gramians(math.inf)
+    return GramianSet(P=p, Q=q, horizon=math.inf)
 
 
 def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
@@ -169,22 +129,8 @@ def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
     required.
     """
     tbar = _check_horizon(tbar)
-    op = sys._operator()
-    if isinstance(op.form, _EigForm):
-        lam = op.form.eigvals
-        rates = lam[:, None] + lam[None, :]
-        phi = rates * tbar
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.expm1(phi, out=phi)
-            np.divide(phi, rates, out=phi, where=rates != 0.0)
-        phi[rates == 0.0] = tbar
-        if not np.all(np.isfinite(phi)):
-            raise OverflowError(f"time-limited Gramian overflowed (largest rate {np.max(rates):.3e}, tbar = {tbar:g})")
-        del rates
-        return _eigenbasis_gramians(op, phi, tbar)
-    f, g = op.propagators(tbar)
-    b, c = op.b, op.c
-    return _gramian_set(op, f @ f.T - b @ b.T, g.T @ g - c.T @ c, tbar)
+    p, q = sys._operator().gramians(tbar)
+    return GramianSet(P=p, Q=q, horizon=tbar)
 
 
 def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> np.ndarray:
@@ -259,16 +205,7 @@ def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) 
         raise DimensionError(f"B1 has {b1.shape[1]} columns but the system has m = {sys.m}")
     op = sys._operator()
     if not math.isfinite(tbar):
-        _require_hurwitz(op.form.eigvals, op.label)
+        _require_hurwitz(op.eigvals, op.label)
         _require_hurwitz(s11.eigvals, "A11")
-    _require_separated(op.form, s11, "solve_sylvester")
-    if isinstance(op.form, _EigForm):
-        # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
-        w = -op.xb @ b1.T
-        if fr is not None:
-            w += (_exp_finite(op.form.eigvals * tbar)[:, None] * op.xb) @ fr.T
-        return op.form.x @ _solve_sylvester_diagonal(op.form.eigvals, s11, w)
-    w = -op.b @ b1.T
-    if fr is not None:
-        w += op.propagators(tbar)[0] @ fr.T
-    return _solve_sylvester(op.form, s11, w)
+    _require_separated(op, s11, "solve_sylvester")
+    return op.mixed(s11, b1, fr, tbar)

@@ -6,15 +6,14 @@ a spectrum-separation check that guards the solvers' uniqueness
 condition, and samples of an impulse response C e^(A s) B on a graded
 Gauss-Legendre mesh.
 
-A system's operator is factored once and the factorization kept on the
-system (see ``systems``). A symmetric-definite pencil (A = A^T, E absent
-or symmetric positive definite) gets one generalized symmetric
-eigendecomposition A X = E X diag(lambda), X^T E X = I; every other
-operator gets a real Schur form. Every Sylvester/Lyapunov solve is
-Bartels-Stewart on real Schur forms (on a diagonal for the eigenbasis);
-the triangular equation goes through a recursive blocked kernel (after
-Jonsson and Kagstrom's RECSY) whose leaves are LAPACK dtrsyl calls. The
-public solvers factor their arguments on every call.
+The kernels take factored matrices but do not choose a factorization: a
+system's operator is factored once, and how, by its operator record in
+``systems``, which calls the private kernels here. Every
+Sylvester/Lyapunov solve is Bartels-Stewart on real Schur forms (or on a
+diagonal for an eigenbasis); the triangular equation goes through a
+recursive blocked kernel (after Jonsson and Kagstrom's RECSY) whose
+leaves are LAPACK dtrsyl calls. The public solvers factor their
+arguments on every call.
 
 The mesh: 4-node composite Gauss-Legendre on [0, tbar] with 64 panels,
 or 32 for the coarse estimate. When the operator is stiff, the panels
@@ -182,37 +181,6 @@ def _schur_form(a: np.ndarray) -> _SchurForm:
     t.flags.writeable = False
     z.flags.writeable = False
     return _SchurForm(a, t, z, _schur_eigvals(t), float(np.linalg.norm(a, 2)))
-
-
-@dataclass(frozen=True)
-class _EigForm(_Spectrum):
-    """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lam)
-    with X^T E X = I, so E^-1 A = X diag(lam) Y^T with Y = E X (Y = X
-    without a mass matrix). ``norm2`` is max |lam|, the norm of E^-1 A
-    in the E inner product."""
-
-    eigvals: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    @property
-    def norm2(self) -> float:
-        return float(np.max(np.abs(self.eigvals)))
-
-
-def _eigh_form(a: np.ndarray, e: np.ndarray | None = None) -> _EigForm | None:
-    """The eigenbasis of the pencil (A, E) when A and E are exactly
-    symmetric and E is positive definite (or absent); None otherwise."""
-    if not np.array_equal(a, a.T) or (e is not None and not np.array_equal(e, e.T)):
-        return None
-    try:
-        lam, x = sla.eigh(a, e)
-    except np.linalg.LinAlgError:
-        return None
-    y = x if e is None else e @ x
-    for arr in (lam, x, y):
-        arr.flags.writeable = False
-    return _EigForm(lam, x, y)
 
 
 def _schur_eigvals(t: np.ndarray) -> np.ndarray:

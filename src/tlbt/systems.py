@@ -5,16 +5,15 @@ matrix E on the left of x'. A system's matrices are immutable after
 construction (its arrays are marked read-only).
 
 Each system memoizes, on first use, one record of its standard-form
-operator A_std = E^-1 A. A symmetric-definite model (A exactly symmetric,
-E absent or exactly symmetric and positive definite: the generated heat
-models and finite-element rods with a consistent mass matrix) is factored by one generalized symmetric
-eigendecomposition A X = E X diag(lambda), X^T E X = I, kept with X^T B
-and C X; every other model by the real Schur form of A_std. Per horizon
-tbar the record also keeps the n x m block e^(A_std tbar) B_std, the
-p x n block C e^(A_std tbar), and the samples of the impulse response
-C e^(A_std s) B_std on the error bound's quadrature meshes. Every entry
-is a deterministic function of the system and the horizon, built once
-under a lock, so systems can still be shared freely across threads.
+operator A_std = E^-1 A, the only code that knows how A_std is factored.
+A symmetric-definite model (A exactly symmetric, E absent or exactly
+symmetric and positive definite: the generated heat models and
+finite-element rods with a consistent mass matrix) gets one generalized
+symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I; every
+other model the real Schur form of A_std. Both records answer the same
+calls (Gramians, propagators, mixed Gramian, projection, kernel samples)
+and build each per-horizon entry once under a lock, so systems can still
+be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -25,17 +24,22 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import mmio
 from .errors import DimensionError
 from .linalg import (
-    _EigForm,
-    _eigh_form,
     _exp_finite,
     _mesh_exponentials,
     _mesh_nodes,
     _mesh_samples,
+    _require_separated,
     _schur_form,
+    _SchurForm,
+    _solve_lyapunov,
+    _solve_sylvester,
+    _solve_sylvester_diagonal,
+    _Spectrum,
     as_matrix,
     expm,
 )
@@ -116,68 +120,57 @@ class StateSpaceSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def _operator(self) -> "_OperatorRecord":
+    def _operator(self) -> "_Record":
         """The memoized record of this system's standard-form operator."""
-        with _RECORD_LOCK:
-            rec = self.__dict__.get("_record")
-            if rec is None:
-                rec = _OperatorRecord(self)
-                object.__setattr__(self, "_record", rec)
-            return rec
+        return _memo(self.__dict__, "_record", lambda: _factored(self))
 
 
-class _OperatorRecord:
-    """Standard-form operator of one system, factored once.
+def _memo(store: dict, key, build):
+    """store[key], built by build() under the records' lock on first use."""
+    with _RECORD_LOCK:
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
-    ``form`` is the eigenbasis (an ``_EigForm``) of a symmetric-definite
-    model, kept with ``xb`` = X^T B and ``cx`` = C X, or else the real
-    Schur form of A_std with its eigenvalues and 2-norm. ``b`` is
-    B_std = E^-1 B (the system's own B without a mass matrix), ``a`` is
-    A_std, ``label`` its name in messages.
+
+def _factored(sys: StateSpaceSystem) -> "_Record":
+    """The eigen record of a symmetric-definite model, the Schur record
+    of every other one."""
+    a, e = sys.A, sys.E
+    if np.array_equal(a, a.T) and (e is None or np.array_equal(e, e.T)):
+        try:
+            return _EigenRecord(sys, *sla.eigh(a, e))
+        except np.linalg.LinAlgError:  # E is not positive definite
+            pass
+    return _SchurRecord(sys)
+
+
+class _Record(_Spectrum):
+    """Standard-form operator of one system, factored once; both records answer:
+
+    - ``eigvals``, ``norm2`` and ``separation`` of A_std, ``label`` (its
+      name in messages), ``a`` = A_std, ``b`` = B_std = E^-1 B, ``c`` = C;
+    - ``gramians(tbar)``: the Gramians (P, Q) of the standard form over
+      [0, tbar], the unrestricted pair for tbar = inf (the caller checks
+      that A_std is Hurwitz);
+    - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
+      A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
+      of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
+      the caller checks separation;
+    - ``project(W, V)``: (W^T A_std V, W^T B_std);
+    - ``propagators`` and ``kernel_samples``, memoized per horizon.
     """
 
     def __init__(self, sys: StateSpaceSystem):
         self.c = sys.C
         self.label = "A" if sys.E is None else "E^-1 A"
-        self._horizons: dict = {}
-        self.form = _eigh_form(sys.A, sys.E)
-        if isinstance(self.form, _EigForm):
-            self.xb = _readonly(self.form.x.T @ sys.B)
-            self.cx = _readonly(sys.C @ self.form.x)
-            self.b = sys.B if sys.E is None else _readonly(self.form.x @ self.xb)
-            self._a = sys.A if sys.E is None else None
-            return
-        if sys.E is None:
-            self._a, self.b = sys.A, sys.B
-        else:
-            self._a = _readonly(np.linalg.solve(sys.E, sys.A))
-            self.b = _readonly(np.linalg.solve(sys.E, sys.B))
-        self.form = _schur_form(self._a)
-
-    @property
-    def a(self) -> np.ndarray:
-        """A_std; on the eigenbasis with a mass matrix it is formed on
-        first use as X diag(lambda) Y^T."""
-        with _RECORD_LOCK:
-            if self._a is None:
-                f = self.form
-                self._a = _readonly((f.x * f.eigvals) @ f.y.T)
-            return self._a
+        self._memos: dict = {}
 
     def propagators(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
         """F = e^(A_std tbar) B_std and G = C e^(A_std tbar); the n x n
         exponential itself is not kept."""
-        with _RECORD_LOCK:
-            if tbar not in self._horizons:
-                f = self.form
-                if isinstance(f, _EigForm):
-                    decay = _exp_finite(f.eigvals * tbar)
-                    fg = (f.x @ (decay[:, None] * self.xb), (self.cx * decay) @ f.y.T)
-                else:
-                    phi = expm(self._a, tbar)
-                    fg = (phi @ self.b, self.c @ phi)
-                self._horizons[tbar] = tuple(_readonly(x) for x in fg)
-            return self._horizons[tbar]
+        return _memo(self._memos, ("propagators", tbar),
+                     lambda: tuple(_readonly(x) for x in self._propagators(tbar)))
 
     def kernel_samples(self, tbar: float, levels: int) -> tuple:
         """The square roots of the fine and the coarse quadrature weights
@@ -186,20 +179,81 @@ class _OperatorRecord:
         ``linalg._mesh_samples``; and the L2 norm of its rounding
         envelope by the fine rule: of |C X| e^(lambda s) |X^T B| on the
         eigenbasis, ||C||_F ||e^(A_std s) B_std||_F otherwise."""
-        key = ("kernel", tbar, levels)
-        with _RECORD_LOCK:
-            if key not in self._horizons:
-                self._horizons[key] = self._kernel_samples(tbar, levels)
-            return self._horizons[key]
+        return _memo(self._memos, ("kernel", tbar, levels), lambda: self._kernel_samples(tbar, levels))
+
+
+class _EigenRecord(_Record):
+    """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lambda)
+    with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
+    without a mass matrix), kept with ``xb`` = X^T B and ``cx`` = C X.
+    ``norm2`` is max |lambda|, the norm of A_std in the E inner product."""
+
+    def __init__(self, sys: StateSpaceSystem, lam: np.ndarray, x: np.ndarray):
+        super().__init__(sys)
+        y = x if sys.E is None else sys.E @ x
+        for arr in (lam, x, y):
+            arr.flags.writeable = False
+        self.eigvals, self.x, self.y = lam, x, y
+        self.norm2 = float(np.max(np.abs(lam)))
+        self.xb = _readonly(x.T @ sys.B)
+        self.cx = _readonly(sys.C @ x)
+        self.b = sys.B if sys.E is None else _readonly(x @ self.xb)
+        if sys.E is None:
+            self._memos["a"] = sys.A
+
+    @property
+    def a(self) -> np.ndarray:
+        """A_std; with a mass matrix it is formed on first use as
+        X diag(lambda) Y^T."""
+        return _memo(self._memos, "a", lambda: _readonly((self.x * self.eigvals) @ self.y.T))
+
+    def _propagators(self, tbar: float):
+        decay = _exp_finite(self.eigvals * tbar)
+        return self.x @ (decay[:, None] * self.xb), (self.cx * decay) @ self.y.T
+
+    def gramians(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
+        """Closed forms P = X ((X^T B)(X^T B)^T o Phi) X^T and
+        Q = Y ((C X)^T (C X) o Phi) Y^T with
+        Phi_ij = expm1((l_i + l_j) tbar) / (l_i + l_j) (tbar when
+        l_i + l_j = 0), or -1 / (l_i + l_j) for tbar = inf."""
+        lam = self.eigvals
+        rates = lam[:, None] + lam[None, :]
+        if math.isfinite(tbar):
+            phi = rates * tbar
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.expm1(phi, out=phi)
+                np.divide(phi, rates, out=phi, where=rates != 0.0)
+            phi[rates == 0.0] = tbar
+            if not np.all(np.isfinite(phi)):
+                raise OverflowError(f"time-limited Gramian overflowed (largest rate {np.max(rates):.3e}, tbar = {tbar:g})")
+        else:
+            phi = -1.0 / rates
+        del rates
+
+        def congruence(v, g):
+            g *= phi
+            x = (v @ g) @ v.T
+            x += x.T
+            x *= 0.5
+            return x
+
+        return congruence(self.x, self.xb @ self.xb.T), congruence(self.y, self.cx.T @ self.cx)
+
+    def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
+        # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
+        w = -self.xb @ b1.T
+        if fr is not None:
+            w += (_exp_finite(self.eigvals * tbar)[:, None] * self.xb) @ fr.T
+        return self.x @ _solve_sylvester_diagonal(self.eigvals, s11, w)
+
+    def project(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # ((W^T X) Lambda (Y^T V), (W^T X)(X^T B))
+        wx = w.T @ self.x
+        return (wx * self.eigvals) @ (self.y.T @ v), wx @ self.xb
 
     def _kernel_samples(self, tbar: float, levels: int) -> tuple:
-        f = self.form
         (times, root), (times_c, root_c) = (_mesh_nodes(tbar, levels, coarse) for coarse in (False, True))
-        if not isinstance(f, _EigForm):
-            base = _mesh_exponentials(self._a, tbar, levels)[1]
-            fine, coarse, energy = _mesh_samples(base, self.b, self.c, levels, (root, root_c))
-            return (root, root_c), fine, coarse, float(np.linalg.norm(self.c)) * math.sqrt(energy)
-        n, (p, m) = f.eigvals.size, (self.c.shape[0], self.b.shape[1])
+        n, (p, m) = self.eigvals.size, (self.c.shape[0], self.b.shape[1])
         # K(s) = sum_k (C X)_k e^(lambda_k s) (X^T B)_k, one row of p m entries per k
         signed = (self.cx.T[:, :, None] * self.xb[:, None, :]).reshape(n, p * m)
         absolute = (np.abs(self.cx).T[:, :, None] * np.abs(self.xb)[:, None, :]).reshape(n, p * m)
@@ -211,13 +265,59 @@ class _OperatorRecord:
             np.multiply(rows, w[:, :, None, None, None], out=out)
             return out.reshape(*w.shape, p, -1)
 
-        decay = _exp_finite(np.outer(times, f.eigvals))
+        decay = _exp_finite(np.outer(times, self.eigvals))
         fine = weighted(decay, times, root)
         rows = (decay @ absolute).reshape(*times.shape, -1)
         envelope = math.sqrt(float(np.sum(root[:, :, None] ** 2 * np.einsum("aikj,aikj->aik", rows, rows))))
         del decay, rows
-        coarse = weighted(_exp_finite(np.outer(times_c, f.eigvals)), times_c, root_c)
+        coarse = weighted(_exp_finite(np.outer(times_c, self.eigvals)), times_c, root_c)
         return (root, root_c), fine, coarse, envelope
+
+
+class _SchurRecord(_Record):
+    """Real Schur form ``schur`` of A_std, for every other model."""
+
+    def __init__(self, sys: StateSpaceSystem):
+        super().__init__(sys)
+        if sys.E is None:
+            self.a, self.b = sys.A, sys.B
+        else:
+            self.a = _readonly(np.linalg.solve(sys.E, sys.A))
+            self.b = _readonly(np.linalg.solve(sys.E, sys.B))
+        self.schur = _schur_form(self.a)
+        self.eigvals, self.norm2 = self.schur.eigvals, self.schur.norm2
+
+    def _propagators(self, tbar: float):
+        phi = expm(self.a, tbar)
+        return phi @ self.b, self.c @ phi
+
+    def gramians(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
+        """Bartels-Stewart on the Schur form of A_std for P, and for Q on
+        the Schur form of A_std^T that it gives with the order of the
+        Schur vectors reversed."""
+        b, c = self.b, self.c
+        if math.isfinite(tbar):
+            f, g = self.propagators(tbar)
+            w_p, w_q = f @ f.T - b @ b.T, g.T @ g - c.T @ c
+        else:
+            w_p, w_q = -b @ b.T, -c.T @ c
+        _require_separated(self, self, "solve_lyapunov")
+        return _solve_lyapunov(self.schur, w_p), _solve_lyapunov(self.schur.transposed(), w_q)
+
+    def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
+        w = -self.b @ b1.T
+        if fr is not None:
+            w += self.propagators(tbar)[0] @ fr.T
+        return _solve_sylvester(self.schur, s11, w)
+
+    def project(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return w.T @ self.a @ v, w.T @ self.b
+
+    def _kernel_samples(self, tbar: float, levels: int) -> tuple:
+        roots = tuple(_mesh_nodes(tbar, levels, coarse)[1] for coarse in (False, True))
+        base = _mesh_exponentials(self.a, tbar, levels)[1]
+        fine, coarse, energy = _mesh_samples(base, self.b, self.c, levels, roots)
+        return roots, fine, coarse, float(np.linalg.norm(self.c)) * math.sqrt(energy)
 
 
 def load_system(manifest, name: str | None = None) -> StateSpaceSystem:

@@ -313,7 +313,7 @@ def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
 @pytest.mark.parametrize("sys", [generate_heat_model(120, 7, 6), fem_rod(60, 7, 6)],
                          ids=["rod-120", "fem-mass-60"])
 def test_eigenbasis_gramians_match_the_schur_route(sys):
-    assert isinstance(sys._operator().form, tlbt.linalg._EigForm)
+    assert isinstance(sys._operator(), tlbt.systems._EigenRecord)
     if sys.E is None:
         a, b = sys.A, sys.B
     else:
@@ -335,7 +335,7 @@ def test_observability_gramian_on_the_reversed_schur_form():
     # complex eigenvalue pairs give 2x2 diagonal blocks, which the
     # reversed form must keep quasi-triangular
     sys = rand_stable(12, 2, 3, np.random.default_rng(21))
-    form = sys._operator().form
+    form = sys._operator().schur
     assert np.any(np.diag(form.t, -1) != 0.0)
     at = form.transposed()
     assert np.allclose(at.z @ at.t @ at.z.T, sys.A.T, rtol=0.0, atol=1e-12 * np.linalg.norm(sys.A))
