@@ -280,11 +280,13 @@ def _leading_trace(d) -> float:
     return float(np.sum(d["sigma"][r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
 
 
-def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float) -> BalancedRepresentation:
+def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int) -> BalancedRepresentation:
     """The paper's trace form of :func:`tlbt_h2_bound`'s eps^2, evaluated
     in balanced coordinates as leading trace + remainder + correction,
     with the remainder's certificates, from one change of coordinates.
 
+    The horizon is ``gramians.horizon``; unrestricted Gramians (horizon
+    inf) are refused, their bound is :func:`bt_h2_bound_infinite`.
     Requires positive definite Gramians (dense balancing transform). The
     implied reduced model is the order-r balanced truncation. The
     factorization of A and the propagators are those of the trace
@@ -297,7 +299,10 @@ def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int, tbar: float) -> Balance
     Raises ArithmeticError when the sum is negative beyond rounding
     (below -1e-12 tr(C P C^T)): the Gramians are then inconsistent.
     """
-    tbar = _check_horizon(tbar)
+    if gramians.horizon == math.inf:
+        raise ValueError("tlbt_h2_bound_alt needs time-limited Gramians; "
+                         "for horizon = inf use bt_h2_bound_infinite")
+    tbar = _check_horizon(gramians.horizon)
     d = _balanced_coordinates(sys, gramians, r, tbar)
     sigma = d["sigma"]
     sigma1 = sigma[:r]

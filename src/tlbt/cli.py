@@ -112,11 +112,12 @@ def parse_input(spec: str, m: int) -> InputSignal:
                 line = line.strip()
                 if not line:
                     continue
-                if lineno == 1 and any(c.isalpha() for c in line):
-                    continue
                 try:
                     rows.append([float(s) for s in line.split(",")])
                 except ValueError:
+                    # a first line with letters that is not a number row is a header
+                    if lineno == 1 and any(c.isalpha() for c in line):
+                        continue
                     raise ValueError(f"{path}:{lineno}: non-numeric table row") from None
         if not rows:
             raise ValueError(f"input table {path} has no data rows")
@@ -210,7 +211,7 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
     report = tlbt_h2_bound(system, rom, gramians.P, cfg.tbar)
     data = report.to_dict()
     if verify:
-        alt = tlbt_h2_bound_alt(system, gramians, r, cfg.tbar)
+        alt = tlbt_h2_bound_alt(system, gramians, r)
         data["alt_leading"] = alt.leading
         data["alt_remainder"] = alt.remainder
         data["alt_last"] = alt.last

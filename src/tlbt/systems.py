@@ -228,7 +228,6 @@ class _EigenRecord(_Record):
                 raise OverflowError(f"time-limited Gramian overflowed (largest rate {np.max(rates):.3e}, tbar = {tbar:g})")
         else:
             phi = -1.0 / rates
-        del rates
 
         def congruence(v, g):
             g *= phi

@@ -80,7 +80,7 @@ def test_criterion_02_representations_agree():
         tbar = float(rng.uniform(0.5, 3.0))
         sys = rand_stable(n, m, p, rng)
         gset = time_limited_gramians(sys, tbar)
-        alt = tlbt_h2_bound_alt(sys, gset, r, tbar)
+        alt = tlbt_h2_bound_alt(sys, gset, r)
         rom = truncate(sys, balance(gset, sys, r=r))
         direct = tlbt_h2_bound(sys, rom, gset.P, tbar)
         gap = abs(alt.epsilon_squared - direct.epsilon_squared)
@@ -124,7 +124,7 @@ def test_criterion_04_long_horizon_limit():
     p_gap = np.linalg.norm(gtl.P - ginf.P) / np.linalg.norm(ginf.P)
     assert p_gap <= 1e-6, f"Gramian gap {p_gap:.3e}"
     r = 10
-    alt = tlbt_h2_bound_alt(sys, gtl, r, tbar)
+    alt = tlbt_h2_bound_alt(sys, gtl, r)
     lead_inf = bt_h2_bound_infinite(sys, ginf, r)
     lead_gap = abs(alt.leading - lead_inf) / abs(lead_inf)
     assert lead_gap <= 1e-5, f"leading-term gap {lead_gap:.3e}"

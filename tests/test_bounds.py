@@ -157,7 +157,7 @@ class TestAlternativeRepresentation:
         tbar = 0.5
         gset, rom = balanced_rom(sys, tbar, r=3)
         direct = tlbt_h2_bound(sys, rom, gset.P, tbar)
-        alt = tlbt_h2_bound_alt(sys, gset, 3, tbar)
+        alt = tlbt_h2_bound_alt(sys, gset, 3)
         scale = max(direct.epsilon_squared, 1e-12 * direct.term_cpc)
         assert abs(alt.epsilon_squared - direct.epsilon_squared) <= 1e-7 * scale
         assert alt.r == 3 and alt.horizon == tbar
@@ -165,7 +165,7 @@ class TestAlternativeRepresentation:
     def test_components_sum_to_epsilon_squared(self):
         sys = generate_heat_model(8, 8, 8)
         gset = time_limited_gramians(sys, 0.4)
-        alt = tlbt_h2_bound_alt(sys, gset, 4, 0.4)
+        alt = tlbt_h2_bound_alt(sys, gset, 4)
         # the plain sum: no square root, no clamp
         assert alt.epsilon_squared == alt.leading + alt.remainder + alt.last
         assert alt.last <= 0.0
@@ -173,7 +173,7 @@ class TestAlternativeRepresentation:
     def test_full_order_collapses(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)
-        alt = tlbt_h2_bound_alt(sys, gset, 6, 0.5)
+        alt = tlbt_h2_bound_alt(sys, gset, 6)
         assert alt.leading == 0.0
         assert abs(alt.last) <= 1e-12
         assert abs(alt.epsilon_squared) <= 1e-12 * alt.term_cpc
@@ -185,14 +185,30 @@ class TestAlternativeRepresentation:
         tbar = 0.05
         gset, rom = balanced_rom(sys, tbar, r=4)
         direct = tlbt_h2_bound(sys, rom, gset.P, tbar)
-        alt = tlbt_h2_bound_alt(sys, gset, 4, tbar)
+        alt = tlbt_h2_bound_alt(sys, gset, 4)
         assert alt.epsilon_squared == pytest.approx(direct.epsilon_squared, rel=1e-12, abs=0.0)
+
+    def test_horizon_comes_from_the_gramians(self):
+        # the same model at two horizons: each set gives its own horizon's eps^2
+        sys = rand_stable(6, 3, 3, np.random.default_rng(1))
+        for tbar in (0.2, 1.0):
+            gset, rom = balanced_rom(sys, tbar, r=2)
+            alt = tlbt_h2_bound_alt(sys, gset, 2)
+            assert alt.horizon == gset.horizon == tbar
+            direct = tlbt_h2_bound(sys, rom, gset.P, tbar)
+            gap = abs(alt.epsilon_squared - direct.epsilon_squared)
+            assert gap <= 1e-7 * max(direct.epsilon_squared, direct.term_cpc)
+
+    def test_unrestricted_gramians_rejected(self):
+        sys = generate_heat_model(8, 8, 8)
+        with pytest.raises(ValueError, match="bt_h2_bound_infinite"):
+            tlbt_h2_bound_alt(sys, infinite_gramians(sys), 3)
 
     def test_rank_deficient_gramians_rejected(self):
         sys = generate_heat_model(20, 7, 6)
         gset = time_limited_gramians(sys, 1.0)
         with pytest.raises(ValueError, match="positive definite"):
-            tlbt_h2_bound_alt(sys, gset, 4, 1.0)
+            tlbt_h2_bound_alt(sys, gset, 4)
 
     def test_negative_sum_kept_within_rounding_and_rejected_beyond(self, monkeypatch):
         # a leading trace off by more than rounding stands in for
@@ -200,10 +216,10 @@ class TestAlternativeRepresentation:
         sys = generate_heat_model(8, 8, 8)
         gset = time_limited_gramians(sys, 0.5)
         monkeypatch.setattr(tlbt.bounds, "_leading_trace", lambda d: -1e-15)
-        assert tlbt_h2_bound_alt(sys, gset, 3, 0.5).epsilon_squared < 0.0
+        assert tlbt_h2_bound_alt(sys, gset, 3).epsilon_squared < 0.0
         monkeypatch.setattr(tlbt.bounds, "_leading_trace", lambda d: -1e-9)
         with pytest.raises(ArithmeticError, match="negative beyond rounding"):
-            tlbt_h2_bound_alt(sys, gset, 3, 0.5)
+            tlbt_h2_bound_alt(sys, gset, 3)
 
 
 class TestRemainderDiagnostics:
@@ -219,7 +235,7 @@ class TestRemainderDiagnostics:
         sys = generate_heat_model(8, 8, 8)
         tbar = 0.5
         gset = time_limited_gramians(sys, tbar)
-        alt = tlbt_h2_bound_alt(sys, gset, 3, tbar)
+        alt = tlbt_h2_bound_alt(sys, gset, 3)
         # the terms and their certificates come from one dense transform
         assert len(calls) == 1
         assert abs(alt.remainder) <= alt.total_remainder_bound() * (1.0 + 1e-12)
@@ -229,13 +245,13 @@ class TestRemainderDiagnostics:
         norms = []
         for tbar in (0.25, 0.5, 1.0):
             gset = time_limited_gramians(sys, tbar)
-            norms.append(tlbt_h2_bound_alt(sys, gset, 3, tbar).norm_F1)
+            norms.append(tlbt_h2_bound_alt(sys, gset, 3).norm_F1)
         assert norms[0] > norms[1] > norms[2]
 
     def test_product_bounds_consistent(self):
         sys = generate_heat_model(8, 8, 8)
         gset = time_limited_gramians(sys, 0.5)
-        diag = tlbt_h2_bound_alt(sys, gset, 3, 0.5)
+        diag = tlbt_h2_bound_alt(sys, gset, 3)
         assert diag.bound_cross == pytest.approx(diag.norm_G1 * diag.norm_G * diag.norm_PM)
         assert diag.bound_obs == pytest.approx(diag.norm_G1**2 * diag.trace_Pr)
         assert diag.bound_reach == pytest.approx(diag.norm_F1**2 * diag.trace_Sigma1)

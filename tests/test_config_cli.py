@@ -112,6 +112,15 @@ class TestParsers:
         u = parse_input(f"table:{path}", 1)
         assert u(0.5)[0] == pytest.approx(2.0)
 
+    def test_parse_input_table_first_row_with_exponents_is_data(self, tmp_path):
+        # 'e' in 1e-3 is a letter, but the row parses as numbers
+        path = tmp_path / "u.csv"
+        path.write_text("0, 1e-3\n0.5, 2e-3\n1.0, 3e-3\n")
+        assert parse_input(f"table:{path}", 1)(0.0)[0] == 1e-3
+        path.write_text("0; 1\n0.5, 2\n")
+        with pytest.raises(ValueError, match=r"u.csv:1: non-numeric table row"):
+            parse_input(f"table:{path}", 1)
+
     def test_parse_input_unknown(self):
         with pytest.raises(ValueError, match="unknown input spec"):
             parse_input("ramp", 2)

@@ -1,15 +1,26 @@
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import fem_rod
+import tlbt.balancing
+import tlbt.bounds
+import tlbt.gramians
+from tlbt.balancing import balance
 from tlbt.errors import DimensionError
+from tlbt.gramians import time_limited_gramians
+from tlbt.linalg import _mesh_levels, _schur_form, expm
 from tlbt.mmio import write_matrix
 from tlbt.systems import (
     InputSignal,
     StateSpaceSystem,
+    _EigenRecord,
+    _SchurRecord,
     apply_state_transform,
     generate_heat_model,
     load_system,
@@ -315,3 +326,53 @@ class TestRandomPiecewiseConstant:
             random_piecewise_constant(1, 1.0, 0, rng)
         with pytest.raises(ValueError, match="tbar"):
             random_piecewise_constant(1, -1.0, 3, rng)
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(40, 7, 6), fem_rod(30, 7, 6)],
+                         ids=["gen-40", "fem-mass-30"])
+def test_eigen_and_schur_records_answer_alike(sys):
+    # the Schur record is built beside the eigen record that the
+    # symmetric-definite model gets; every call must agree
+    eig, schur, tbar = sys._operator(), _SchurRecord(sys), 0.05
+    assert isinstance(eig, _EigenRecord)
+
+    def close(x, y):
+        assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+
+    pairs = [(eig.gramians(h), schur.gramians(h)) for h in (tbar, math.inf)]
+    pairs.append((eig.propagators(tbar), schur.propagators(tbar)))
+    for got, want in pairs:
+        for x, y in zip(got, want):
+            close(x, y)
+    bal = balance(time_limited_gramians(sys, tbar), sys, r=5)
+    (a11, b1), projected = eig.project(bal.W, bal.V), schur.project(bal.W, bal.V)
+    close(a11, projected[0])
+    close(b1, projected[1])
+    s11 = _schur_form(a11)
+    for h, fr in ((tbar, expm(a11, tbar) @ b1), (math.inf, None)):
+        close(eig.mixed(s11, b1, fr, h), schur.mixed(s11, b1, fr, h))
+    levels = _mesh_levels(tbar, eig.norm2)
+    for x, y in zip(eig.kernel_samples(tbar, levels)[1:3], schur.kernel_samples(tbar, levels)[1:3]):
+        assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("module", [tlbt.gramians, tlbt.balancing, tlbt.bounds],
+                         ids=lambda m: m.__name__)
+def test_only_the_operator_record_knows_how_a_is_factored(module):
+    # these modules see A through the record's calls alone, so a second
+    # factorization route changes systems and nothing else
+    forbidden = {"_Record", "_EigenRecord", "_SchurRecord", "_EigForm", "_eigh_form",
+                 "_solve_sylvester_diagonal", "_exp_finite"}
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+            # the old record's factorization, and the records' own factors
+            assert name not in {"form", "schur", "xb", "cx"}, f"{module.__name__}:{node.lineno} reads .{name}"
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+        else:
+            continue
+        assert name not in forbidden, f"{module.__name__}:{getattr(node, 'lineno', '?')} names {name}"
