@@ -106,11 +106,9 @@ def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -
         For r > n_hat (the message reports n_hat) or a degenerate pair.
     """
     n = sys.n
-    if gramians.P.shape != (n, n) or gramians.Q.shape != (n, n):
-        raise DimensionError(
-            f"Gramians of shape {gramians.P.shape} do not match the system dimension {n}"
-        )
     zp, zq = gramians.lowrank_P, gramians.lowrank_Q
+    if zp.shape[0] != n or zq.shape[0] != n:
+        raise DimensionError(f"Gramians of order {zp.shape[0]} do not match the system dimension {n}")
     if zp.shape[1] == 0 or zq.shape[1] == 0:
         raise ValueError("degenerate Gramian pair: a Gramian factor has rank 0")
     u, sigma, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)

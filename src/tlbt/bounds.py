@@ -252,8 +252,8 @@ def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dic
     n = sys.n
     if not (1 <= r <= n):
         raise ValueError(f"r must be in [1, {n}], got {r}")
-    if gramians.P.shape != (n, n):
-        raise DimensionError(f"Gramians of shape {gramians.P.shape} do not match n = {n}")
+    if gramians.lowrank_P.shape[0] != n:
+        raise DimensionError(f"Gramians of order {gramians.lowrank_P.shape[0]} do not match n = {n}")
     s, s_inv, sigma = _balancing_transform(gramians.lowrank_P, gramians.lowrank_Q)
     op = sys._operator()
     a_bal = s @ op.a @ s_inv

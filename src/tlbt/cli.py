@@ -106,7 +106,7 @@ def parse_input(spec: str, m: int) -> InputSignal:
         path = spec[len("table:"):]
         if not os.path.exists(path):
             raise FileNotFoundError(f"input table not found: {path}")
-        rows = []
+        rows, header = [], False
         with open(path, "r", encoding="ascii") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -115,8 +115,9 @@ def parse_input(spec: str, m: int) -> InputSignal:
                 try:
                     rows.append([float(s) for s in line.split(",")])
                 except ValueError:
-                    # a first line with letters that is not a number row is a header
-                    if lineno == 1 and any(c.isalpha() for c in line):
+                    # a first non-blank line with letters that is not a number row is a header
+                    if not (rows or header) and any(c.isalpha() for c in line):
+                        header = True
                         continue
                     raise ValueError(f"{path}:{lineno}: non-numeric table row") from None
         if not rows:

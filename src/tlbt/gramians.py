@@ -23,9 +23,11 @@ real Schur form of A for every other one. This module checks the
 arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
-Building one runs a single eigendecomposition per Gramian, which
-rejects significant negative eigenvalues, zeroes negligible ones and
-yields the rank-revealing factors.
+The record hands each Gramian over as a basis X and a core C with
+P = X C X^T; one eigendecomposition of C rejects significant negative
+eigenvalues and yields the rank-revealing factor. With a mass matrix
+the eigenbasis is E-orthonormal, so the PSD check and the 1e-12 cutoff
+apply in the E inner product. Dense P and Q are formed only when read.
 
 An independent Gauss-Legendre quadrature of the defining integrals is
 provided as a cross-check oracle for the Lyapunov route.
@@ -33,6 +35,7 @@ provided as a cross-check oracle for the Lyapunov route.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,10 +43,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionError, StabilityError
 from .linalg import (
+    _lyapunov_core,
     _psd_factor,
     _require_separated,
     _schur_form,
-    _solve_lyapunov,
     _symmetric,
     as_matrix,
     expm,
@@ -61,32 +64,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GramianSet:
     """A reachability/observability Gramian pair for one horizon, in
-    standard form.
+    standard form; ``horizon`` is math.inf for the unrestricted pair.
 
-    ``horizon`` is math.inf for the unrestricted pair. On construction P
-    and Q are checked to be symmetric and numerically PSD, eigenvalues
-    down to -1e-10 ||.||_2 are zeroed, and ``lowrank_P``/``lowrank_Q``
-    are set to rank-revealing factors (P ~= Z Z^T, eigenvalue cutoff
-    1e-12 ||P||_2), all from one eigendecomposition per Gramian. The set
-    is frozen, so the factors always belong to P and Q.
+    Each Gramian is held as P = X C X^T: the operator record's basis X
+    and symmetric core C, or X = I for a hand-built ``GramianSet(P=, Q=,
+    horizon=)``. One eigendecomposition per core checks that C is
+    numerically PSD (no eigenvalue below -1e-10 ||C||_2) and sets
+    ``lowrank_P``/``lowrank_Q`` to rank-revealing factors X Z with
+    C ~= Z Z^T (eigenvalue cutoff 1e-12 ||C||_2). C has P's spectrum for
+    an orthogonal X, and P E's for the E-orthonormal eigenbasis of a
+    model with mass matrix E. Dense ``P`` and ``Q``, with C's negligible
+    negative eigenvalues zeroed, are formed on first read, which
+    releases the square root of C kept for them. The set is frozen.
     """
 
-    P: np.ndarray
-    Q: np.ndarray
     horizon: float
-    lowrank_P: np.ndarray = field(init=False, repr=False)
-    lowrank_Q: np.ndarray = field(init=False, repr=False)
+    lowrank_P: np.ndarray = field(repr=False)
+    lowrank_Q: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        for name in ("P", "Q"):
-            x, z = _psd_factor(_symmetric(getattr(self, name), name), name)
-            object.__setattr__(self, name, x)
-            object.__setattr__(self, "lowrank_" + name, z)
-        if self.P.shape != self.Q.shape:
-            raise DimensionError(f"P and Q must have equal shapes, got {self.P.shape} and {self.Q.shape}")
+    def __init__(self, P, Q, horizon: float):
+        self._factor(horizon, P=(None, P), Q=(None, Q))
+
+    @classmethod
+    def _of(cls, horizon: float, p: tuple, q: tuple) -> "GramianSet":
+        """The set of an operator record's pairs (X, C) for P and Q."""
+        gset = cls.__new__(cls)
+        gset._factor(horizon, P=p, Q=q)
+        return gset
+
+    def _factor(self, horizon: float, **pairs) -> None:
+        held = {}
+        for name, (basis, core) in pairs.items():
+            root, k = _psd_factor(_symmetric(core, name), name)
+            object.__setattr__(self, "lowrank_" + name, root[:, :k] if basis is None else basis @ root[:, :k])
+            held[name] = (basis, root)
+        n_p, n_q = self.lowrank_P.shape[0], self.lowrank_Q.shape[0]
+        if n_p != n_q:
+            raise DimensionError(f"P and Q must have equal shapes, got {(n_p, n_p)} and {(n_q, n_q)}")
+        for name, value in (("horizon", horizon), ("_held", held), ("_lock", threading.Lock())):
+            object.__setattr__(self, name, value)
+
+    def _dense(self, name: str) -> np.ndarray:
+        with self._lock:
+            held = self._held[name]
+            if isinstance(held, tuple):
+                w = held[1] if held[0] is None else held[0] @ held[1]
+                held = self._held[name] = w @ w.T
+            return held
+
+    P = property(lambda self: self._dense("P"), doc="The dense reachability Gramian.")
+    Q = property(lambda self: self._dense("Q"), doc="The dense observability Gramian.")
 
 
 def _require_hurwitz(eigvals: np.ndarray, label: str) -> None:
@@ -117,8 +147,7 @@ def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
     """
     op = sys._operator()
     _require_hurwitz(op.eigvals, op.label)
-    p, q = op.gramians(math.inf)
-    return GramianSet(P=p, Q=q, horizon=math.inf)
+    return GramianSet._of(math.inf, *op.gramians(math.inf))
 
 
 def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
@@ -129,8 +158,7 @@ def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
     required.
     """
     tbar = _check_horizon(tbar)
-    p, q = sys._operator().gramians(tbar)
-    return GramianSet(P=p, Q=q, horizon=tbar)
+    return GramianSet._of(tbar, *sys._operator().gramians(tbar))
 
 
 def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> np.ndarray:
@@ -180,7 +208,8 @@ def reduced_gramian(rom, tbar: float) -> np.ndarray:
 def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
     """:func:`reduced_gramian` on the Schur form of A11 and Fr."""
     _require_separated(s11, s11, "solve_lyapunov")
-    return _psd_factor(_solve_lyapunov(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
+    w = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
+    return w @ w.T
 
 
 def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:

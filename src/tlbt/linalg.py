@@ -270,7 +270,11 @@ def solve_lyapunov(a, w) -> np.ndarray:
     _symmetric(w, "W")
     s = _schur_form(a)
     _require_separated(s, s, "solve_lyapunov")
-    return _solve_lyapunov(s, w)
+    # scipy's association order: bit-identical to its solver for n <= 64
+    x = s.z.dot(_trsyl(s.t, s.t, s.z.T.dot(w.dot(s.z)), "solve_lyapunov")).dot(s.z.T)
+    x = (x + x.T) / 2.0
+    _check_residual(a @ x + x @ a.T - w, w, "solve_lyapunov")
+    return x
 
 
 def _solve_sylvester(s1: _SchurForm, s2: _SchurForm, w: np.ndarray) -> np.ndarray:
@@ -284,15 +288,15 @@ def _solve_sylvester(s1: _SchurForm, s2: _SchurForm, w: np.ndarray) -> np.ndarra
     return x
 
 
-def _solve_lyapunov(s: _SchurForm, w: np.ndarray) -> np.ndarray:
-    """A X + X A^T = W on the Schur form of A, symmetrized; the caller
-    checks separation. Bit-identical to scipy's solver for n <= 64."""
+def _lyapunov_core(s: _SchurForm, w: np.ndarray) -> np.ndarray:
+    """The core Y, symmetrized, of the solution X = Z Y Z^T of A X + X A^T = W
+    on the Schur form A = Z T Z^T; the caller checks separation. The
+    residual is checked in Schur coordinates (Z is orthogonal)."""
     f = s.z.T.dot(w.dot(s.z))
     y = _trsyl(s.t, s.t, f, "solve_lyapunov")
-    x = s.z.dot(y).dot(s.z.T)
-    x = (x + x.T) / 2.0
-    _check_residual(s.a @ x + x @ s.a.T - w, w, "solve_lyapunov")
-    return x
+    y = (y + y.T) / 2.0
+    _check_residual(s.t @ y + y @ s.t.T - f, f, "solve_lyapunov")
+    return y
 
 
 def _solve_sylvester_diagonal(lam: np.ndarray, s2: _SchurForm, w: np.ndarray) -> np.ndarray:
@@ -375,32 +379,30 @@ def spd_factor(p, tol: float = 1e-12) -> np.ndarray:
         If some eigenvalue is below -tol * ||P||_2.
     """
     p = _symmetric(p, "P")
-    return _psd_factor((p + p.T) / 2.0, "P", tol, tol)[1]
+    root, k = _psd_factor((p + p.T) / 2.0, "P", tol, tol)
+    return root[:, :k]
 
 
 def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
-                neg_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """One eigendecomposition of a symmetric P, two results: P with its
-    negligible negative eigenvalues zeroed, and the factor Z of
+                neg_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+    """One eigendecomposition of a symmetric P: the square root R over
+    its positive eigenvalues, columns by decreasing eigenvalue, so R R^T
+    is P with its negligible negative eigenvalues zeroed; and the number
+    k of leading columns of R that make the factor Z of
     :func:`spd_factor` at cutoff ``tol``.
 
     Raises NotPsdError for an eigenvalue below -neg_tol * ||P||_2.
     """
     evals, evecs = np.linalg.eigh(p)
-    norm2 = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if norm2 == 0.0:
-        return p, np.zeros((p.shape[0], 0))
+    norm2 = float(np.max(np.abs(evals)))
     if evals[0] < -neg_tol * norm2:
         raise NotPsdError(
             f"{label} has eigenvalue {evals[0]:.6e} below -{neg_tol:g} * ||{label}||_2; "
             "the matrix is not numerically PSD"
         )
-    keep = evals > tol * norm2
-    z = evecs[:, keep][:, ::-1] * np.sqrt(evals[keep][::-1])
-    if evals[0] >= 0:
-        return p, z
-    y = (evecs * np.maximum(evals, 0.0)) @ evecs.T
-    return (y + y.T) / 2.0, z
+    pos = evals > 0.0
+    root = evecs[:, pos][:, ::-1] * np.sqrt(evals[pos][::-1])
+    return root, int(np.count_nonzero(evals > tol * norm2))
 
 
 def _exp_finite(x: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .linalg import (
     _require_separated,
     _schur_form,
     _SchurForm,
-    _solve_lyapunov,
+    _lyapunov_core,
     _solve_sylvester,
     _solve_sylvester_diagonal,
     _Spectrum,
@@ -150,9 +150,10 @@ class _Record(_Spectrum):
 
     - ``eigvals``, ``norm2`` and ``separation`` of A_std, ``label`` (its
       name in messages), ``a`` = A_std, ``b`` = B_std = E^-1 B, ``c`` = C;
-    - ``gramians(tbar)``: the Gramians (P, Q) of the standard form over
+    - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
-      that A_std is Hurwitz);
+      that A_std is Hurwitz), each as a pair (basis, core) with
+      P = basis core basis^T and core symmetric;
     - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
       A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
       of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
@@ -211,11 +212,12 @@ class _EigenRecord(_Record):
         decay = _exp_finite(self.eigvals * tbar)
         return self.x @ (decay[:, None] * self.xb), (self.cx * decay) @ self.y.T
 
-    def gramians(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
+    def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Closed forms P = X ((X^T B)(X^T B)^T o Phi) X^T and
         Q = Y ((C X)^T (C X) o Phi) Y^T with
         Phi_ij = expm1((l_i + l_j) tbar) / (l_i + l_j) (tbar when
-        l_i + l_j = 0), or -1 / (l_i + l_j) for tbar = inf."""
+        l_i + l_j = 0), or -1 / (l_i + l_j) for tbar = inf, as the pairs
+        (X, core) and (Y, core)."""
         lam = self.eigvals
         rates = lam[:, None] + lam[None, :]
         if math.isfinite(tbar):
@@ -228,15 +230,11 @@ class _EigenRecord(_Record):
                 raise OverflowError(f"time-limited Gramian overflowed (largest rate {np.max(rates):.3e}, tbar = {tbar:g})")
         else:
             phi = -1.0 / rates
-
-        def congruence(v, g):
-            g *= phi
-            x = (v @ g) @ v.T
-            x += x.T
-            x *= 0.5
-            return x
-
-        return congruence(self.x, self.xb @ self.xb.T), congruence(self.y, self.cx.T @ self.cx)
+        del rates
+        g = self.xb @ self.xb.T
+        g *= phi
+        phi *= self.cx.T @ self.cx
+        return (self.x, g), (self.y, phi)
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
@@ -257,20 +255,22 @@ class _EigenRecord(_Record):
         signed = (self.cx.T[:, :, None] * self.xb[:, None, :]).reshape(n, p * m)
         absolute = (np.abs(self.cx).T[:, :, None] * np.abs(self.xb)[:, None, :]).reshape(n, p * m)
 
-        def weighted(decay, t, w):
-            # rows at the nodes (run, node, panel) to (run, node, p, panel * m), weighted
-            rows = (decay @ signed).reshape(*t.shape, p, m).transpose(0, 1, 3, 2, 4)
-            out = np.empty(rows.shape)
-            np.multiply(rows, w[:, :, None, None, None], out=out)
-            return out.reshape(*w.shape, p, -1)
+        def weighted(decay, w, out):
+            # rows at a run's nodes (node, panel) to (node, p, panel, m), weighted, into out
+            rows = (decay @ signed).reshape(w.size, -1, p, m).transpose(0, 2, 1, 3)
+            np.multiply(rows, w[:, None, None, None], out=out.reshape(rows.shape))
 
-        decay = _exp_finite(np.outer(times, self.eigvals))
-        fine = weighted(decay, times, root)
-        rows = (decay @ absolute).reshape(*times.shape, -1)
-        envelope = math.sqrt(float(np.sum(root[:, :, None] ** 2 * np.einsum("aikj,aikj->aik", rows, rows))))
-        del decay, rows
-        coarse = weighted(_exp_finite(np.outer(times_c, self.eigvals)), times_c, root_c)
-        return (root, root_c), fine, coarse, envelope
+        fine = np.empty((*root.shape, p, times.shape[-1] * m))
+        coarse = np.empty((*root_c.shape, p, times_c.shape[-1] * m))
+        envelope = 0.0
+        # one run at a time, so the node-by-state exponential stays (64 x n)
+        for k in range(root.shape[0]):
+            decay = _exp_finite(np.outer(times[k], self.eigvals))
+            weighted(decay, root[k], fine[k])
+            rows = (decay @ absolute).reshape(*times.shape[1:], -1)
+            envelope += float(np.sum(root[k][:, None] ** 2 * np.einsum("ikj,ikj->ik", rows, rows)))
+            weighted(_exp_finite(np.outer(times_c[k], self.eigvals)), root_c[k], coarse[k])
+        return (root, root_c), fine, coarse, math.sqrt(envelope)
 
 
 class _SchurRecord(_Record):
@@ -290,10 +290,10 @@ class _SchurRecord(_Record):
         phi = expm(self.a, tbar)
         return phi @ self.b, self.c @ phi
 
-    def gramians(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
+    def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Bartels-Stewart on the Schur form of A_std for P, and for Q on
         the Schur form of A_std^T that it gives with the order of the
-        Schur vectors reversed."""
+        Schur vectors reversed, as the pairs (Schur vectors, core)."""
         b, c = self.b, self.c
         if math.isfinite(tbar):
             f, g = self.propagators(tbar)
@@ -301,7 +301,7 @@ class _SchurRecord(_Record):
         else:
             w_p, w_q = -b @ b.T, -c.T @ c
         _require_separated(self, self, "solve_lyapunov")
-        return _solve_lyapunov(self.schur, w_p), _solve_lyapunov(self.schur.transposed(), w_q)
+        return tuple((s.z, _lyapunov_core(s, w)) for s, w in ((self.schur, w_p), (self.schur.transposed(), w_q)))
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         w = -self.b @ b1.T

@@ -50,6 +50,10 @@ class TestBalance:
         expect = np.sort(np.linalg.eigvalsh(gset.P))[::-1]
         assert np.allclose(bal.singular_values, expect, atol=1e-10)
 
+    def test_readme_model_resolves_twenty_singular_values(self):
+        sys = generate_heat_model(50, 7, 6)
+        assert balance(time_limited_gramians(sys, 0.05), sys).n_hat == 20
+
     def test_order_above_rank_reports_n_hat(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -9,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import fem_rod
-from tlbt.balancing import balance, select_order
+from tlbt.balancing import balance, select_order, truncate
 from tlbt.cli import main, parse_input, parse_model
 from tlbt.config import ExperimentConfig
-from tlbt.gramians import time_limited_gramians
+from tlbt.gramians import GramianSet, time_limited_gramians
 from tlbt.mmio import write_matrix
-from tlbt.systems import generate_heat_model, load_system
+from tlbt.systems import _SchurRecord, generate_heat_model, load_system
 
 
 def run_cli(*argv):
@@ -121,6 +120,18 @@ class TestParsers:
         with pytest.raises(ValueError, match=r"u.csv:1: non-numeric table row"):
             parse_input(f"table:{path}", 1)
 
+    def test_parse_input_table_header_after_blank_lines(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("\nt, u_1\n0.0, 1.0\n1.0, 3.0\n")
+        assert parse_input(f"table:{path}", 1)(0.5)[0] == pytest.approx(2.0)
+        # only one header, and only before the data
+        path.write_text("\nt, u_1\nt, u_1\n0.0, 1.0\n")
+        with pytest.raises(ValueError, match=r"u.csv:3: non-numeric table row"):
+            parse_input(f"table:{path}", 1)
+        path.write_text("0.0, 1.0\n\nt, u_1\n")
+        with pytest.raises(ValueError, match=r"u.csv:3: non-numeric table row"):
+            parse_input(f"table:{path}", 1)
+
     def test_parse_input_unknown(self):
         with pytest.raises(ValueError, match="unknown input spec"):
             parse_input("ramp", 2)
@@ -138,19 +149,26 @@ class TestGenModel:
         assert np.array_equal(loaded.B, direct.B)
         assert np.array_equal(loaded.C, direct.C)
 
-    def test_mass_matrix_rod_through_files_gives_the_pinned_rom(self, tmp_path):
-        # sha256 of rom_A.mtx + rom_B.mtx + rom_C.mtx, taken before the
-        # Matrix Market reader and writer were vectorised
+    def test_mass_matrix_rod_through_files_gives_the_api_rom(self, tmp_path):
+        # the Matrix Market round trip of gen-model and reduce loses no bit
+        # of the model or of the ROM
         rod = fem_rod(60, 7, 6)
         source = write_manifest(tmp_path / "rod", A=rod.A, E=rod.E, B=rod.B, C=rod.C)
         model = tmp_path / "model"
         assert run_cli("gen-model", "--model", source, "--out", model) == 0
         assert run_cli("reduce", "--model", model / "manifest.json", "--tbar", 0.05, "--order", 6,
                        "--out", tmp_path / "out") == 0
-        digest = hashlib.sha256()
-        for k in "ABC":
-            digest.update((tmp_path / "out" / f"rom_{k}.mtx").read_bytes())
-        assert digest.hexdigest() == "8ecd8277a001862a5b1e2ff71e5bf07fbab1317b0a9fffdfaf1f7a291a6582ae"
+        bal = balance(time_limited_gramians(rod, 0.05), rod, r=6)
+        want = truncate(rod, bal)
+        got = load_system(tmp_path / "out" / "rom_manifest.json")
+        for x, y in ((got.A, want.A11), (got.B, want.B1), (got.C, want.C1)):
+            assert np.array_equal(x, y)
+        sigma = np.loadtxt(tmp_path / "out" / "singular_values.csv", delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(sigma, bal.singular_values)
+        # the kept Hankel singular values against the Schur record's
+        schur = GramianSet._of(0.05, *_SchurRecord(rod).gramians(0.05))
+        ref = balance(schur, rod).singular_values[:6]
+        assert np.linalg.norm(sigma[:6] - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_non_ascii_model_name_is_escaped_in_comments(self, tmp_path):
         rod = fem_rod(5, 2, 2)
@@ -510,6 +528,38 @@ def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
                    "--out", tmp_path) == 0
     # P and Q, each checked, clamped and factored from one eigendecomposition
     assert shapes.count((80, 80)) == 2
+
+
+def formed_gramians(monkeypatch, *argv):
+    """Run the CLI and return the dense Gramians it formed, as (name, order)."""
+    formed, dense = [], GramianSet._dense
+
+    def spying(self, name):
+        if isinstance(self._held[name], tuple):  # still held as (basis, root)
+            formed.append((name, self.lowrank_P.shape[0]))
+        return dense(self, name)
+
+    monkeypatch.setattr(GramianSet, "_dense", spying)
+    assert run_cli(*argv) == 0
+    return formed
+
+
+@pytest.mark.parametrize("model", ["gen", "fem"])
+def test_reduce_forms_no_dense_gramian(model, tmp_path, monkeypatch):
+    # balancing and truncation read the factors only
+    if model == "fem":
+        rod = fem_rod(60, 7, 6)
+        model = write_manifest(tmp_path / "model", A=rod.A, E=rod.E, B=rod.B, C=rod.C)
+    else:
+        model = "gen:80,7,6"
+    assert formed_gramians(monkeypatch, "reduce", "--model", model, "--tbar", 0.05,
+                           "--order", 6, "--out", tmp_path / "out") == []
+
+
+def test_bound_forms_p_once_and_q_never(tmp_path, monkeypatch):
+    # tr(C P C^T) reads P; nothing reads Q
+    assert formed_gramians(monkeypatch, "bound", "--model", "gen:80,7,6", "--tbar", 0.05,
+                           "--order", 9, "--out", tmp_path) == [("P", 80)]
 
 
 def test_verify_adds_no_factorization_to_bound(tmp_path, monkeypatch):

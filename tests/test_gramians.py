@@ -310,25 +310,72 @@ def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
     assert factored.count((40, 40)) == 1
 
 
-@pytest.mark.parametrize("sys", [generate_heat_model(120, 7, 6), fem_rod(60, 7, 6)],
-                         ids=["rod-120", "fem-mass-60"])
-def test_eigenbasis_gramians_match_the_schur_route(sys):
-    assert isinstance(sys._operator(), tlbt.systems._EigenRecord)
+def test_threads_reading_one_set_share_one_dense_gramian():
+    # P is formed on first read; a read racing the first must wait for it
+    gset = time_limited_gramians(generate_heat_model(300, 7, 6), 0.05)
+    workers = 4
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(k):
+        start.wait(timeout=10)
+        results[k] = gset.P
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    interval = sys_module.getswitchinterval()
+    sys_module.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys_module.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(x is results[0] for x in results)
+
+
+def lyapunov_reference(sys, tbar):
+    """The Gramians at tbar and at inf from the public Lyapunov solver on
+    the explicit standard form."""
     if sys.E is None:
         a, b = sys.A, sys.B
     else:
         a, b = np.linalg.solve(sys.E, sys.A), np.linalg.solve(sys.E, sys.B)
-    c, tbar = sys.C, 0.05
+    c = sys.C
     phi = tlbt.linalg.expm(a, tbar)
     f, g = phi @ b, c @ phi
     want_tl = GramianSet(P=tlbt.linalg.solve_lyapunov(a, f @ f.T - b @ b.T),
                          Q=tlbt.linalg.solve_lyapunov(a.T, g.T @ g - c.T @ c), horizon=tbar)
     want_inf = GramianSet(P=tlbt.linalg.solve_lyapunov(a, -b @ b.T),
                           Q=tlbt.linalg.solve_lyapunov(a.T, -c.T @ c), horizon=math.inf)
+    return want_tl, want_inf
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(120, 7, 6), fem_rod(60, 7, 6)],
+                         ids=["rod-120", "fem-mass-60"])
+def test_eigenbasis_gramians_match_the_schur_route(sys):
+    assert isinstance(sys._operator(), tlbt.systems._EigenRecord)
+    tbar = 0.05
+    want_tl, want_inf = lyapunov_reference(sys, tbar)
     for got, want in ((time_limited_gramians(sys, tbar), want_tl), (infinite_gramians(sys), want_inf)):
         for name in ("P", "Q"):
             x, y = getattr(got, name), getattr(want, name)
             assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y), name
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(120, 7, 6), fem_rod(60, 7, 6)],
+                         ids=["rod-120", "fem-mass-60"])
+def test_low_rank_factors_of_both_records_match_the_lyapunov_reference(sys):
+    # each record's factors, taken in its own basis, against dense solves
+    tbar = 0.05
+    want = dict(zip((tbar, math.inf), lyapunov_reference(sys, tbar)))
+    for record in (sys._operator(), tlbt.systems._SchurRecord(sys)):
+        for horizon, reference in want.items():
+            got = GramianSet._of(horizon, *record.gramians(horizon))
+            for name in ("P", "Q"):
+                z, y = getattr(got, "lowrank_" + name), getattr(reference, name)
+                assert np.linalg.norm(z @ z.T - y) <= 1e-10 * np.linalg.norm(y), (type(record), horizon, name)
 
 
 def test_observability_gramian_on_the_reversed_schur_form():
