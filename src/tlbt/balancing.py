@@ -39,7 +39,7 @@ __all__ = [
 _SIGMA_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BalancingResult:
     """Projectors and singular values from one balancing run.
 
@@ -65,7 +65,7 @@ class BalancingResult:
         return replace(self, V=self.V[:, :r], W=self.W[:, :r], r=r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedModel:
     """Reduced realization (A11, B1, C1) of order r. The mass matrix of
     the parent system, if any, reduces to the identity."""

@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GramianSet:
     """A reachability/observability Gramian pair for one horizon, in
     standard form; ``horizon`` is math.inf for the unrestricted pair.

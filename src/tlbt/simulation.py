@@ -24,7 +24,7 @@ from .systems import InputSignal, StateSpaceSystem
 __all__ = ["Trajectory", "simulate", "output_error", "input_l2_norm"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled outputs on the uniform grid times[k] = k dt."""
 

@@ -9,11 +9,12 @@ operator A_std = E^-1 A, the only code that knows how A_std is factored.
 A symmetric-definite model (A exactly symmetric, E absent or exactly
 symmetric and positive definite: the generated heat models and
 finite-element rods with a consistent mass matrix) gets one generalized
-symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I; every
-other model the real Schur form of A_std. Both records answer the same
-calls (Gramians, propagators, mixed Gramian, projection, kernel samples)
-and build each per-horizon entry once under a lock, so systems can still
-be shared freely across threads.
+symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, done
+in O(n^2) by MRRR (LAPACK dstemr) when E is absent and A tridiagonal;
+every other model the real Schur form of A_std. Both records answer the
+same calls (Gramians, propagators, mixed Gramian, projection, kernel
+samples) and build each per-horizon entry once under a lock, so systems
+can still be shared freely across threads.
 """
 from __future__ import annotations
 
@@ -66,12 +67,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceSystem:
     """Linear time-invariant system (E) x' = A x + B u, y = C x.
 
     A is n x n, B is n x m, C is p x n; E is an optional nonsingular
-    n x n mass matrix (None means identity).
+    n x n mass matrix (None means identity). Systems compare and hash
+    by identity.
     """
 
     A: np.ndarray
@@ -134,13 +136,16 @@ def _memo(store: dict, key, build):
 
 
 def _factored(sys: StateSpaceSystem) -> "_Record":
-    """The eigen record of a symmetric-definite model, the Schur record
-    of every other one."""
+    """The eigen record of a symmetric-definite model, by
+    ``eigh_tridiagonal`` for a tridiagonal A without E and by the dense
+    ``eigh`` otherwise; the Schur record of every other one."""
     a, e = sys.A, sys.E
     if np.array_equal(a, a.T) and (e is None or np.array_equal(e, e.T)):
         try:
+            if e is None and not np.triu(a, 2).any():
+                return _EigenRecord(sys, *sla.eigh_tridiagonal(np.diag(a), np.diag(a, 1)))
             return _EigenRecord(sys, *sla.eigh(a, e))
-        except np.linalg.LinAlgError:  # E is not positive definite
+        except np.linalg.LinAlgError:  # E is not positive definite, or dstemr failed
             pass
     return _SchurRecord(sys)
 
@@ -187,6 +192,8 @@ class _EigenRecord(_Record):
     """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lambda)
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
     without a mass matrix), kept with ``xb`` = X^T B and ``cx`` = C X.
+    The closed forms take X^T E X = I as exact, so they carry the
+    orthogonality error of the eigensolver ``_factored`` chose.
     ``norm2`` is max |lambda|, the norm of A_std in the E inner product."""
 
     def __init__(self, sys: StateSpaceSystem, lam: np.ndarray, x: np.ndarray):
@@ -406,7 +413,7 @@ def apply_state_transform(sys: StateSpaceSystem, s) -> StateSpaceSystem:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputSignal:
     """Time-dependent input u(t) on t >= 0.
 

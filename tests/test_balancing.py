@@ -54,6 +54,10 @@ class TestBalance:
         sys = generate_heat_model(50, 7, 6)
         assert balance(time_limited_gramians(sys, 0.05), sys).n_hat == 20
 
+    def test_readme_model_unrestricted_pair_resolves_nineteen(self):
+        sys = generate_heat_model(50, 7, 6)
+        assert balance(infinite_gramians(sys), sys).n_hat == 19
+
     def test_order_above_rank_reports_n_hat(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)

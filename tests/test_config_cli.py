@@ -428,10 +428,12 @@ def count_factorizations(monkeypatch, *argv):
     """Run the CLI and return the matrices handed to scipy's Schur
     factorization, the shapes handed to its expm (one (n, n) entry per
     call, also for a batched call on a stack of n x n matrices) and the
-    matrices handed to its eigh."""
+    matrices handed to its eigh or, as the symmetric tridiagonal matrix
+    its diagonals define, to its eigh_tridiagonal."""
     import scipy.linalg
 
     schur, expm, eigh = scipy.linalg.schur, scipy.linalg.expm, scipy.linalg.eigh
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
     factored, exponentiated, decomposed = [], [], []
 
     def counting_schur(a, *args, **kwargs):
@@ -446,9 +448,14 @@ def count_factorizations(monkeypatch, *argv):
         decomposed.append(np.array(a))
         return eigh(a, *args, **kwargs)
 
+    def counting_eigh_tridiagonal(d, e, *args, **kwargs):
+        decomposed.append(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        return eigh_tridiagonal(d, e, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting_eigh_tridiagonal)
     assert run_cli(*argv) == 0
     return factored, exponentiated, decomposed
 
@@ -459,8 +466,8 @@ def test_one_eigh_and_no_schur_form_or_expm_per_command(command, tmp_path, monke
         monkeypatch, command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
         "--out", tmp_path)
     a = generate_heat_model(80, 7, 6).A
-    # A is exactly symmetric: its eigenbasis gives the Gramians, the
-    # propagators and the kernel samples
+    # A is exactly symmetric and tridiagonal: its eigenbasis gives the
+    # Gramians, the propagators and the kernel samples
     assert len(decomposed) == 1 and np.array_equal(decomposed[0], a)
     assert [x.shape for x in factored].count((80, 80)) == 0
     assert exponentiated.count((80, 80)) == 0

@@ -75,6 +75,11 @@ class TestStateSpaceSystem:
         with pytest.raises(ValueError, match=r"singular \(condition estimate 2\.000e\+13\)"):
             StateSpaceSystem(A=a, B=b, C=c, E=np.diag([2.0, 1e-13, -1.0]))
 
+    def test_compares_and_hashes_by_identity(self):
+        s, twin = generate_heat_model(5, 1, 1), generate_heat_model(5, 1, 1)
+        assert s == s and not s == twin and s != twin
+        assert {s: 1}[s] == 1 and twin not in {s: 1}
+
     def test_condition_of_a_nonsymmetric_e_keeps_the_svd(self):
         e = np.array([[1.0, 1e13], [0.0, 1.0]])
         with pytest.raises(ValueError, match=re.escape(f"condition estimate {np.linalg.cond(e):.3e}")):
@@ -328,13 +333,9 @@ class TestRandomPiecewiseConstant:
             random_piecewise_constant(1, -1.0, 3, rng)
 
 
-@pytest.mark.parametrize("sys", [generate_heat_model(40, 7, 6), fem_rod(30, 7, 6)],
-                         ids=["gen-40", "fem-mass-30"])
-def test_eigen_and_schur_records_answer_alike(sys):
-    # the Schur record is built beside the eigen record that the
-    # symmetric-definite model gets; every call must agree
-    eig, schur, tbar = sys._operator(), _SchurRecord(sys), 0.05
-    assert isinstance(eig, _EigenRecord)
+def assert_records_answer_alike(sys, got, want):
+    """Every call of two records of one system agrees to 1e-10 relative."""
+    tbar = 0.05
 
     def close(x, y):
         assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
@@ -342,21 +343,67 @@ def test_eigen_and_schur_records_answer_alike(sys):
     def dense(gramians):
         return [basis @ core @ basis.T for basis, core in gramians]
 
-    pairs = [(dense(eig.gramians(h)), dense(schur.gramians(h))) for h in (tbar, math.inf)]
-    pairs.append((eig.propagators(tbar), schur.propagators(tbar)))
-    for got, want in pairs:
-        for x, y in zip(got, want):
+    pairs = [(dense(got.gramians(h)), dense(want.gramians(h))) for h in (tbar, math.inf)]
+    pairs.append((got.propagators(tbar), want.propagators(tbar)))
+    for x_pair, y_pair in pairs:
+        for x, y in zip(x_pair, y_pair):
             close(x, y)
     bal = balance(time_limited_gramians(sys, tbar), sys, r=5)
-    (a11, b1), projected = eig.project(bal.W, bal.V), schur.project(bal.W, bal.V)
+    (a11, b1), projected = got.project(bal.W, bal.V), want.project(bal.W, bal.V)
     close(a11, projected[0])
     close(b1, projected[1])
     s11 = _schur_form(a11)
     for h, fr in ((tbar, expm(a11, tbar) @ b1), (math.inf, None)):
-        close(eig.mixed(s11, b1, fr, h), schur.mixed(s11, b1, fr, h))
-    levels = _mesh_levels(tbar, eig.norm2)
-    for x, y in zip(eig.kernel_samples(tbar, levels)[1:3], schur.kernel_samples(tbar, levels)[1:3]):
+        close(got.mixed(s11, b1, fr, h), want.mixed(s11, b1, fr, h))
+    levels = _mesh_levels(tbar, got.norm2)
+    for x, y in zip(got.kernel_samples(tbar, levels)[1:3], want.kernel_samples(tbar, levels)[1:3]):
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(40, 7, 6), fem_rod(30, 7, 6)],
+                         ids=["gen-40", "fem-mass-30"])
+def test_eigen_and_schur_records_answer_alike(sys):
+    # the Schur record is built beside the eigen record that the
+    # symmetric-definite model gets; every call must agree
+    eig = sys._operator()
+    assert isinstance(eig, _EigenRecord)
+    assert_records_answer_alike(sys, eig, _SchurRecord(sys))
+
+
+def decoupled_tridiagonal(n=60):
+    """A symmetric tridiagonal, negative definite A with a variable
+    diagonal and one zero off-diagonal, so two decoupled blocks."""
+    rng = np.random.default_rng(7)
+    h2 = float((n + 1) ** 2)
+    off = np.ones(n - 1)
+    off[n // 2] = 0.0
+    a = h2 * (np.diag(-2.0 - rng.uniform(0.1, 1.0, n)) + np.diag(off, 1) + np.diag(off, -1))
+    return StateSpaceSystem(A=a, B=rng.standard_normal((n, 3)), C=rng.standard_normal((2, n)))
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(80, 7, 6), decoupled_tridiagonal()],
+                         ids=["gen-80", "decoupled-60"])
+def test_tridiagonal_record_answers_like_the_dense_eigh(sys, monkeypatch):
+    # a symmetric tridiagonal A is factored by eigh_tridiagonal alone; the
+    # record built from scipy's dense eigh of the same A must agree
+    import scipy.linalg
+
+    tridiagonal, calls = scipy.linalg.eigh_tridiagonal, []
+
+    def counting(d, e, *args, **kwargs):
+        calls.append(d.size)
+        return tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    record = sys._operator()
+    assert isinstance(record, _EigenRecord) and calls == [sys.n]
+    assert_records_answer_alike(sys, record, _EigenRecord(sys, *scipy.linalg.eigh(sys.A)))
+
+
+def test_tridiagonal_eigenbasis_is_orthonormal():
+    # the closed-form Gramians and kernel samples take X^T X = I
+    x = generate_heat_model(800, 7, 6)._operator().x
+    assert np.linalg.norm(x.T @ x - np.eye(800)) <= 1e-12
 
 
 @pytest.mark.parametrize("module", [tlbt.gramians, tlbt.balancing, tlbt.bounds],
