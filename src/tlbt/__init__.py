@@ -6,7 +6,6 @@ from .balancing import (
     BalancingResult,
     ReducedModel,
     balance,
-    full_balancing_transform,
     select_order,
     truncate,
 )
@@ -26,32 +25,10 @@ from .errors import (
     SpectrumSeparationError,
     StabilityError,
 )
-from .gramians import (
-    GramianSet,
-    cross_gramian_quadrature,
-    gramian_quadrature_oracle,
-    infinite_gramians,
-    mixed_gramian,
-    reduced_gramian,
-    time_limited_gramians,
-)
-from .linalg import (
-    SpectrumSeparation,
-    expm,
-    solve_lyapunov,
-    solve_sylvester,
-    spd_factor,
-    spectrum_separation,
-)
+from .gramians import GramianSet, infinite_gramians, time_limited_gramians
+from .linalg import expm
 from .simulation import Trajectory, input_l2_norm, output_error, simulate
-from .systems import (
-    InputSignal,
-    StateSpaceSystem,
-    apply_state_transform,
-    generate_heat_model,
-    load_system,
-    random_piecewise_constant,
-)
+from .systems import InputSignal, StateSpaceSystem, generate_heat_model, load_system
 
 __version__ = "0.1.0"
 
@@ -65,34 +42,22 @@ __all__ = [
     "InputSignal",
     "NotPsdError",
     "ReducedModel",
-    "SpectrumSeparation",
     "SpectrumSeparationError",
     "StabilityError",
     "StateSpaceSystem",
     "Trajectory",
-    "apply_state_transform",
     "balance",
     "bt_h2_bound_infinite",
     "bt_hinf_bound",
-    "cross_gramian_quadrature",
     "expm",
-    "full_balancing_transform",
     "generate_heat_model",
-    "gramian_quadrature_oracle",
     "hinf_error_sampled",
     "infinite_gramians",
     "input_l2_norm",
     "load_system",
-    "mixed_gramian",
     "output_error",
-    "random_piecewise_constant",
-    "reduced_gramian",
     "select_order",
     "simulate",
-    "spd_factor",
-    "spectrum_separation",
-    "solve_lyapunov",
-    "solve_sylvester",
     "time_limited_gramians",
     "tlbt_h2_bound",
     "tlbt_h2_bound_alt",

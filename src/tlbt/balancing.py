@@ -10,9 +10,10 @@ with W^T V = I_r, and the reduced model (W^T A V, W^T B, C V) of the
 standard form (A, B, C) = (E^-1 A, E^-1 B, C). The singular values are
 the (time-limited) Hankel singular values. The system's operator
 record (``systems``) forms W^T A V and W^T B on its own factorization of
-A. For verification,
-:func:`full_balancing_transform` builds the dense transform S with
-S P S^T = S^-T Q S^-1 = diag(sigma) from positive definite Gramians.
+A. The bounds' balanced-coordinates route builds the dense transform S
+with S P S^T = S^-T Q S^-1 = diag(sigma) from the factors of positive
+definite Gramians; its dense-argument wrapper, for tests, is in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -23,14 +24,12 @@ import numpy as np
 
 from .errors import DimensionError
 from .gramians import GramianSet
-from .linalg import as_matrix, spd_factor
 from .systems import StateSpaceSystem
 
 __all__ = [
     "BalancingResult",
     "ReducedModel",
     "balance",
-    "full_balancing_transform",
     "truncate",
     "select_order",
 ]
@@ -126,24 +125,11 @@ def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -
     return BalancingResult(singular_values=sigma, V=v, W=w, horizon=gramians.horizon, r=r)
 
 
-def full_balancing_transform(p, q):
-    """Dense balancing transform for a symmetric positive definite pair.
-
-    Returns (S, S_inv, sigma) with S P S^T = S^-T Q S^-1 = diag(sigma).
-    P and Q are factored at the eigenvalue cutoff 1e-12 ||.||_2 of a
-    :class:`GramianSet`. Raises for rank-deficient input and suggests
-    the projection route.
-    """
-    p = as_matrix(p, "P")
-    q = as_matrix(q, "Q")
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise DimensionError(f"P and Q must be square with equal shapes, got {p.shape} and {q.shape}")
-    return _balancing_transform(spd_factor(p), spd_factor(q))
-
-
 def _balancing_transform(zp: np.ndarray, zq: np.ndarray):
-    """:func:`full_balancing_transform` from the rank-revealing factors
-    of P and Q."""
+    """Dense balancing transform (S, S_inv, sigma) with
+    S P S^T = S^-T Q S^-1 = diag(sigma), from the rank-revealing factors
+    of positive definite P and Q. Raises for rank-deficient input and
+    suggests the projection route."""
     n = zp.shape[0]
     if zp.shape[1] < n or zq.shape[1] < n:
         raise ValueError(

@@ -166,7 +166,8 @@ class BalancedRepresentation:
 
 def _check_hypotheses(op, s11):
     """Check the bound's spectral hypotheses on the operator record of A
-    and the Schur form of A11."""
+    and the Schur form of A11. They are also the separation conditions
+    of the Pr and Pm solves, which rely on this check."""
     for sep, label in ((s11.separation(s11), "Lambda(A11) and -Lambda(A11)"),
                        (op.separation(s11), "Lambda(A) and -Lambda(A11)")):
         if not sep.is_separated:

@@ -41,33 +41,29 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _atomic_write(path: str, write) -> None:
-    """Run ``write(tmp)`` on a temporary file in the destination
-    directory, then rename it to ``path``. The temporary file is created
-    with mode 0o666 less the umask, as ``open(path, "w")`` would create
-    ``path`` itself."""
+def _atomic_write(path: str, content) -> None:
+    """Write ``path`` through a temporary file in the destination
+    directory, renamed into place. ``content`` is a str, written as
+    ASCII text; a dict, written as indented JSON with sorted keys; or a
+    callable ``write(tmp)`` that writes the temporary file itself. The
+    temporary file is created with mode 0o666 less the umask, as
+    ``open(path, "w")`` would create ``path`` itself."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        write(tmp)
+        if isinstance(content, str):
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(content)
+        else:
+            content(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    def write(tmp):
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-    _atomic_write(path, write)
-
-
-def _atomic_write_json(path: str, data: dict) -> None:
-    _atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def parse_model(spec: str):
@@ -158,13 +154,13 @@ def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
         files.append(path)
     manifest = {"A": "rom_A.mtx", "B": "rom_B.mtx", "C": "rom_C.mtx"}
     path = os.path.join(out, "rom_manifest.json")
-    _atomic_write_json(path, manifest)
+    _atomic_write(path, manifest)
     files.append(path)
     lines = ["i, sigma"]
     for i, s in enumerate(sigma, start=1):
         lines.append(f"{i}, {_fmt(s)}")
     path = os.path.join(out, "singular_values.csv")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
     files.append(path)
     summary = {
         "n": system.n,
@@ -176,7 +172,7 @@ def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
         "sigma_tail_sum": float(np.sum(sigma[rom.r:])),
     }
     path = os.path.join(out, "summary.json")
-    _atomic_write_json(path, summary)
+    _atomic_write(path, summary)
     files.append(path)
     return files
 
@@ -196,7 +192,7 @@ def cmd_gen_model(cfg: ExperimentConfig) -> list[str]:
         manifest[role] = role + ".mtx"
         files.append(path)
     path = os.path.join(cfg.out, "manifest.json")
-    _atomic_write_json(path, manifest)
+    _atomic_write(path, manifest)
     files.append(path)
     return files
 
@@ -222,7 +218,7 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
         data["representation_discrepancy"] = abs(alt.epsilon_squared - trace)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "bound.json")
-    _atomic_write_json(path, data)
+    _atomic_write(path, data)
     return [path]
 
 
@@ -249,7 +245,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     for t, e in zip(full.times, err):
         lines.append(f"{_fmt(t)}, {_fmt(e)}, {_fmt(level)}")
     path = os.path.join(cfg.out, "error.csv")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
     files.append(path)
     data = {
         "max_error_tbar": max_tbar,
@@ -263,7 +259,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
         "r": r,
     }
     path = os.path.join(cfg.out, "max_error.json")
-    _atomic_write_json(path, data)
+    _atomic_write(path, data)
     files.append(path)
     return files
 
@@ -357,7 +353,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values, jobs: int = 1) -> list[s
         lines.append(", ".join([vtxt, row["method"], str(row["r"]),
                                 row["max_error_tbar"], row["bound_level"], row["status"]]))
     path = os.path.join(cfg.out, "sweep.csv")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
     return [path]
 
 

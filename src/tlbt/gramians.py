@@ -29,8 +29,8 @@ eigenvalues and yields the rank-revealing factor. With a mass matrix
 the eigenbasis is E-orthonormal, so the PSD check and the 1e-12 cutoff
 apply in the E inner product. Dense P and Q are formed only when read.
 
-An independent Gauss-Legendre quadrature of the defining integrals is
-provided as a cross-check oracle for the Lyapunov route.
+The independent Gauss-Legendre quadrature of the defining integrals
+that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -39,29 +39,12 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionError, StabilityError
-from .linalg import (
-    _lyapunov_core,
-    _psd_factor,
-    _require_separated,
-    _schur_form,
-    _symmetric,
-    as_matrix,
-    expm,
-)
+from .linalg import _lyapunov_core, _psd_factor, _symmetric
 from .systems import StateSpaceSystem
 
-__all__ = [
-    "GramianSet",
-    "infinite_gramians",
-    "time_limited_gramians",
-    "gramian_quadrature_oracle",
-    "cross_gramian_quadrature",
-    "reduced_gramian",
-    "mixed_gramian",
-]
+__all__ = ["GramianSet", "infinite_gramians", "time_limited_gramians"]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -161,80 +144,25 @@ def time_limited_gramians(sys: StateSpaceSystem, tbar: float) -> GramianSet:
     return GramianSet._of(tbar, *sys._operator().gramians(tbar))
 
 
-def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> np.ndarray:
-    """Composite Gauss-Legendre quadrature of int_0^tbar e^(A1 s) B1 B2^T e^(A2^T s) ds.
-
-    Four nodes per panel; the integrand is entire, so the rule converges
-    spectrally in the panel count. Serves as an oracle independent of the
-    Sylvester-equation route.
-    """
-    a1 = as_matrix(a1, "A1")
-    a2 = as_matrix(a2, "A2")
-    b1 = as_matrix(b1, "B1")
-    b2 = as_matrix(b2, "B2")
-    if panels < 1:
-        raise ValueError(f"panels must be positive, got {panels}")
-    nodes, weights = leggauss(4)
-    out = np.zeros((a1.shape[0], a2.shape[0]))
-    h = tbar / panels
-    for k in range(panels):
-        mid = (k + 0.5) * h
-        for x, w in zip(nodes, weights):
-            s = mid + 0.5 * h * x
-            left = expm(a1, s) @ b1
-            right = expm(a2, s) @ b2
-            out += (0.5 * h * w) * (left @ right.T)
-    return out
-
-
-def gramian_quadrature_oracle(sys: StateSpaceSystem, tbar: float, panels: int = 64) -> np.ndarray:
-    """Reachability Gramian over [0, tbar] by direct quadrature."""
-    op = sys._operator()
-    return cross_gramian_quadrature(op.a, op.b, op.a, op.b, tbar, panels)
-
-
-def reduced_gramian(rom, tbar: float) -> np.ndarray:
-    """Reachability Gramian of a reduced model over [0, tbar].
-
-    Solves A11 Pr + Pr A11^T + B1 B1^T - Fr Fr^T = 0 with
-    Fr = e^(A11 tbar) B1.
-    """
-    tbar = _check_horizon(tbar)
-    a11 = as_matrix(rom.A11, "A11")
-    b1 = as_matrix(rom.B1, "B1")
-    return _reduced_gramian(_schur_form(a11), b1, expm(a11, tbar) @ b1)
-
-
 def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
-    """:func:`reduced_gramian` on the Schur form of A11 and Fr."""
-    _require_separated(s11, s11, "solve_lyapunov")
+    """Reachability Gramian Pr of a reduced model over [0, tbar], the
+    solution of A11 Pr + Pr A11^T + B1 B1^T - Fr Fr^T = 0 with
+    Fr = e^(A11 tbar) B1, on the Schur form of A11; the caller checks
+    that Lambda(A11) and -Lambda(A11) are separated."""
     w = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
     return w @ w.T
 
 
-def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
-    """Cross Gramian int_0^tbar e^(A s) B B1^T e^(A11^T s) ds coupling a
-    system and its reduced model, via the Sylvester route.
-
-    ``tbar`` may be math.inf (both operators must then be Hurwitz). The
-    system enters through its standard form, so with a mass matrix E the
-    integrand's left factor is e^(E^-1 A s) E^-1 B.
-    """
-    tbar = _check_horizon(tbar, allow_inf=True)
-    a11 = as_matrix(rom.A11, "A11")
-    b1 = as_matrix(rom.B1, "B1")
-    fr = expm(a11, tbar) @ b1 if math.isfinite(tbar) else None
-    return _mixed_gramian(sys, _schur_form(a11), b1, fr, tbar)
-
-
 def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
-    """:func:`mixed_gramian` on the Schur form of A11 and Fr (None for
-    tbar = inf)."""
+    """Cross Gramian int_0^tbar e^(A s) B B1^T e^(A11^T s) ds of the
+    system's standard form and a reduced model, on the Schur form of A11
+    and Fr = e^(A11 tbar) B1 (None for tbar = inf, where both operators
+    must be Hurwitz); the caller checks that Lambda(A) and -Lambda(A11)
+    are separated."""
     if b1.shape[1] != sys.m:
         raise DimensionError(f"B1 has {b1.shape[1]} columns but the system has m = {sys.m}")
     op = sys._operator()
     if not math.isfinite(tbar):
         _require_hurwitz(op.eigvals, op.label)
         _require_hurwitz(s11.eigvals, "A11")
-    _require_separated(op, s11, "solve_sylvester")
     return op.mixed(s11, b1, fr, tbar)

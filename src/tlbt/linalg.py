@@ -4,7 +4,7 @@ Provides the matrix exponential, Sylvester/Lyapunov solvers, a
 rank-revealing factorization of symmetric positive semidefinite matrices,
 a spectrum-separation check that guards the solvers' uniqueness
 condition, and samples of an impulse response C e^(A s) B on a graded
-Gauss-Legendre mesh.
+Gauss-Legendre mesh. Only ``as_matrix`` and ``expm`` are public.
 
 The kernels take factored matrices but do not choose a factorization: a
 system's operator is factored once, and how, by its operator record in
@@ -12,8 +12,9 @@ system's operator is factored once, and how, by its operator record in
 Sylvester/Lyapunov solve is Bartels-Stewart on real Schur forms (or on a
 diagonal for an eigenbasis); the triangular equation goes through a
 recursive blocked kernel (after Jonsson and Kagstrom's RECSY) whose
-leaves are LAPACK dtrsyl calls. The public solvers factor their
-arguments on every call.
+leaves are LAPACK dtrsyl calls. The solvers take Schur forms and leave
+the separation check to their caller. Dense wrappers that factor their
+arguments on every call, for tests, are in ``tests/oracles.py``.
 
 The mesh: 4-node composite Gauss-Legendre on [0, tbar] with 64 panels,
 or 32 for the coarse estimate. When the operator is stiff, the panels
@@ -37,15 +38,7 @@ import scipy.linalg as sla
 
 from .errors import DimensionError, NotPsdError, SpectrumSeparationError
 
-__all__ = [
-    "SpectrumSeparation",
-    "as_matrix",
-    "expm",
-    "solve_sylvester",
-    "solve_lyapunov",
-    "spd_factor",
-    "spectrum_separation",
-]
+__all__ = ["as_matrix", "expm"]
 
 # the blocked Sylvester kernel hands diagonal blocks of at most this
 # order to LAPACK dtrsyl
@@ -109,27 +102,6 @@ class SpectrumSeparation:
     is_separated: bool
     tolerance: float
     worst_pair: tuple[complex, complex]
-
-
-def spectrum_separation(a1, a2, tol: float | None = None) -> SpectrumSeparation:
-    """Check Lambda(A1) and -Lambda(A2) for overlap.
-
-    Parameters
-    ----------
-    a1, a2 : array_like
-        Square matrices; they may have different sizes.
-    tol : float, optional
-        Separation threshold. Defaults to 1e-8 * (||A1||_2 + ||A2||_2).
-
-    Returns
-    -------
-    SpectrumSeparation
-    """
-    a1 = _square(a1, "A1")
-    a2 = _square(a2, "A2")
-    if tol is None:
-        tol = 1e-8 * (np.linalg.norm(a1, 2) + np.linalg.norm(a2, 2))
-    return _separation(np.linalg.eigvals(a1), np.linalg.eigvals(a2), tol)
 
 
 def _separation(lam: np.ndarray, mu: np.ndarray, tol: float) -> SpectrumSeparation:
@@ -223,60 +195,6 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     return out
 
 
-
-def solve_sylvester(a1, a2, w) -> np.ndarray:
-    """Solve A1 X + X A2^T = W for X by the Schur (Bartels-Stewart) method.
-
-    Parameters
-    ----------
-    a1 : (n, n) array_like
-    a2 : (r, r) array_like
-    w : (n, r) array_like
-
-    Returns
-    -------
-    X : (n, r) ndarray
-
-    Raises
-    ------
-    SpectrumSeparationError
-        If Lambda(A1) and -Lambda(A2) overlap within tolerance.
-    ArithmeticError
-        If the relative residual of the computed solution exceeds 1e-10.
-    """
-    a1 = _square(a1, "A1")
-    a2 = _square(a2, "A2")
-    w = as_matrix(w, "W")
-    if w.shape != (a1.shape[0], a2.shape[0]):
-        raise DimensionError(
-            f"W must have shape {(a1.shape[0], a2.shape[0])} to match A1 and A2, got {w.shape}"
-        )
-    s1 = _schur_form(a1)
-    s2 = _schur_form(a2)
-    _require_separated(s1, s2, "solve_sylvester")
-    return _solve_sylvester(s1, s2, w)
-
-
-def solve_lyapunov(a, w) -> np.ndarray:
-    """Solve A X + X A^T = W for symmetric W; the result is symmetrized.
-
-    Same residual and separation guarantees as :func:`solve_sylvester`
-    (here the condition is that Lambda(A) and -Lambda(A) do not overlap).
-    """
-    a = _square(a, "A")
-    w = _square(w, "W")
-    if w.shape != a.shape:
-        raise DimensionError(f"W must have shape {a.shape} to match A, got {w.shape}")
-    _symmetric(w, "W")
-    s = _schur_form(a)
-    _require_separated(s, s, "solve_lyapunov")
-    # scipy's association order: bit-identical to its solver for n <= 64
-    x = s.z.dot(_trsyl(s.t, s.t, s.z.T.dot(w.dot(s.z)), "solve_lyapunov")).dot(s.z.T)
-    x = (x + x.T) / 2.0
-    _check_residual(a @ x + x @ a.T - w, w, "solve_lyapunov")
-    return x
-
-
 def _solve_sylvester(s1: _SchurForm, s2: _SchurForm, w: np.ndarray) -> np.ndarray:
     """A1 X + X A2^T = W on the Schur forms of A1 and A2; the caller
     checks separation. The products keep scipy's association order, so
@@ -354,42 +272,13 @@ def _check_residual(res, w, context: str, tol: float = 1e-10) -> None:
         )
 
 
-def spd_factor(p, tol: float = 1e-12) -> np.ndarray:
-    """Rank-revealing factor Z with P ~= Z Z^T for symmetric PSD P.
-
-    Built from the eigenpairs of P with eigenvalue > tol * ||P||_2;
-    eigenvalues in [-tol * ||P||_2, tol * ||P||_2] are treated as zero and
-    dropped, so ||P - Z Z^T||_2 <= 2 * tol * ||P||_2.
-
-    Parameters
-    ----------
-    p : (n, n) array_like
-        Symmetric positive semidefinite matrix.
-    tol : float
-        Relative eigenvalue cutoff.
-
-    Returns
-    -------
-    Z : (n, k) ndarray
-        Columns ordered by decreasing eigenvalue; k may be 0 for P = 0.
-
-    Raises
-    ------
-    NotPsdError
-        If some eigenvalue is below -tol * ||P||_2.
-    """
-    p = _symmetric(p, "P")
-    root, k = _psd_factor((p + p.T) / 2.0, "P", tol, tol)
-    return root[:, :k]
-
-
 def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
                 neg_tol: float = 1e-10) -> tuple[np.ndarray, int]:
     """One eigendecomposition of a symmetric P: the square root R over
     its positive eigenvalues, columns by decreasing eigenvalue, so R R^T
     is P with its negligible negative eigenvalues zeroed; and the number
-    k of leading columns of R that make the factor Z of
-    :func:`spd_factor` at cutoff ``tol``.
+    k of leading columns of R whose eigenvalues exceed tol * ||P||_2,
+    the rank-revealing factor Z with P ~= Z Z^T.
 
     Raises NotPsdError for an eigenvalue below -neg_tol * ||P||_2.
     """

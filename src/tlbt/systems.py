@@ -50,8 +50,6 @@ __all__ = [
     "InputSignal",
     "load_system",
     "generate_heat_model",
-    "apply_state_transform",
-    "random_piecewise_constant",
 ]
 
 # E is accepted as nonsingular when its condition estimate stays below 1/_E_COND_TOL
@@ -391,28 +389,6 @@ def generate_heat_model(n: int, m: int, p: int) -> StateSpaceSystem:
     return StateSpaceSystem(A=a, B=b, C=c, name=f"heat-{n}-{m}-{p}")
 
 
-def apply_state_transform(sys: StateSpaceSystem, s) -> StateSpaceSystem:
-    """Similarity transform x -> S x, giving (S A S^-1, S B, C S^-1).
-
-    Only defined for systems without a mass matrix.
-    """
-    if sys.E is not None:
-        raise ValueError("state transforms are only supported for systems without a mass matrix")
-    s = as_matrix(s, "S")
-    if s.shape != (sys.n, sys.n):
-        raise DimensionError(f"S must have shape {(sys.n, sys.n)}, got {s.shape}")
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise ValueError(f"S is numerically singular (condition estimate {cond:.3e})")
-    s_inv = np.linalg.inv(s)
-    return StateSpaceSystem(
-        A=s @ sys.A @ s_inv,
-        B=s @ sys.B,
-        C=sys.C @ s_inv,
-        name=f"{sys.name}-transformed",
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class InputSignal:
     """Time-dependent input u(t) on t >= 0.
@@ -493,36 +469,3 @@ class InputSignal:
 
     __call__ = evaluate
 
-
-def random_piecewise_constant(m: int, tbar: float, blocks: int, rng, ramp: float | None = None) -> InputSignal:
-    """Random piecewise-constant signal on [0, tbar] with unit L2 norm.
-
-    Block values are drawn uniformly from [-1, 1] and the whole signal is
-    scaled so that its exact L2 norm over [0, tbar] is 1. The jumps are
-    realized as very short linear ramps (width ``ramp``, default
-    1e-9 * tbar / blocks) so the signal fits the sample-table input kind;
-    the norm perturbation from the ramps is far below any tolerance used
-    with these signals.
-    """
-    if blocks < 1:
-        raise ValueError(f"blocks must be positive, got {blocks}")
-    if tbar <= 0:
-        raise ValueError(f"tbar must be positive, got {tbar}")
-    edges = np.linspace(0.0, tbar, blocks + 1)
-    width = tbar / blocks
-    if ramp is None:
-        ramp = 1e-9 * width
-    vals = rng.uniform(-1.0, 1.0, size=(blocks, m))
-    norm_sq = float(np.sum(vals**2) * width)
-    if norm_sq <= 0:
-        vals[0, 0] = 1.0
-        norm_sq = width
-    vals /= math.sqrt(norm_sq)
-    times = []
-    rows = []
-    for i in range(blocks):
-        times.append(edges[i])
-        rows.append(vals[i])
-        times.append(edges[i + 1] - ramp)
-        rows.append(vals[i])
-    return InputSignal.from_table(np.array(times), np.array(rows))

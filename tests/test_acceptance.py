@@ -14,6 +14,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from conftest import rand_stable
+from oracles import (
+    apply_state_transform,
+    cross_gramian_quadrature,
+    random_piecewise_constant,
+    solve_sylvester,
+)
 from tlbt.balancing import balance, select_order, truncate
 from tlbt.bounds import (
     bt_h2_bound_infinite,
@@ -23,15 +29,10 @@ from tlbt.bounds import (
     tlbt_h2_bound_alt,
 )
 from tlbt.cli import main as cli_main
-from tlbt.gramians import cross_gramian_quadrature, infinite_gramians, time_limited_gramians
-from tlbt.linalg import expm, solve_sylvester
+from tlbt.gramians import infinite_gramians, time_limited_gramians
+from tlbt.linalg import expm
 from tlbt.simulation import input_l2_norm, output_error, simulate
-from tlbt.systems import (
-    InputSignal,
-    apply_state_transform,
-    generate_heat_model,
-    random_piecewise_constant,
-)
+from tlbt.systems import InputSignal, generate_heat_model
 
 
 def test_criterion_01_bound_dominates_simulated_error():

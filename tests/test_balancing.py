@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rand_spd
+from oracles import apply_state_transform, full_balancing_transform
 from tlbt.errors import DimensionError
 from tlbt.balancing import (
     balance,
-    full_balancing_transform,
     select_order,
     truncate,
 )
 from tlbt.bounds import hinf_error_sampled, tlbt_h2_bound
 from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
-from tlbt.systems import StateSpaceSystem, apply_state_transform, generate_heat_model
+from tlbt.systems import StateSpaceSystem, generate_heat_model
 
 SCALAR_TL_1 = (1.0 - math.exp(-2.0)) / 2.0
 

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import error_integral_oracle, fem_rod, rand_stable
+from oracles import random_piecewise_constant, solve_lyapunov
 import tlbt.bounds
+import tlbt.linalg
 from tlbt.balancing import ReducedModel, balance, truncate
 from tlbt.bounds import (
     bt_h2_bound_infinite,
@@ -19,9 +21,8 @@ from tlbt.bounds import (
 )
 from tlbt.errors import SpectrumSeparationError
 from tlbt.gramians import infinite_gramians, time_limited_gramians
-from tlbt.linalg import solve_lyapunov
 from tlbt.simulation import input_l2_norm, output_error, simulate
-from tlbt.systems import StateSpaceSystem, generate_heat_model, random_piecewise_constant
+from tlbt.systems import StateSpaceSystem, generate_heat_model
 
 
 def balanced_rom(sys, tbar, r):
@@ -258,6 +259,28 @@ class TestRemainderDiagnostics:
         assert diag.total_remainder_bound() == pytest.approx(
             2.0 * diag.bound_cross + diag.bound_obs + diag.bound_reach
         )
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(8, 8, 8), rand_stable(6, 6, 6, np.random.default_rng(3))],
+                         ids=["eigen", "schur"])
+def test_each_bound_checks_each_separation_hypothesis_once(sys, monkeypatch):
+    # Lambda(A11) against -Lambda(A11), and Lambda(A) against -Lambda(A11):
+    # the Pr and Pm solves rely on the bound's own check of those two pairs
+    tbar = 0.5
+    gset = time_limited_gramians(sys, tbar)
+    rom = truncate(sys, balance(gset, sys, r=3))
+    separation, calls = tlbt.linalg._separation, []
+
+    def counting(lam, mu, tol):
+        calls.append((lam.size, mu.size))
+        return separation(lam, mu, tol)
+
+    monkeypatch.setattr(tlbt.linalg, "_separation", counting)
+    tlbt_h2_bound(sys, rom, gset.P, tbar)
+    assert sorted(calls) == [(3, 3), (sys.n, 3)]
+    calls.clear()
+    tlbt_h2_bound_alt(sys, gset, 3)
+    assert sorted(calls) == [(3, 3), (sys.n, 3)]
 
 
 class TestClassicalBounds:

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fem_rod, rand_stable
+from oracles import (
+    cross_gramian_quadrature,
+    gramian_quadrature_oracle,
+    mixed_gramian,
+    reduced_gramian,
+    solve_lyapunov,
+)
 import tlbt.linalg
 from tlbt.balancing import ReducedModel, balance, truncate
 from tlbt.errors import DimensionError, NotPsdError, StabilityError
-from tlbt.gramians import (
-    GramianSet,
-    cross_gramian_quadrature,
-    gramian_quadrature_oracle,
-    infinite_gramians,
-    mixed_gramian,
-    reduced_gramian,
-    time_limited_gramians,
-)
+from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
 from tlbt.systems import StateSpaceSystem, generate_heat_model
 
 SCALAR_TL_1 = (1.0 - math.exp(-2.0)) / 2.0  # horizon-1 Gramian of x' = -x + u
@@ -345,10 +344,10 @@ def lyapunov_reference(sys, tbar):
     c = sys.C
     phi = tlbt.linalg.expm(a, tbar)
     f, g = phi @ b, c @ phi
-    want_tl = GramianSet(P=tlbt.linalg.solve_lyapunov(a, f @ f.T - b @ b.T),
-                         Q=tlbt.linalg.solve_lyapunov(a.T, g.T @ g - c.T @ c), horizon=tbar)
-    want_inf = GramianSet(P=tlbt.linalg.solve_lyapunov(a, -b @ b.T),
-                          Q=tlbt.linalg.solve_lyapunov(a.T, -c.T @ c), horizon=math.inf)
+    want_tl = GramianSet(P=solve_lyapunov(a, f @ f.T - b @ b.T),
+                         Q=solve_lyapunov(a.T, g.T @ g - c.T @ c), horizon=tbar)
+    want_inf = GramianSet(P=solve_lyapunov(a, -b @ b.T),
+                          Q=solve_lyapunov(a.T, -c.T @ c), horizon=math.inf)
     return want_tl, want_inf
 
 

@@ -6,9 +6,10 @@ import scipy.linalg as sla
 
 import tlbt.simulation
 from conftest import fem_rod
+from oracles import random_piecewise_constant
 from tlbt.balancing import ReducedModel
 from tlbt.simulation import Trajectory, input_l2_norm, output_error, simulate
-from tlbt.systems import InputSignal, StateSpaceSystem, generate_heat_model, random_piecewise_constant
+from tlbt.systems import InputSignal, StateSpaceSystem, generate_heat_model
 
 
 def pulse_input(dt, m=1):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fem_rod
+from oracles import apply_state_transform, random_piecewise_constant
 import tlbt.balancing
 import tlbt.bounds
 import tlbt.gramians
@@ -21,10 +22,8 @@ from tlbt.systems import (
     StateSpaceSystem,
     _EigenRecord,
     _SchurRecord,
-    apply_state_transform,
     generate_heat_model,
     load_system,
-    random_piecewise_constant,
 )
 
 
