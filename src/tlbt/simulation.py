@@ -4,10 +4,24 @@ One step of (E) x' = A x + B u reads
 
     (E - dt/2 A) x_{k+1} = (E + dt/2 A) x_k + dt B u(t_k + dt/2),
 
-an A-stable second-order one-step map. Each run factorizes the step
-matrix once, samples the input once on the midpoint grid t_k + dt/2 and
-forms the input terms dt B u as one block, so a step is a matvec and a
-LAPACK getrs solve. Trajectories start from x(0) = 0 on the uniform grid
+an A-stable second-order one-step map x_{k+1} = S x_k + D u_k. Each run
+factorizes the step matrix once, solves once for the step map
+S = (E - dt/2 A)^-1 (E + dt/2 A) and the drive D = (E - dt/2 A)^-1 dt B,
+samples the input once on the midpoint grid t_k + dt/2, and then runs
+the map in blocks of L = 16 steps. From a block's first state x and its
+inputs u_0..u_{L-1}, its outputs and the next block's first state are
+
+    y_{i+1} = C S^(i+1) x + sum_{s<=i} C S^s D u_{i-s},    i < L,
+    x_L     = S^L x + sum_{s<L} S^(L-1-s) D u_s,
+
+so only the block-to-block recursion for x is sequential: one matvec
+with S^L per block. The outputs of all blocks are then formed together,
+each block by products of one fixed shape, so the outputs on a grid are
+bitwise a prefix of those on any longer grid. The last block is padded
+with zero inputs, and its rows past the grid are dropped. A model with
+more inputs than states lifts the forcing terms D u instead of u, and
+one with more outputs than states lifts the states and applies C once
+at the end. Trajectories start from x(0) = 0 on the uniform grid
 t_k = k dt.
 """
 from __future__ import annotations
@@ -22,6 +36,9 @@ from .balancing import ReducedModel
 from .systems import InputSignal, StateSpaceSystem
 
 __all__ = ["Trajectory", "simulate", "output_error", "input_l2_norm"]
+
+# steps per lifted block
+_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,28 +91,68 @@ def simulate(model, u: InputSignal, t_end: float, dt: float) -> Trajectory:
     if u.m != model.m:
         raise ValueError(f"input signal has {u.m} components but the model expects {model.m}")
     steps = _grid_steps(float(t_end), float(dt))
+    n, m, p = model.n, model.m, model.p
     a, b, c = model.A, model.B, model.C
-    e = model.E if model.E is not None else np.eye(model.n)
-    m_minus = e - (dt / 2.0) * a
-    m_plus = e + (dt / 2.0) * a
-    lu, piv = sla.lu_factor(m_minus)
+    e = model.E if model.E is not None else np.eye(n)
+    lu, piv = sla.lu_factor(e - (dt / 2.0) * a)
     if np.any(np.diag(lu) == 0.0):
         raise ValueError(f"step matrix E - (dt/2) A is singular for dt = {dt}")
+    maps, info = dgetrs(lu, piv, np.hstack([e + (dt / 2.0) * a, dt * b]), overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"LAPACK getrs failed with info = {info}")
+    step, drive = maps[:, :n], maps[:, n:]
     times = np.arange(steps + 1) * dt
     inputs = u.sample(times[:-1] + dt / 2.0)
-    if inputs.shape != (steps, model.m):
-        raise ValueError(f"input signal sampled to shape {inputs.shape}, expected {(steps, model.m)}")
-    forcing = dt * (inputs @ b.T)
-    outputs = np.zeros((steps + 1, model.p))
-    x = np.zeros(model.n)
-    for k in range(steps):
-        x, info = dgetrs(lu, piv, m_plus @ x + forcing[k], overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"LAPACK getrs failed with info = {info}")
-        outputs[k + 1] = c @ x
+    if inputs.shape != (steps, m):
+        raise ValueError(f"input signal sampled to shape {inputs.shape}, expected {(steps, m)}")
+    blocks = -(-steps // _BLOCK)
+    padded = np.zeros((blocks * _BLOCK, m))
+    padded[:steps] = inputs
+    w = padded.reshape(blocks, _BLOCK, m)
+    # lift the fewer of the m inputs and the n forcing terms D u, and of
+    # the p outputs and the n states (C is then applied last)
+    if m > n:
+        w = w @ drive.T
+        drive = np.eye(n)
+    lift_states = p > n
+    free, markov, reach, leap = _lifted(step, drive, np.eye(n) if lift_states else c)
+    # the only sequential part: each block's first state from the last one's
+    pushes = (w.reshape(blocks, 1, -1) @ reach)[:, 0]
+    starts = np.zeros((blocks, n))
+    for j in range(blocks - 1):
+        starts[j + 1] = leap @ starts[j] + pushes[j]
+    lifted = (starts[:, None, :] @ free).reshape(blocks, _BLOCK, -1)
+    for s in range(_BLOCK):
+        lifted[:, s:] += w[:, :_BLOCK - s] @ markov[s]
+    if lift_states:
+        lifted = lifted @ c.T
+    outputs = np.zeros((steps + 1, p))
+    outputs[1:] = lifted.reshape(-1, p)[:steps]
     if not np.all(np.isfinite(outputs)):
         raise OverflowError("simulation produced non-finite outputs")
     return Trajectory(times=times, outputs=outputs)
+
+
+def _lifted(step, drive, observe):
+    """The lifted operators of one block of x_{k+1} = S x_k + D w_k, z_k = F x_k,
+    with D of shape (n, k) and F of shape (q, n).
+
+    Returns free (n, L q), whose row product with the block's first state
+    x gives [F S x, ..., F S^L x]; markov[s] = (F S^s D)^T, the Markov
+    parameters of the block's lower block-Toeplitz input-output map;
+    reach (L k, n), whose row product with the block's inputs gives
+    sum_s S^(L-1-s) D w_s; and leap = S^L.
+    """
+    rows = [observe]
+    for _ in range(_BLOCK):
+        rows.append(rows[-1] @ step)
+    free = np.vstack(rows[1:]).T
+    markov = [(r @ drive).T for r in rows[:-1]]
+    cols = [drive]
+    for _ in range(_BLOCK - 1):
+        cols.append(step @ cols[-1])
+    reach = np.hstack(cols[::-1]).T
+    return free, markov, reach, np.linalg.matrix_power(step, _BLOCK)
 
 
 def output_error(full: Trajectory, reduced: Trajectory, tbar: float):

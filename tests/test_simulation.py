@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import tlbt.simulation
-from conftest import fem_rod
+from conftest import fem_rod, rand_stable
 from oracles import random_piecewise_constant
 from tlbt.balancing import ReducedModel
 from tlbt.simulation import Trajectory, input_l2_norm, output_error, simulate
@@ -161,6 +161,49 @@ class TestMatchesPerStepLoop:
         out = simulate(model, u, 2.0 * tbar, dt).outputs
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert input_l2_norm(u, tbar, dt) == pytest.approx(per_step_l2_norm(u, tbar, dt), rel=1e-13)
+
+
+BLOCK_MODELS = {
+    "nonsymmetric": rand_stable(12, 3, 2, np.random.default_rng(5)),
+    "wide": rand_stable(4, 6, 5, np.random.default_rng(6)),
+    "fem-mass": fem_rod(30, 3, 2),
+}
+
+
+class TestBlocksMatchPerStepLoop:
+    # the lifted blocks hold 16 steps: 3 steps fit in one block, and 37
+    # leave the last block partial
+    @pytest.mark.parametrize("steps", [3, 37])
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_matches_per_step_loop(self, name, steps):
+        model, dt = BLOCK_MODELS[name], 1.0 / 64
+        u = random_piecewise_constant(model.m, steps * dt, 4, np.random.default_rng(steps))
+        ref = per_step_simulate(model, u, steps * dt, dt)
+        out = simulate(model, u, steps * dt, dt).outputs
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_prefix_across_a_block_boundary_is_bitwise_stable(self, name):
+        model, dt = BLOCK_MODELS[name], 1.0 / 64
+        u = random_piecewise_constant(model.m, 1.0, 4, np.random.default_rng(2))
+        short = simulate(model, u, 23 * dt, dt).outputs
+        long = simulate(model, u, 64 * dt, dt).outputs
+        assert np.array_equal(long[:24], short)
+
+    @pytest.mark.parametrize("steps", [8, 512])
+    def test_one_getrs_call_per_run(self, steps, monkeypatch):
+        sys = generate_heat_model(10, 3, 2)
+        calls, real = [], tlbt.simulation.dgetrs
+
+        def spy(lu, piv, b, overwrite_b):
+            calls.append(b.shape)
+            return real(lu, piv, b, overwrite_b=overwrite_b)
+
+        monkeypatch.setattr(tlbt.simulation, "dgetrs", spy)
+        traj = simulate(sys, InputSignal.constant([1.0, 0.5, -1.0]), t_end=steps / 64, dt=1.0 / 64)
+        assert calls == [(10, 10 + 3)]
+        assert traj.outputs.shape == (steps + 1, 2)
 
 
 class TestOutputError:
