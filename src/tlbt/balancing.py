@@ -10,20 +10,20 @@ with W^T V = I_r, and the reduced model (W^T A V, W^T B, C V) of the
 standard form (A, B, C) = (E^-1 A, E^-1 B, C). The singular values are
 the (time-limited) Hankel singular values. The system's operator
 record (``systems``) forms W^T A V and W^T B on its own factorization of
-A. The bounds' balanced-coordinates route builds the dense transform S
-with S P S^T = S^-T Q S^-1 = diag(sigma) from the factors of positive
-definite Gramians; its dense-argument wrapper, for tests, is in
-``tests/oracles.py``.
+A. :func:`balance` is the only balancing: for a positive definite pair
+its full-order W and V are the balancing transform and its inverse
+(W^T P W = V^T Q V = diag(sigma)), which is how the bounds' balanced-
+coordinates route reads them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError
 from .gramians import GramianSet
+from .linalg import as_matrix
 from .systems import StateSpaceSystem
 
 __all__ = [
@@ -66,8 +66,9 @@ class BalancingResult:
 
 @dataclass(frozen=True, eq=False)
 class ReducedModel:
-    """Reduced realization (A11, B1, C1) of order r. The mass matrix of
-    the parent system, if any, reduces to the identity."""
+    """Reduced realization (A11, B1, C1) of order r: A11 is r x r, B1 has
+    r rows and C1 has r columns. The mass matrix of the parent system,
+    if any, reduces to the identity."""
 
     A11: np.ndarray
     B1: np.ndarray
@@ -76,13 +77,25 @@ class ReducedModel:
     horizon: float
     parent_name: str = "system"
 
+    def __post_init__(self):
+        r = self.r
+        a11, b1, c1 = (as_matrix(getattr(self, name), name) for name in ("A11", "B1", "C1"))
+        if a11.shape != (r, r):
+            raise DimensionError(f"A11 must have shape {(r, r)} for r = {r}, got {a11.shape}")
+        if b1.shape[0] != r:
+            raise DimensionError(f"B1 has {b1.shape[0]} rows but r = {r}")
+        if c1.shape[1] != r:
+            raise DimensionError(f"C1 has {c1.shape[1]} columns but r = {r}")
+        for name, mat in (("A11", a11), ("B1", b1), ("C1", c1)):
+            object.__setattr__(self, name, mat)
+
     def as_system(self) -> StateSpaceSystem:
         return StateSpaceSystem(
             A=self.A11, B=self.B1, C=self.C1, name=f"{self.parent_name}-r{self.r}"
         )
 
 
-def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -> BalancingResult:
+def balance(gramians: GramianSet, sys: StateSpaceSystem) -> BalancingResult:
     """Square-root balancing of a system against a Gramian pair.
 
     Parameters
@@ -92,17 +105,17 @@ def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -
         :func:`tlbt.gramians.time_limited_gramians` for ``sys``; its
         factors are used as they are.
     sys : StateSpaceSystem
-    r : int, optional
-        Truncation order; defaults to the numerical rank n_hat.
 
     Returns
     -------
     BalancingResult
+        Of order n_hat, the numerical rank of the Gramian product;
+        ``reduce_to(r)`` truncates it.
 
     Raises
     ------
     ValueError
-        For r > n_hat (the message reports n_hat) or a degenerate pair.
+        For a degenerate pair.
     """
     n = sys.n
     zp, zq = gramians.lowrank_P, gramians.lowrank_Q
@@ -115,40 +128,10 @@ def balance(gramians: GramianSet, sys: StateSpaceSystem, r: int | None = None) -
     if n_hat == 0:
         raise ValueError("degenerate Gramian pair: all singular values are numerically zero")
     sigma = sigma[:n_hat]
-    if r is None:
-        r = n_hat
-    if not (1 <= r <= n_hat):
-        raise ValueError(f"requested order r = {r} is outside [1, n_hat = {n_hat}]")
-    scale = 1.0 / np.sqrt(sigma[:r])
-    w = zq @ (u[:, :r] * scale)
-    v = zp @ (vt[:r, :].T * scale)
-    return BalancingResult(singular_values=sigma, V=v, W=w, horizon=gramians.horizon, r=r)
-
-
-def _balancing_transform(zp: np.ndarray, zq: np.ndarray):
-    """Dense balancing transform (S, S_inv, sigma) with
-    S P S^T = S^-T Q S^-1 = diag(sigma), from the rank-revealing factors
-    of positive definite P and Q. Raises for rank-deficient input and
-    suggests the projection route."""
-    n = zp.shape[0]
-    if zp.shape[1] < n or zq.shape[1] < n:
-        raise ValueError(
-            f"P and Q must be positive definite (numerical ranks {zp.shape[1]}, {zq.shape[1]} < n = {n}); "
-            "for semidefinite pairs use balance(), which truncates instead"
-        )
-    u, sigma, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
-    if sigma[-1] <= _SIGMA_RTOL * sigma[0]:
-        raise ValueError("Gramian product is numerically rank deficient; use balance() instead")
     scale = 1.0 / np.sqrt(sigma)
-    s = (scale[:, None] * u.T) @ zq.T
-    s_inv = zp @ (vt.T * scale)
-    err = np.linalg.norm(s @ s_inv - np.eye(n))
-    if err > 1e-8 * math.sqrt(n):
-        raise ArithmeticError(
-            f"balancing transform failed the identity check: ||S S^-1 - I|| = {err:.3e}; "
-            "the Gramian pair is too ill-conditioned for a dense transform"
-        )
-    return s, s_inv, sigma
+    w = zq @ (u[:, :n_hat] * scale)
+    v = zp @ (vt[:n_hat, :].T * scale)
+    return BalancingResult(singular_values=sigma, V=v, W=w, horizon=gramians.horizon, r=n_hat)
 
 
 def truncate(sys: StateSpaceSystem, bal: BalancingResult) -> ReducedModel:
@@ -175,16 +158,21 @@ def select_order(singular_values, tau: float) -> int:
     ``singular_values`` must be nonincreasing and positive; returns the
     full length if even the empty tail is needed.
     """
-    sigma = np.asarray(singular_values, dtype=float).ravel()
-    if sigma.size == 0:
-        raise ValueError("singular value list is empty")
+    sigma = _singular_values(singular_values)
     if not (tau > 0):
         raise ValueError(f"tau must be positive, got {tau}")
+    # tails[r] = sum of sigma[r:], the part discarded when keeping r values;
+    # tails[n] = 0 <= tau, so some r qualifies
+    tails = np.concatenate([np.cumsum(sigma[::-1])[::-1], [0.0]])
+    return int(np.argmax(tails[1:] <= tau)) + 1
+
+
+def _singular_values(values) -> np.ndarray:
+    """``values`` as a flat float array, checked to be a nonempty,
+    positive and nonincreasing list of singular values."""
+    sigma = np.asarray(values, dtype=float).ravel()
+    if sigma.size == 0:
+        raise ValueError("singular value list is empty")
     if np.any(sigma <= 0) or np.any(np.diff(sigma) > 0):
         raise ValueError("singular values must be positive and nonincreasing")
-    # tail[r] = sum of sigma[r:], the part discarded when keeping r values
-    tails = np.concatenate([np.cumsum(sigma[::-1])[::-1], [0.0]])
-    for r in range(1, sigma.size + 1):
-        if tails[r] <= tau:
-            return r
-    return sigma.size
+    return sigma

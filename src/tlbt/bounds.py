@@ -49,12 +49,14 @@ exponentially in tbar for stable systems, and a nonpositive correction:
     R = -2 tr(G1^T G Pm) + tr(G1^T G1 Pr) + tr(F1 F1^T S1),
 
 with S = diag(sigma) the balanced Gramian, F = e^(A tbar) B and
-G = C e^(A tbar) partitioned conformally. With the dense balancing
-transform S, the full model's propagators are moved into balanced
-coordinates (F_bal = S F, G_bal = G S^-1), so both forms share the
-factorization of A and the propagators. The order-r balanced truncation
-is a reduced model of its own: its A11 gets one Schur form and one
-expm, and Pr and Pm are solved again on them. The terms, their sum and
+G = C e^(A tbar) partitioned conformally. Balanced coordinates are
+x_bal = W^T x with the full-order bases W and V of :func:`balance`
+(W^T V = I), so F_bal = W^T F, G_bal = G V, and the first r columns of
+the balanced A are W^T A V_r, projected by the system's operator record;
+both forms share the factorization of A and the propagators, and no
+n x n balanced A is formed. The order-r balanced truncation is a
+reduced model of its own: its A11 gets one Schur form and one expm, and
+Pr and Pm are solved again on them. The terms, their sum and
 Frobenius certificates of the remainder come from one evaluation. Classical
 unrestricted bounds (the 2-sum Hankel bound and the infinite-horizon
 leading trace) and a sampled frequency-response error are included for
@@ -67,7 +69,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .balancing import ReducedModel, _balancing_transform
+from .balancing import ReducedModel, _singular_values, balance
 from .errors import DimensionError, SpectrumSeparationError, StabilityError
 from .gramians import GramianSet, _check_horizon, _mixed_gramian, _reduced_gramian
 from .linalg import (
@@ -198,9 +200,7 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     BoundReport
     """
     tbar = _check_horizon(tbar)
-    a11 = as_matrix(rom.A11, "A11")
-    b1 = as_matrix(rom.B1, "B1")
-    c1 = as_matrix(rom.C1, "C1")
+    a11, b1, c1 = rom.A11, rom.B1, rom.C1
     if c1.shape[0] != sys.p:
         raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
     if rom.r > sys.n:
@@ -244,51 +244,63 @@ def _kernel_epsilon(op, b1, c1, base, tbar: float, levels: int) -> float:
 
 def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dict:
     """The order-r balanced truncation and the trace route's objects in
-    balanced coordinates x_bal = S x, by change of coordinates: the
-    realization (S A S^-1, S B, C S^-1), F_bal = S F, G_bal = G S^-1,
-    PM_bal = S Pm, and the reduced model's Pr and Fr, all on one Schur
-    form of A11. Lambda(A_bal) = Lambda(A), so the hypotheses are checked
-    on A's own factorization. With
-    tbar = inf only the realization and PM are formed."""
+    balanced coordinates x_bal = W^T x, from the full-order W and V of
+    :func:`balance` (W^T P W = V^T Q V = diag(sigma), W^T V = I): the
+    first r columns [A11; A21] = W^T A V_r of the balanced A and
+    B_bal = W^T B, both from the operator record's projection,
+    C_bal = C V, F_bal = W^T F, G_bal = G V, PM_bal = W^T Pm, and the
+    reduced model's Pr and Fr, all on one Schur form of A11.
+    Lambda(A_bal) = Lambda(A), so the hypotheses are checked on A's own
+    factorization. With tbar = inf only the realization and PM are
+    formed."""
     n = sys.n
-    if not (1 <= r <= n):
-        raise ValueError(f"r must be in [1, {n}], got {r}")
-    if gramians.lowrank_P.shape[0] != n:
-        raise DimensionError(f"Gramians of order {gramians.lowrank_P.shape[0]} do not match n = {n}")
-    s, s_inv, sigma = _balancing_transform(gramians.lowrank_P, gramians.lowrank_Q)
+    bal = balance(gramians, sys)
+    if bal.n_hat < n:
+        raise ValueError(
+            f"P and Q must be positive definite (numerical rank n_hat = {bal.n_hat} < n = {n}); "
+            "for semidefinite pairs use balance(), which truncates instead"
+        )
+    w, v = bal.W, bal.V
+    err = np.linalg.norm(w.T @ v - np.eye(n))
+    if err > 1e-8 * math.sqrt(n):
+        raise ArithmeticError(
+            f"balancing failed the identity check: ||W^T V - I||_F = {err:.3e}; "
+            "the Gramian pair is too ill-conditioned for balanced coordinates"
+        )
     op = sys._operator()
-    a_bal = s @ op.a @ s_inv
-    b_bal = s @ op.b
-    c_bal = sys.C @ s_inv
-    a11, b1 = a_bal[:r, :r], b_bal[:r, :]
+    a_r, b_bal = op.project(w, bal.reduce_to(r).V)
+    a11, b1 = a_r[:r], b_bal[:r]
     s11 = _schur_form(a11)
     _check_hypotheses(op, s11)
-    d = {"sigma": sigma, "A": a_bal, "B": b_bal, "C": c_bal, "r": r}
+    d = {"sigma": bal.singular_values, "A": a_r, "B": b_bal, "C": sys.C @ v, "r": r}
     if math.isfinite(tbar):
         f, g = op.propagators(tbar)
         fr = expm(a11, tbar) @ b1
-        d.update(F=s @ f, G=g @ s_inv, Pr=_reduced_gramian(s11, b1, fr), Fr=fr)
+        d.update(F=w.T @ f, G=g @ v, Pr=_reduced_gramian(s11, b1, fr), Fr=fr)
     else:
         fr = None
-    d["PM"] = s @ _mixed_gramian(sys, s11, b1, fr, tbar)
+    d["PM"] = w.T @ _mixed_gramian(sys, s11, b1, fr, tbar)
     return d
 
 
 def _leading_trace(d) -> float:
-    """tr(S2 (B2 B2^T + 2 PM2 A21^T)) over the discarded block."""
+    """tr(S2 (B2 B2^T + 2 PM2 A21^T)) over the discarded block; ``A`` holds
+    the first r columns of the balanced A."""
     r = d["r"]
-    b2, pm2, a21 = d["B"][r:, :], d["PM"][r:, :], d["A"][r:, :r]
+    b2, pm2, a21 = d["B"][r:], d["PM"][r:], d["A"][r:]
     return float(np.sum(d["sigma"][r:] * (np.sum(b2 * b2, axis=1) + 2.0 * np.sum(pm2 * a21, axis=1))))
 
 
 def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int) -> BalancedRepresentation:
     """The paper's trace form of :func:`tlbt_h2_bound`'s eps^2, evaluated
     in balanced coordinates as leading trace + remainder + correction,
-    with the remainder's certificates, from one change of coordinates.
+    with the remainder's certificates, from one :func:`balance` of the
+    pair.
 
     The horizon is ``gramians.horizon``; unrestricted Gramians (horizon
     inf) are refused, their bound is :func:`bt_h2_bound_infinite`.
-    Requires positive definite Gramians (dense balancing transform). The
+    Requires positive definite Gramians (n_hat = n), so that balance()'s
+    full-order W and V are the balancing transform and its inverse. The
     implied reduced model is the order-r balanced truncation. The
     factorization of A and the propagators are those of the trace
     route, moved into balanced coordinates; Pr and Pm are solved again
@@ -345,11 +357,7 @@ def tlbt_h2_bound_alt(sys, gramians: GramianSet, r: int) -> BalancedRepresentati
 def bt_hinf_bound(hankel_values, r: int) -> float:
     """Classical twice-the-tail bound on the H-infinity error of
     unrestricted balanced truncation at order r."""
-    sigma = np.asarray(hankel_values, dtype=float).ravel()
-    if sigma.size == 0:
-        raise ValueError("singular value list is empty")
-    if np.any(sigma <= 0) or np.any(np.diff(sigma) > 0):
-        raise ValueError("singular values must be positive and nonincreasing")
+    sigma = _singular_values(hankel_values)
     if not (0 <= r <= sigma.size):
         raise ValueError(f"r must be in [0, {sigma.size}], got {r}")
     return float(2.0 * np.sum(sigma[r:]))

@@ -400,8 +400,6 @@ def _config_from_args(args) -> ExperimentConfig:
             data[field] = val
     if data.get("model") is None:
         raise ValueError("--model (or a config file with one) is required")
-    data.setdefault("input", "const:1")
-    data.setdefault("out", "out")
     return ExperimentConfig.from_dict(data)
 
 

@@ -187,7 +187,8 @@ def expm(a, t: float = 1.0) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    out = sla.expm(a * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sla.expm(a * t)
     if not np.all(np.isfinite(out)):
         raise OverflowError(
             f"matrix exponential overflowed for t = {t:g} (||A t||_2 = {np.linalg.norm(a * t, 2):.3e})"

@@ -17,7 +17,6 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from tlbt.balancing import _balancing_transform
 from tlbt.errors import DimensionError
 from tlbt.gramians import _check_horizon, _mixed_gramian, _reduced_gramian
 from tlbt.linalg import (
@@ -160,21 +159,7 @@ def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
     return _mixed_gramian(sys, s11, b1, fr, tbar)
 
 
-# balancing and state coordinates
-
-def full_balancing_transform(p, q):
-    """Dense balancing transform for a symmetric positive definite pair.
-
-    Returns (S, S_inv, sigma) with S P S^T = S^-T Q S^-1 = diag(sigma).
-    P and Q are factored at the eigenvalue cutoff 1e-12 ||.||_2 of a
-    GramianSet. Raises for rank-deficient input.
-    """
-    p = as_matrix(p, "P")
-    q = as_matrix(q, "Q")
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise DimensionError(f"P and Q must be square with equal shapes, got {p.shape} and {q.shape}")
-    return _balancing_transform(spd_factor(p), spd_factor(q))
-
+# state coordinates
 
 def apply_state_transform(sys: StateSpaceSystem, s) -> StateSpaceSystem:
     """Similarity transform x -> S x, giving (S A S^-1, S B, C S^-1), of

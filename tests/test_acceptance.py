@@ -82,7 +82,7 @@ def test_criterion_02_representations_agree():
         sys = rand_stable(n, m, p, rng)
         gset = time_limited_gramians(sys, tbar)
         alt = tlbt_h2_bound_alt(sys, gset, r)
-        rom = truncate(sys, balance(gset, sys, r=r))
+        rom = truncate(sys, balance(gset, sys).reduce_to(r))
         direct = tlbt_h2_bound(sys, rom, gset.P, tbar)
         gap = abs(alt.epsilon_squared - direct.epsilon_squared)
         allowance = 1e-7 * max(direct.epsilon_squared, direct.term_cpc)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rand_spd
-from oracles import apply_state_transform, full_balancing_transform
+from oracles import apply_state_transform
 from tlbt.errors import DimensionError
 from tlbt.balancing import (
+    ReducedModel,
     balance,
     select_order,
     truncate,
 )
-from tlbt.bounds import hinf_error_sampled, tlbt_h2_bound
+from tlbt.bounds import hinf_error_sampled, tlbt_h2_bound, tlbt_h2_bound_alt
 from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
 from tlbt.systems import StateSpaceSystem, generate_heat_model
 
@@ -61,20 +62,20 @@ class TestBalance:
     def test_order_above_rank_reports_n_hat(self):
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)
-        with pytest.raises(ValueError, match="n_hat = 6"):
-            balance(gset, sys, r=7)
+        with pytest.raises(ValueError, match=r"r must be in \[1, 6\], got 7"):
+            balance(gset, sys).reduce_to(7)
 
     def test_projector_identity(self):
         sys = generate_heat_model(12, 3, 3)
         gset = time_limited_gramians(sys, 0.5)
-        bal = balance(gset, sys, r=4)
+        bal = balance(gset, sys).reduce_to(4)
         assert np.linalg.norm(bal.W.T @ bal.V - np.eye(4)) <= 1e-10 * 2.0
 
     def test_projector_identity_with_mass_matrix(self, rng):
         heat = generate_heat_model(8, 2, 2)
         sys = StateSpaceSystem(A=heat.A, B=heat.B, C=heat.C, E=rand_spd(8, rng, spread=10.0))
         gset = time_limited_gramians(sys, 0.5)
-        bal = balance(gset, sys, r=3)
+        bal = balance(gset, sys).reduce_to(3)
         assert np.linalg.norm(bal.W.T @ bal.V - np.eye(3)) <= 1e-9
 
     def test_mass_matrix_system_matches_its_explicit_standard_form(self, rng):
@@ -85,7 +86,7 @@ class TestBalance:
         tbar = 0.5
 
         def outputs(s, gset):
-            rom = truncate(s, balance(gset, s, r=3))
+            rom = truncate(s, balance(gset, s).reduce_to(3))
             out = [gset.P, gset.Q, balance(gset, s).singular_values, rom.A11, rom.B1, rom.C1,
                    hinf_error_sampled(s, rom, [0.0, 1.0, 100.0])]
             if math.isfinite(gset.horizon):
@@ -97,20 +98,23 @@ class TestBalance:
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_full_transform_diagonalizes_both_gramians(self):
-        sys = generate_heat_model(6, 6, 6)
-        gset = time_limited_gramians(sys, 0.5)
-        s, s_inv, sigma = full_balancing_transform(gset.P, gset.Q)
-        sig = np.diag(sigma)
-        assert np.allclose(s @ s_inv, np.eye(6), atol=1e-10)
-        assert np.allclose(s @ gset.P @ s.T, sig, atol=1e-8)
-        assert np.allclose(s_inv.T @ gset.Q @ s_inv, sig, atol=1e-8)
-
-    def test_full_transform_matches_standalone_route(self):
+        # at full order W^T and V are the balancing transform and its inverse
         sys = generate_heat_model(6, 6, 6)
         gset = time_limited_gramians(sys, 0.5)
         bal = balance(gset, sys)
-        _, _, sigma = full_balancing_transform(gset.P, gset.Q)
-        assert np.allclose(bal.singular_values, sigma, rtol=1e-9)
+        assert bal.r == bal.n_hat == 6
+        w, v, sig = bal.W, bal.V, np.diag(bal.singular_values)
+        assert np.allclose(w.T @ v, np.eye(6), atol=1e-10)
+        assert np.allclose(w.T @ gset.P @ w, sig, atol=1e-8)
+        assert np.allclose(v.T @ gset.Q @ v, sig, atol=1e-8)
+
+    def test_full_transform_matches_standalone_route(self):
+        # the singular values are those of the dense pair, sqrt(eig(P Q))
+        sys = generate_heat_model(6, 6, 6)
+        gset = time_limited_gramians(sys, 0.5)
+        bal = balance(gset, sys)
+        expect = np.sort(np.sqrt(np.linalg.eigvals(gset.P @ gset.Q).real))[::-1]
+        assert np.allclose(bal.singular_values, expect, rtol=1e-9)
 
     def test_singular_values_are_state_coordinate_invariants(self, rng):
         sys = generate_heat_model(8, 8, 8)
@@ -134,25 +138,39 @@ class TestBalance:
 
 
 class TestFullBalancingTransform:
+    """balance()'s full-order W and V on hand-built positive definite pairs:
+    W^T P W = diag(sigma) = V^T Q V and W^T V = I."""
+
     def test_diagonal_pair(self):
-        s, s_inv, sigma = full_balancing_transform(np.diag([4.0, 1.0]), np.diag([4.0, 1.0]))
-        assert np.allclose(sigma, [4.0, 1.0], atol=1e-14)
-        assert np.allclose(s @ s_inv, np.eye(2), atol=1e-12)
+        sys = generate_heat_model(3, 1, 1)
+        p = q = np.diag([4.0, 1.0, 0.5])
+        bal = balance(GramianSet(P=p, Q=q, horizon=1.0), sys)
+        assert np.allclose(bal.singular_values, [4.0, 1.0, 0.5], atol=1e-14)
+        assert np.allclose(bal.W.T @ bal.V, np.eye(3), atol=1e-12)
 
     def test_identity_pair(self):
-        s, s_inv, sigma = full_balancing_transform(np.eye(3), np.eye(3))
-        assert np.allclose(sigma, np.ones(3), atol=1e-14)
+        sys = generate_heat_model(3, 1, 1)
+        bal = balance(GramianSet(P=np.eye(3), Q=np.eye(3), horizon=1.0), sys)
+        assert np.allclose(bal.singular_values, np.ones(3), atol=1e-14)
 
     def test_congruence_relations(self, rng):
+        sys = generate_heat_model(5, 1, 1)
         p = rand_spd(5, rng, spread=50.0)
         q = rand_spd(5, rng, spread=50.0)
-        s, s_inv, sigma = full_balancing_transform(p, q)
-        assert np.allclose(s @ p @ s.T, np.diag(sigma), atol=1e-8 * np.max(sigma))
-        assert np.allclose(s_inv.T @ q @ s_inv, np.diag(sigma), atol=1e-8 * np.max(sigma))
+        bal = balance(GramianSet(P=p, Q=q, horizon=1.0), sys)
+        w, v, sigma = bal.W, bal.V, bal.singular_values
+        assert bal.r == 5
+        assert np.allclose(w.T @ p @ w, np.diag(sigma), atol=1e-8 * np.max(sigma))
+        assert np.allclose(v.T @ q @ v, np.diag(sigma), atol=1e-8 * np.max(sigma))
+        assert np.allclose(w.T @ v, np.eye(5), atol=1e-10)
 
     def test_rank_deficient_pair_points_to_projection_route(self):
-        with pytest.raises(ValueError, match="balance"):
-            full_balancing_transform(np.diag([1.0, 0.0]), np.eye(2))
+        # balance() truncates a semidefinite pair; balanced coordinates refuse it
+        sys = generate_heat_model(3, 1, 1)
+        gset = GramianSet(P=np.diag([1.0, 0.5, 0.0]), Q=np.eye(3), horizon=1.0)
+        assert balance(gset, sys).n_hat == 2
+        with pytest.raises(ValueError, match=r"positive definite .*use balance\(\)"):
+            tlbt_h2_bound_alt(sys, gset, 1)
 
 
 class TestTruncate:
@@ -172,7 +190,7 @@ class TestTruncate:
 
     def test_reduced_heat_model_is_stable(self):
         sys = generate_heat_model(20, 20, 20)
-        bal = balance(time_limited_gramians(sys, 0.1), sys, r=4)
+        bal = balance(time_limited_gramians(sys, 0.1), sys).reduce_to(4)
         rom = truncate(sys, bal)
         assert np.all(np.linalg.eigvals(rom.A11).real < 0)
         assert rom.as_system().name == "heat-20-20-20-r4"
@@ -180,9 +198,36 @@ class TestTruncate:
     def test_dimension_mismatch_rejected(self):
         sys6 = generate_heat_model(6, 2, 2)
         sys5 = generate_heat_model(5, 2, 2)
-        bal = balance(time_limited_gramians(sys6, 0.5), sys6, r=2)
+        bal = balance(time_limited_gramians(sys6, 0.5), sys6).reduce_to(2)
         with pytest.raises(DimensionError, match="balancing bases"):
             truncate(sys5, bal)
+
+
+class TestReducedModel:
+    @pytest.fixture(scope="class")
+    def rom(self):
+        sys = generate_heat_model(10, 2, 2)
+        return truncate(sys, balance(time_limited_gramians(sys, 0.1), sys).reduce_to(3))
+
+    def test_matrices_must_conform_to_the_order(self, rom):
+        a, b, c = rom.A11, rom.B1, rom.C1
+        cases = [
+            ("A11", dict(A11=a, B1=b, C1=c, r=5)),        # a 3 x 3 A11 labelled r = 5
+            ("B1", dict(A11=a, B1=b[:2], C1=c, r=3)),     # B1 with 2 rows
+            ("A11", dict(A11=a[:, :2], B1=b, C1=c, r=3)),  # a 3 x 2 A11
+            ("C1", dict(A11=a, B1=b, C1=c[:, :2], r=3)),   # C1 with 2 columns
+        ]
+        for name, fields in cases:
+            with pytest.raises(DimensionError, match=name):
+                ReducedModel(horizon=0.1, **fields)
+
+    def test_matrices_must_be_finite(self, rom):
+        with pytest.raises(ValueError, match="C1 contains non-finite"):
+            ReducedModel(A11=rom.A11, B1=rom.B1, C1=np.full_like(rom.C1, np.nan), r=3, horizon=0.1)
+
+    def test_lists_are_accepted_as_arrays(self):
+        rom = ReducedModel(A11=[[-2.0]], B1=[[1.0, 0.5]], C1=[[1.0]], r=1, horizon=1.0)
+        assert isinstance(rom.B1, np.ndarray) and rom.B1.shape == (1, 2)
 
 
 class TestSelectOrder:

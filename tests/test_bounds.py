@@ -22,12 +22,12 @@ from tlbt.bounds import (
 from tlbt.errors import SpectrumSeparationError
 from tlbt.gramians import infinite_gramians, time_limited_gramians
 from tlbt.simulation import input_l2_norm, output_error, simulate
-from tlbt.systems import StateSpaceSystem, generate_heat_model
+from tlbt.systems import StateSpaceSystem, _EigenRecord, generate_heat_model
 
 
 def balanced_rom(sys, tbar, r):
     gset = time_limited_gramians(sys, tbar)
-    return gset, truncate(sys, balance(gset, sys, r=r))
+    return gset, truncate(sys, balance(gset, sys).reduce_to(r))
 
 
 class TestDirectBound:
@@ -135,7 +135,7 @@ class TestSumOfSquaresCertificate:
             "from tlbt import balance, generate_heat_model, time_limited_gramians, tlbt_h2_bound, truncate\n"
             "sys = generate_heat_model(100, 7, 6)\n"
             "g = time_limited_gramians(sys, 0.05)\n"
-            "rom = truncate(sys, balance(g, sys, r=8))\n"
+            "rom = truncate(sys, balance(g, sys).reduce_to(8))\n"
             "print(repr(tlbt_h2_bound(sys, rom, g.P, 0.05).epsilon), repr(error_integral_oracle(sys, rom, 0.05)))\n"
         )
         # the subprocess imports tlbt and conftest from where this run does
@@ -211,6 +211,36 @@ class TestAlternativeRepresentation:
         with pytest.raises(ValueError, match="positive definite"):
             tlbt_h2_bound_alt(sys, gset, 4)
 
+    def test_mass_matrix_model_never_forms_its_standard_operator(self, monkeypatch):
+        # balanced coordinates come from one balance() and the record's
+        # projection onto the first r columns of V; E^-1 A is never formed
+        sys = fem_rod(60, 60, 60)
+        record = type(sys._operator())
+        assert record is _EigenRecord
+        gset = time_limited_gramians(sys, 0.05)
+        balances, projected = [], []
+        project = record.project
+
+        def counting_balance(*args):
+            balances.append(args)
+            return balance(*args)
+
+        def counting_project(self, w, v):
+            projected.append(v.shape)
+            return project(self, w, v)
+
+        def forbidden(self):
+            raise AssertionError("the standard-form operator E^-1 A was formed")
+
+        monkeypatch.setattr(tlbt.bounds, "balance", counting_balance)
+        monkeypatch.setattr(record, "project", counting_project)
+        monkeypatch.setattr(record, "a", property(forbidden))
+        for r in (5, 2):
+            alt = tlbt_h2_bound_alt(sys, gset, r)
+            assert alt.r == r and alt.epsilon_squared > 0.0
+        assert len(balances) == 2
+        assert projected == [(60, 5), (60, 2)]
+
     def test_negative_sum_kept_within_rounding_and_rejected_beyond(self, monkeypatch):
         # a leading trace off by more than rounding stands in for
         # Gramians that do not belong to the model
@@ -225,19 +255,18 @@ class TestAlternativeRepresentation:
 
 class TestRemainderDiagnostics:
     def test_certificate_covers_remainder(self, monkeypatch):
-        transform = tlbt.bounds._balancing_transform
         calls = []
 
-        def counting_transform(*args):
+        def counting_balance(*args):
             calls.append(args)
-            return transform(*args)
+            return balance(*args)
 
-        monkeypatch.setattr(tlbt.bounds, "_balancing_transform", counting_transform)
+        monkeypatch.setattr(tlbt.bounds, "balance", counting_balance)
         sys = generate_heat_model(8, 8, 8)
         tbar = 0.5
         gset = time_limited_gramians(sys, tbar)
         alt = tlbt_h2_bound_alt(sys, gset, 3)
-        # the terms and their certificates come from one dense transform
+        # the terms and their certificates come from one balancing
         assert len(calls) == 1
         assert abs(alt.remainder) <= alt.total_remainder_bound() * (1.0 + 1e-12)
 
@@ -268,7 +297,7 @@ def test_each_bound_checks_each_separation_hypothesis_once(sys, monkeypatch):
     # the Pr and Pm solves rely on the bound's own check of those two pairs
     tbar = 0.5
     gset = time_limited_gramians(sys, tbar)
-    rom = truncate(sys, balance(gset, sys, r=3))
+    rom = truncate(sys, balance(gset, sys).reduce_to(3))
     separation, calls = tlbt.linalg._separation, []
 
     def counting(lam, mu, tol):
@@ -300,7 +329,7 @@ class TestClassicalBounds:
     def test_h2_infinite_equals_error_system_norm(self):
         sys = generate_heat_model(6, 6, 6)
         gset = infinite_gramians(sys)
-        rom = truncate(sys, balance(gset, sys, r=3))
+        rom = truncate(sys, balance(gset, sys).reduce_to(3))
         bound_sq = bt_h2_bound_infinite(sys, gset, 3)
         a_err = np.block([
             [sys.A, np.zeros((6, 3))],
@@ -341,7 +370,7 @@ class TestSampledHinfError:
     def test_sampled_error_below_classical_bound(self):
         sys = generate_heat_model(20, 7, 6)
         gset = infinite_gramians(sys)
-        bal = balance(gset, sys, r=4)
+        bal = balance(gset, sys).reduce_to(4)
         rom = truncate(sys, bal)
         bound = bt_hinf_bound(bal.singular_values, 4)
         freqs = np.logspace(-3, 5, 200)

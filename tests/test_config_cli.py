@@ -158,7 +158,7 @@ class TestGenModel:
         assert run_cli("gen-model", "--model", source, "--out", model) == 0
         assert run_cli("reduce", "--model", model / "manifest.json", "--tbar", 0.05, "--order", 6,
                        "--out", tmp_path / "out") == 0
-        bal = balance(time_limited_gramians(rod, 0.05), rod, r=6)
+        bal = balance(time_limited_gramians(rod, 0.05), rod).reduce_to(6)
         want = truncate(rod, bal)
         got = load_system(tmp_path / "out" / "rom_manifest.json")
         for x, y in ((got.A, want.A11), (got.B, want.B1), (got.C, want.C1)):

@@ -75,6 +75,11 @@ class TestGramianSet:
             GramianSet(P=[[1.0, 0.5], [0.0, 1.0]], Q=np.eye(2), horizon=1.0)
 
 
+    def test_rejects_pairs_of_different_orders(self):
+        with pytest.raises(DimensionError, match="equal shapes"):
+            GramianSet(P=np.eye(2), Q=np.eye(3), horizon=1.0)
+
+
 class TestTimeLimitedGramians:
     def test_scalar_horizon_one(self, scalar_system):
         gset = time_limited_gramians(scalar_system, 1.0)
@@ -99,6 +104,15 @@ class TestTimeLimitedGramians:
         sys = StateSpaceSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         gset = time_limited_gramians(sys, 1.0)
         assert gset.P[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-13)
+
+    def test_exponential_overflow_raises_overflow_error(self):
+        # a non-normal, strongly unstable A: the Schur record's expm
+        # overflows, and says so without a RuntimeWarning from its products
+        heat = generate_heat_model(20, 2, 2)
+        a = -heat.A + 5.0 * (np.eye(20, k=-1) - np.eye(20))
+        sys = StateSpaceSystem(A=a, B=heat.B, C=heat.C)
+        with pytest.raises(OverflowError, match="matrix exponential overflowed"):
+            time_limited_gramians(sys, 1.0)
 
     def test_invalid_horizon(self, scalar_system):
         with pytest.raises(ValueError, match="tbar"):
@@ -178,7 +192,7 @@ class TestMixedGramian:
         sys = rand_stable(6, 2, 2, rng)
         tbar = 1.5
         gset = time_limited_gramians(sys, tbar)
-        rom = truncate(sys, balance(gset, sys, r=2))
+        rom = truncate(sys, balance(gset, sys).reduce_to(2))
         pm = mixed_gramian(sys, rom, tbar)
         pm_quad = cross_gramian_quadrature(sys.A, sys.B, rom.A11, rom.B1, tbar, panels=256)
         assert np.linalg.norm(pm - pm_quad) <= 1e-8 * max(1.0, np.linalg.norm(pm))
@@ -245,7 +259,7 @@ def test_observability_is_dual_reachability(n, seed):
 def heat_rom():
     sys = generate_heat_model(6, 2, 2)
     gset = time_limited_gramians(sys, 0.5)
-    return sys, truncate(sys, balance(gset, sys, r=3))
+    return sys, truncate(sys, balance(gset, sys).reduce_to(3))
 
 
 class TestHorizonValidation:

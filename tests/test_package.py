@@ -1,8 +1,13 @@
+import argparse
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
 import tlbt
+import tlbt.cli
+import tlbt.mmio
 
 # what the CLI and the pipeline use, the errors they raise, and the
 # classical BT baselines the paper compares against
@@ -38,8 +43,33 @@ PIPELINE = [
     "truncate",
 ]
 
-# the test oracles and dense wrappers in tests/oracles.py, by the module
-# of the package that once held them
+# every settable option: the parameters and dataclass fields with a
+# default of the public names and of tlbt.mmio, then the CLI flags. A
+# change that adds or removes a knob edits this list.
+OPTIONS = [
+    "ExperimentConfig.dt",
+    "ExperimentConfig.input",
+    "ExperimentConfig.out",
+    "ExperimentConfig.r",
+    "ExperimentConfig.tau",
+    "ExperimentConfig.tbar",
+    "ExperimentConfig.tend",
+    "InputSignal.times",
+    "InputSignal.values",
+    "ReducedModel.parent_name",
+    "StateSpaceSystem.E",
+    "StateSpaceSystem.name",
+    "expm(t)",
+    "load_system(name)",
+    "write_matrix(comment)",
+]
+FLAGS = [
+    "--axis", "--config", "--dt", "--input", "--jobs", "--model", "--order",
+    "--out", "--tbar", "--tend", "--tol", "--values", "--verify",
+]
+
+# names that left the package (the test oracles and dense wrappers, now
+# in tests/oracles.py or gone), by the module of the package that held them
 ORACLES = {
     "apply_state_transform": "systems",
     "cross_gramian_quadrature": "gramians",
@@ -65,3 +95,26 @@ def test_the_public_names_are_the_pipeline():
 def test_no_oracle_is_reachable_from_the_package(name, module):
     assert not hasattr(tlbt, name)
     assert not hasattr(importlib.import_module(f"tlbt.{module}"), name)
+
+
+def _defaulted(name, obj):
+    if dataclasses.is_dataclass(obj):
+        return [f"{name}.{f.name}" for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING]
+    if inspect.isfunction(obj):
+        return [f"{name}({p.name})" for p in inspect.signature(obj).parameters.values()
+                if p.default is not inspect.Parameter.empty]
+    return []
+
+
+def test_the_settable_options_are_pinned():
+    public = [(name, getattr(tlbt, name)) for name in tlbt.__all__]
+    public += [(name, getattr(tlbt.mmio, name)) for name in tlbt.mmio.__all__]
+    assert sorted(o for name, obj in public for o in _defaulted(name, obj)) == OPTIONS
+    flags = set()
+    for action in tlbt.cli._build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags.update(f for a in sub._actions for f in a.option_strings if f.startswith("--"))
+    assert sorted(flags - {"--help"}) == FLAGS
+    assert len(OPTIONS) + len(FLAGS) == 28

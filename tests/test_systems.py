@@ -347,7 +347,7 @@ def assert_records_answer_alike(sys, got, want):
     for x_pair, y_pair in pairs:
         for x, y in zip(x_pair, y_pair):
             close(x, y)
-    bal = balance(time_limited_gramians(sys, tbar), sys, r=5)
+    bal = balance(time_limited_gramians(sys, tbar), sys).reduce_to(5)
     (a11, b1), projected = got.project(bal.W, bal.V), want.project(bal.W, bal.V)
     close(a11, projected[0])
     close(b1, projected[1])
@@ -367,6 +367,31 @@ def test_eigen_and_schur_records_answer_alike(sys):
     eig = sys._operator()
     assert isinstance(eig, _EigenRecord)
     assert_records_answer_alike(sys, eig, _SchurRecord(sys))
+
+
+def test_eigen_record_gramian_overflow_is_reported():
+    # an unstable symmetric model: e^(2 lambda tbar) overflows at tbar = 1
+    heat = generate_heat_model(20, 2, 2)
+    sys = StateSpaceSystem(A=-heat.A, B=heat.B, C=heat.C)
+    assert isinstance(sys._operator(), _EigenRecord)
+    time_limited_gramians(sys, 0.05)
+    with pytest.raises(OverflowError, match="time-limited Gramian overflowed"):
+        time_limited_gramians(sys, 1.0)
+
+
+def test_indefinite_mass_matrix_falls_back_to_the_schur_record():
+    # E = -I makes the symmetric pencil indefinite, so eigh fails and the
+    # model takes the Schur record; its explicit standard form (A_std = heat.A,
+    # symmetric) takes the eigen record, so the two agree only to rounding
+    heat = generate_heat_model(20, 2, 2)
+    sys = StateSpaceSystem(A=-heat.A, B=heat.B, C=heat.C, E=-np.eye(20))
+    std = StateSpaceSystem(A=heat.A, B=-heat.B, C=heat.C)
+    assert isinstance(sys._operator(), _SchurRecord)
+    assert isinstance(std._operator(), _EigenRecord)
+    for tbar in (0.05, 1.0):
+        got, want = time_limited_gramians(sys, tbar), time_limited_gramians(std, tbar)
+        for x, y in ((got.P, want.P), (got.Q, want.Q)):
+            assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
 
 def decoupled_tridiagonal(n=60):
