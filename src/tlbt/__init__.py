@@ -14,7 +14,6 @@ from .bounds import (
     BoundReport,
     bt_h2_bound_infinite,
     bt_hinf_bound,
-    hinf_error_sampled,
     tlbt_h2_bound,
     tlbt_h2_bound_alt,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "bt_hinf_bound",
     "expm",
     "generate_heat_model",
-    "hinf_error_sampled",
     "infinite_gramians",
     "input_l2_norm",
     "load_system",

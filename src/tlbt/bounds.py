@@ -59,8 +59,7 @@ reduced model of its own: its A11 gets one Schur form and one expm, and
 Pr and Pm are solved again on them. The terms, their sum and
 Frobenius certificates of the remainder come from one evaluation. Classical
 unrestricted bounds (the 2-sum Hankel bound and the infinite-horizon
-leading trace) and a sampled frequency-response error are included for
-comparison.
+leading trace) are included for comparison.
 """
 from __future__ import annotations
 
@@ -88,7 +87,6 @@ __all__ = [
     "tlbt_h2_bound_alt",
     "bt_hinf_bound",
     "bt_h2_bound_infinite",
-    "hinf_error_sampled",
 ]
 
 # negative radicands larger than this (relative to the leading trace) are
@@ -191,8 +189,9 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     rom : ReducedModel
         Reduction of ``sys`` (any projection with conforming dimensions).
     p_tbar : (n, n) array_like
-        Time-limited reachability Gramian of ``sys`` on [0, tbar], read
-        for the trace tr(C P C^T) only.
+        Time-limited reachability Gramian of ``sys`` on the same
+        [0, tbar], read for the trace tr(C P C^T) only. A Gramian of
+        another horizon is not detected: it changes term_cpc alone.
     tbar : float
 
     Returns
@@ -205,10 +204,12 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
         raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
     if rom.r > sys.n:
         raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
+    p = as_matrix(p_tbar, "P")
+    if p.shape != (sys.n, sys.n):
+        raise DimensionError(f"P must have shape {(sys.n, sys.n)} to match the system, got {p.shape}")
     op = sys._operator()
     s11 = _schur_form(a11)
     _check_hypotheses(op, s11)
-    p = as_matrix(p_tbar, "P")
     term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
     levels = _mesh_levels(tbar, max(op.norm2, s11.norm2))
     phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
@@ -216,7 +217,7 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     pm = _mixed_gramian(sys, s11, b1, fr, tbar)
     pr = _reduced_gramian(s11, b1, fr)
     return BoundReport(
-        epsilon=_kernel_epsilon(op, b1, c1, base, tbar, levels),
+        epsilon=_kernel_epsilon(sys, b1, c1, base, tbar, levels),
         term_cpc=term_cpc,
         term_cprc=float(np.sum((c1 @ pr) * c1)),
         term_cpmc=float(np.sum((sys.C @ pm) * c1)),
@@ -225,19 +226,19 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     )
 
 
-def _kernel_epsilon(op, b1, c1, base, tbar: float, levels: int) -> float:
-    """eps = sqrt(I_64 + |I_64 - I_32|) + R on the record's memoized samples of
-    the full model and the stepped samples of the reduced one
+def _kernel_epsilon(sys, b1, c1, base, tbar: float, levels: int) -> float:
+    """eps = sqrt(I_64 + |I_64 - I_32|) + R on the operator record's memoized
+    samples of the full model and the stepped samples of the reduced one
     (``base`` from ``_mesh_exponentials`` of A11). The samples carry
     the square roots of their quadrature weights, so each weighted sum
     of squares is a dot product."""
     unit = float(np.finfo(float).eps) / 2.0
-    roots, full, full_coarse, full_envelope = op.kernel_samples(tbar, levels)
+    roots, full, full_coarse, full_envelope = sys._operator().kernel_samples(tbar, levels)
     red, red_coarse, red_energy = _mesh_samples(base, b1, c1, levels, roots)
     red -= full
     red_coarse -= full_coarse
     fine, coarse = (float(np.vdot(d, d)) for d in (red, red_coarse))
-    rounding = ((op.c.shape[1] + 2) * unit * full_envelope
+    rounding = ((sys.n + 2) * unit * full_envelope
                 + (b1.shape[0] + 2) * unit * float(np.linalg.norm(c1)) * math.sqrt(red_energy))
     return math.sqrt(fine + abs(fine - coarse)) + rounding
 
@@ -375,22 +376,3 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int) -> float:
         raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
     return _leading_trace(_balanced_coordinates(sys, gramians, r, math.inf))
 
-
-def hinf_error_sampled(sys, rom: ReducedModel, frequencies) -> float:
-    """Largest transfer-function error sigma_max(H(i w) - Hr(i w)) over a
-    frequency sample."""
-    freqs = np.asarray(frequencies, dtype=float).ravel()
-    if freqs.size == 0:
-        raise ValueError("frequency sample is empty")
-    op = sys._operator()
-    eye_n, eye_r = np.eye(sys.n), np.eye(rom.r)
-    worst = 0.0
-    for w in freqs:
-        try:
-            h_full = sys.C @ np.linalg.solve(1j * w * eye_n - op.a, op.b)
-            h_rom = rom.C1 @ np.linalg.solve(1j * w * eye_r - rom.A11, rom.B1)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"shifted pencil is singular at frequency w = {w:g}") from exc
-        err = np.linalg.norm(h_full - h_rom, 2)
-        worst = max(worst, float(err))
-    return worst

@@ -327,7 +327,7 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
         return rows
 
     keys = [("BT", None)] + [("TLBT", t) for t in horizons]
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         balances = dict(zip(keys, pool.map(lambda key: _attempt(balanced, key), keys)))
         fulls = dict(zip(horizons, pool.map(lambda t: _attempt(simulate, system, u, t, step(t)), horizons)))
         norms = {t: _attempt(input_l2_norm, u, t, step(t)) for t in horizons}
@@ -340,6 +340,8 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values, jobs: int = 1) -> list[s
         raise ValueError(f"axis must be one of r, tbar, tau; got {axis!r}")
     if not values:
         raise ValueError("sweep values must be nonempty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if axis == "tbar":
         cfg.require_order_control()
     elif cfg.tbar is None:

@@ -2,14 +2,14 @@
 
 A configuration names the model source, the horizon and grid, exactly one
 reduction control (a target order r or a tail tolerance tau), the input
-signal, and where artifacts go. It round-trips losslessly through JSON,
-so a saved config reproduces a run bit for bit.
+signal, and where artifacts go. ``tlbt --config file.json`` reads one
+from a JSON object keyed by the field names, with the command-line flags
+merged over it, through :meth:`ExperimentConfig.from_dict`.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 
 __all__ = ["ExperimentConfig"]
@@ -72,12 +72,6 @@ class ExperimentConfig:
         if (self.r is None) == (self.tau is None):
             raise ValueError("exactly one of r and tau is required")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
@@ -85,10 +79,3 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("config JSON must be an object")
-        return cls.from_dict(data)

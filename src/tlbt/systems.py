@@ -10,11 +10,13 @@ A symmetric-definite model (A exactly symmetric, E absent or exactly
 symmetric and positive definite: the generated heat models and
 finite-element rods with a consistent mass matrix) gets one generalized
 symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, done
-in O(n^2) by MRRR (LAPACK dstemr) when E is absent and A tridiagonal;
-every other model the real Schur form of A_std. Both records answer the
-same calls (Gramians, propagators, mixed Gramian, projection, kernel
-samples) and build each per-horizon entry once under a lock, so systems
-can still be shared freely across threads.
+in O(n^2) by MRRR (LAPACK dstemr) when E is absent and A tridiagonal,
+and works from lambda, X, X^T B and C X alone; every other model gets
+the real Schur form of A_std, and only that record forms A_std and
+B_std = E^-1 B (by one solve with E). Both records answer the same calls
+(Gramians, propagators, mixed Gramian, projection, kernel samples) and
+build each per-horizon entry once under a lock, so systems can still be
+shared freely across threads.
 """
 from __future__ import annotations
 
@@ -54,6 +56,8 @@ __all__ = [
 
 # E is accepted as nonsingular when its condition estimate stays below 1/_E_COND_TOL
 _E_COND_TOL = 1e-12
+
+_INPUT_KINDS = ("constant", "star", "zero", "table")
 
 # guards building the operator records and their horizon entries
 _RECORD_LOCK = threading.Lock()
@@ -151,8 +155,8 @@ def _factored(sys: StateSpaceSystem) -> "_Record":
 class _Record(_Spectrum):
     """Standard-form operator of one system, factored once; both records answer:
 
-    - ``eigvals``, ``norm2`` and ``separation`` of A_std, ``label`` (its
-      name in messages), ``a`` = A_std, ``b`` = B_std = E^-1 B, ``c`` = C;
+    - ``eigvals``, ``norm2`` and ``separation`` of A_std, and ``label``
+      (its name in messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
       that A_std is Hurwitz), each as a pair (basis, core) with
@@ -166,7 +170,6 @@ class _Record(_Spectrum):
     """
 
     def __init__(self, sys: StateSpaceSystem):
-        self.c = sys.C
         self.label = "A" if sys.E is None else "E^-1 A"
         self._memos: dict = {}
 
@@ -203,15 +206,6 @@ class _EigenRecord(_Record):
         self.norm2 = float(np.max(np.abs(lam)))
         self.xb = _readonly(x.T @ sys.B)
         self.cx = _readonly(sys.C @ x)
-        self.b = sys.B if sys.E is None else _readonly(x @ self.xb)
-        if sys.E is None:
-            self._memos["a"] = sys.A
-
-    @property
-    def a(self) -> np.ndarray:
-        """A_std; with a mass matrix it is formed on first use as
-        X diag(lambda) Y^T."""
-        return _memo(self._memos, "a", lambda: _readonly((self.x * self.eigvals) @ self.y.T))
 
     def _propagators(self, tbar: float):
         decay = _exp_finite(self.eigvals * tbar)
@@ -255,7 +249,7 @@ class _EigenRecord(_Record):
 
     def _kernel_samples(self, tbar: float, levels: int) -> tuple:
         (times, root), (times_c, root_c) = (_mesh_nodes(tbar, levels, coarse) for coarse in (False, True))
-        n, (p, m) = self.eigvals.size, (self.c.shape[0], self.b.shape[1])
+        n, (p, m) = self.eigvals.size, (self.cx.shape[0], self.xb.shape[1])
         # K(s) = sum_k (C X)_k e^(lambda_k s) (X^T B)_k, one row of p m entries per k
         signed = (self.cx.T[:, :, None] * self.xb[:, None, :]).reshape(n, p * m)
         absolute = (np.abs(self.cx).T[:, :, None] * np.abs(self.xb)[:, None, :]).reshape(n, p * m)
@@ -279,15 +273,16 @@ class _EigenRecord(_Record):
 
 
 class _SchurRecord(_Record):
-    """Real Schur form ``schur`` of A_std, for every other model."""
+    """Real Schur form ``schur`` of A_std, for every other model, kept
+    with ``a`` = A_std, ``b`` = B_std and ``c`` = C."""
 
     def __init__(self, sys: StateSpaceSystem):
         super().__init__(sys)
-        if sys.E is None:
-            self.a, self.b = sys.A, sys.B
-        else:
-            self.a = _readonly(np.linalg.solve(sys.E, sys.A))
-            self.b = _readonly(np.linalg.solve(sys.E, sys.B))
+        self.a, self.b, self.c = sys.A, sys.B, sys.C
+        if sys.E is not None:
+            # one LU of E for both
+            ab = np.linalg.solve(sys.E, np.hstack([sys.A, sys.B]))
+            self.a, self.b = _readonly(ab[:, :sys.n]), _readonly(ab[:, sys.n:])
         self.schur = _schur_form(self.a)
         self.eigvals, self.norm2 = self.schur.eigvals, self.schur.norm2
 
@@ -405,12 +400,41 @@ class InputSignal:
     values: np.ndarray | None = None
     times: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind not in _INPUT_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(_INPUT_KINDS)}, got {self.kind!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
+            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        if self.kind == "star" and self.m != 7:
+            raise ValueError(f"m must be 7 for the star signal, got {self.m}")
+        # values is (rows, m), one row for a constant; times is (1, rows), for a table only
+        for name, kinds in (("values", ("constant", "table")), ("times", ("table",))):
+            arr = getattr(self, name)
+            if (arr is None) == (self.kind in kinds):
+                raise ValueError(f"{name} must be {'given' if arr is None else 'absent'} for a {self.kind} signal")
+            if arr is not None:
+                arr = _readonly(arr)
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"{name} contains non-finite entries")
+                object.__setattr__(self, name, arr)
+        v, t = self.values, self.times
+        if self.kind == "constant" and v.shape != (1, self.m):
+            raise ValueError(f"values must have shape {(1, self.m)} for a constant signal, got {v.shape}")
+        if self.kind == "table":
+            if t.ndim != 2 or t.shape[0] != 1 or t.size < 1:
+                raise ValueError(f"times must have shape (1, k) with k >= 1, got {t.shape}")
+            if v.shape != (t.size, self.m):
+                raise ValueError(f"values must have one row of values per timestamp and {self.m} columns, "
+                                 f"got shape {v.shape} for {t.size} timestamps")
+            if np.any(np.diff(t[0]) <= 0):
+                raise ValueError("times must be strictly increasing")
+            if t[0, 0] < 0:
+                raise ValueError(f"times must be nonnegative, first is {t[0, 0]}")
+
     @classmethod
     def constant(cls, values) -> "InputSignal":
-        v = np.atleast_1d(np.asarray(values, dtype=float)).ravel()
-        if v.size < 1 or not np.all(np.isfinite(v)):
-            raise ValueError("constant input needs a finite, nonempty vector")
-        return cls(kind="constant", m=v.size, values=_readonly(v[None, :]))
+        v = np.asarray(values, dtype=float).ravel()
+        return cls(kind="constant", m=v.size, values=v[None, :])
 
     @classmethod
     def star(cls) -> "InputSignal":
@@ -418,25 +442,14 @@ class InputSignal:
 
     @classmethod
     def zero(cls, m: int) -> "InputSignal":
-        if m < 1:
-            raise ValueError(f"m must be positive, got {m}")
         return cls(kind="zero", m=m)
 
     @classmethod
     def from_table(cls, times, values) -> "InputSignal":
-        t = np.asarray(times, dtype=float).ravel()
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if t.size < 1 or v.shape[0] != t.size:
-            raise ValueError(f"table needs one row of values per timestamp, got {v.shape[0]} rows for {t.size} timestamps")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("table contains non-finite entries")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("table timestamps must be strictly increasing")
-        if t[0] < 0:
-            raise ValueError(f"table timestamps must be nonnegative, first is {t[0]}")
-        return cls(kind="table", m=v.shape[1], values=_readonly(v), times=_readonly(t[None, :]))
+        return cls(kind="table", m=v.shape[1], values=v, times=np.asarray(times, dtype=float).reshape(1, -1))
 
     def sample(self, times) -> np.ndarray:
         """Evaluate on a 1-D grid of times t >= 0; row k of the

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import HealthCheck, settings
 from numpy.polynomial.legendre import leggauss
 
+from oracles import standard_form
 from tlbt.systems import StateSpaceSystem
 
 settings.register_profile(
@@ -41,10 +42,7 @@ def error_integral_oracle(sys, rom, tbar, panels=128):
     expm. The kernel is formed at each node before it is
     squared: summing the Gramian first and taking tr(C P C^T) afterwards
     leaves only rounding noise once the reduced model is accurate."""
-    if sys.E is None:
-        a, b = sys.A, sys.B
-    else:
-        a, b = np.linalg.solve(sys.E, sys.A), np.linalg.solve(sys.E, sys.B)
+    a, b = standard_form(sys)
     n, r = sys.n, rom.r
     a_aug = np.block([[a, np.zeros((n, r))], [np.zeros((r, n)), rom.A11]])
     b_aug = np.vstack([b, rom.B1])

@@ -125,10 +125,17 @@ def cross_gramian_quadrature(a1, b1, a2, b2, tbar: float, panels: int = 64) -> n
     return out
 
 
+def standard_form(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
+    """(E^-1 A, E^-1 B) by dense solves with E, or (A, B) without E."""
+    if sys.E is None:
+        return sys.A, sys.B
+    return np.linalg.solve(sys.E, sys.A), np.linalg.solve(sys.E, sys.B)
+
+
 def gramian_quadrature_oracle(sys: StateSpaceSystem, tbar: float, panels: int = 64) -> np.ndarray:
     """Reachability Gramian of the standard form over [0, tbar] by direct quadrature."""
-    op = sys._operator()
-    return cross_gramian_quadrature(op.a, op.b, op.a, op.b, tbar, panels)
+    a, b = standard_form(sys)
+    return cross_gramian_quadrature(a, b, a, b, tbar, panels)
 
 
 def reduced_gramian(rom, tbar: float) -> np.ndarray:
@@ -157,6 +164,28 @@ def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
     s11 = _schur_form(a11)
     _require_separated(sys._operator(), s11, "solve_sylvester")
     return _mixed_gramian(sys, s11, b1, fr, tbar)
+
+
+# frequency response
+
+def hinf_error_sampled(sys: StateSpaceSystem, rom, frequencies) -> float:
+    """Largest transfer-function error sigma_max(H(i w) - Hr(i w)) over a
+    frequency sample, by a dense solve on the explicit standard form per
+    frequency. It samples the error and certifies nothing."""
+    freqs = np.asarray(frequencies, dtype=float).ravel()
+    if freqs.size == 0:
+        raise ValueError("frequency sample is empty")
+    a, b = standard_form(sys)
+    eye_n, eye_r = np.eye(sys.n), np.eye(rom.r)
+    worst = 0.0
+    for w in freqs:
+        try:
+            h_full = sys.C @ np.linalg.solve(1j * w * eye_n - a, b)
+            h_rom = rom.C1 @ np.linalg.solve(1j * w * eye_r - rom.A11, rom.B1)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"shifted pencil is singular at frequency w = {w:g}") from exc
+        worst = max(worst, float(np.linalg.norm(h_full - h_rom, 2)))
+    return worst
 
 
 # state coordinates

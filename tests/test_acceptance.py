@@ -17,6 +17,7 @@ from conftest import rand_stable
 from oracles import (
     apply_state_transform,
     cross_gramian_quadrature,
+    hinf_error_sampled,
     random_piecewise_constant,
     solve_sylvester,
 )
@@ -24,7 +25,6 @@ from tlbt.balancing import balance, select_order, truncate
 from tlbt.bounds import (
     bt_h2_bound_infinite,
     bt_hinf_bound,
-    hinf_error_sampled,
     tlbt_h2_bound,
     tlbt_h2_bound_alt,
 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rand_spd
-from oracles import apply_state_transform
+from oracles import apply_state_transform, hinf_error_sampled
 from tlbt.errors import DimensionError
 from tlbt.balancing import (
     ReducedModel,
@@ -13,7 +13,7 @@ from tlbt.balancing import (
     select_order,
     truncate,
 )
-from tlbt.bounds import hinf_error_sampled, tlbt_h2_bound, tlbt_h2_bound_alt
+from tlbt.bounds import tlbt_h2_bound, tlbt_h2_bound_alt
 from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
 from tlbt.systems import StateSpaceSystem, generate_heat_model
 

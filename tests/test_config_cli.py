@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -33,7 +34,7 @@ def read_sweep(path):
 class TestExperimentConfig:
     def test_json_round_trip(self):
         cfg = ExperimentConfig(model="gen:10,2,2", tbar=0.5, dt=0.01, r=3, out="results")
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
     def test_defaults(self):
@@ -73,7 +74,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="r must be a positive integer, got True"):
             ExperimentConfig(model="gen:5,1,1", r=True)
         with pytest.raises(ValueError, match="r must be a positive integer, got True"):
-            ExperimentConfig.from_json('{"model": "gen:5,1,1", "r": true}')
+            ExperimentConfig.from_dict(json.loads('{"model": "gen:5,1,1", "r": true}'))
         for name in ("tbar", "dt", "tend", "tau"):
             with pytest.raises(ValueError, match=f"{name} must be positive and finite, got True"):
                 ExperimentConfig(model="gen:5,1,1", **{name: True})
@@ -417,6 +418,13 @@ class TestSweep:
         # the failed horizon's shared work fails both of its rows
         assert rows[4]["status"].startswith("error: ValueError: dt must be positive")
         assert rows[5]["status"].startswith("error: ValueError: tbar must be positive")
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_exits_2(self, tmp_path, capsys, jobs):
+        assert run_cli("sweep", "--model", "gen:8,8,8", "--tbar", 0.4, "--axis", "r",
+                       "--values", "2", "--jobs", jobs, "--out", tmp_path) == 2
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_tbar_axis_requires_order_control(self, tmp_path, capsys):
         assert run_cli("sweep", "--model", "gen:8,8,8", "--axis", "tbar",

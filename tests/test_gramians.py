@@ -13,6 +13,7 @@ from oracles import (
     mixed_gramian,
     reduced_gramian,
     solve_lyapunov,
+    standard_form,
 )
 import tlbt.linalg
 from tlbt.balancing import ReducedModel, balance, truncate
@@ -351,11 +352,7 @@ def test_threads_reading_one_set_share_one_dense_gramian():
 def lyapunov_reference(sys, tbar):
     """The Gramians at tbar and at inf from the public Lyapunov solver on
     the explicit standard form."""
-    if sys.E is None:
-        a, b = sys.A, sys.B
-    else:
-        a, b = np.linalg.solve(sys.E, sys.A), np.linalg.solve(sys.E, sys.B)
-    c = sys.C
+    (a, b), c = standard_form(sys), sys.C
     phi = tlbt.linalg.expm(a, tbar)
     f, g = phi @ b, c @ phi
     want_tl = GramianSet(P=solve_lyapunov(a, f @ f.T - b @ b.T),

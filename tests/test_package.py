@@ -30,7 +30,6 @@ PIPELINE = [
     "bt_hinf_bound",
     "expm",
     "generate_heat_model",
-    "hinf_error_sampled",
     "infinite_gramians",
     "input_l2_norm",
     "load_system",
@@ -75,6 +74,7 @@ ORACLES = {
     "cross_gramian_quadrature": "gramians",
     "full_balancing_transform": "balancing",
     "gramian_quadrature_oracle": "gramians",
+    "hinf_error_sampled": "bounds",
     "mixed_gramian": "gramians",
     "random_piecewise_constant": "systems",
     "reduced_gramian": "gramians",

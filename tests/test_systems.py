@@ -234,6 +234,30 @@ class TestInputSignal:
         with pytest.raises(ValueError, match="one row of values per timestamp"):
             InputSignal.from_table([0.0, 1.0], [[1.0]])
 
+    @pytest.mark.parametrize("fields, match", [
+        (dict(kind="bogus", m=3), "kind must be one of constant, star, zero, table, got 'bogus'"),
+        (dict(kind="constant", m=2), "values must be given for a constant signal"),
+        (dict(kind="zero", m=0), "m must be a positive integer, got 0"),
+        (dict(kind="zero", m=True), "m must be a positive integer, got True"),
+        (dict(kind="zero", m=2.0), "m must be a positive integer, got 2.0"),
+        (dict(kind="star", m=3), "m must be 7 for the star signal, got 3"),
+        (dict(kind="zero", m=1, values=[[1.0]]), "values must be absent for a zero signal"),
+        (dict(kind="constant", m=1, values=[[1.0]], times=[[0.0]]), "times must be absent for a constant signal"),
+        (dict(kind="table", m=1, values=[[1.0]]), "times must be given for a table signal"),
+        (dict(kind="constant", m=2, values=[1.0, 2.0]), r"values must have shape \(1, 2\)"),
+        (dict(kind="constant", m=1, values=[[math.inf]]), "values contains non-finite entries"),
+        (dict(kind="table", m=1, values=[[1.0]], times=[0.0]), r"times must have shape \(1, k\)"),
+        (dict(kind="table", m=2, values=[[1.0]], times=[[0.0]]), "one row of values per timestamp and 2 columns"),
+        (dict(kind="table", m=1, values=[[1.0]], times=[[-1.0]]), "times must be nonnegative"),
+    ])
+    def test_fields_are_validated(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            InputSignal(**fields)
+
+    def test_empty_constant_rejected(self):
+        with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+            InputSignal.constant([])
+
 
 def star_reference(t):
     return [math.sin(4.0 * t * math.pi / 100.0), math.cos(t * math.pi / 100.0), 3.0,
@@ -441,8 +465,10 @@ def test_only_the_operator_record_knows_how_a_is_factored(module):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             name = node.attr
-            # the old record's factorization, and the records' own factors
-            assert name not in {"form", "schur", "xb", "cx"}, f"{module.__name__}:{node.lineno} reads .{name}"
+            # the old record's factorization, the records' own factors, and
+            # the Schur record's standard form
+            assert name not in {"form", "schur", "xb", "cx", "a", "b", "c"}, \
+                f"{module.__name__}:{node.lineno} reads .{name}"
         elif isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.alias):
