@@ -23,11 +23,16 @@ real Schur form of A for every other one. This module checks the
 arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
-The record hands each Gramian over as a basis X and a core C with
-P = X C X^T; one eigendecomposition of C rejects significant negative
-eigenvalues and yields the rank-revealing factor. With a mass matrix
-the eigenbasis is E-orthonormal, so the PSD check and the 1e-12 cutoff
-apply in the E inner product. Dense P and Q are formed only when read.
+The record hands each Gramian over factored, as a basis X and a root R
+with P = (X R)(X R)^T. The eigen record builds a finite horizon's R by
+pivoted Cholesky from the closed-form columns of the core C with
+P = X C X^T, stopping once the remaining diagonal sums to 1e-12 of C's
+largest diagonal entry; its unrestricted pair, the Schur record and a
+hand-built set take R from one eigendecomposition of C, cut at
+eigenvalues of 1e-12 ||C||_2. Either way a core that is not
+numerically PSD is refused. With a mass matrix the eigenbasis is
+E-orthonormal, so the PSD check and the cutoffs apply in the E inner
+product. Dense P and Q are formed only when read.
 
 The independent Gauss-Legendre quadrature of the defining integrals
 that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
@@ -52,16 +57,21 @@ class GramianSet:
     """A reachability/observability Gramian pair for one horizon, in
     standard form; ``horizon`` is math.inf for the unrestricted pair.
 
-    Each Gramian is held as P = X C X^T: the operator record's basis X
-    and symmetric core C, or X = I for a hand-built ``GramianSet(P=, Q=,
-    horizon=)``. One eigendecomposition per core checks that C is
-    numerically PSD (no eigenvalue below -1e-10 ||C||_2) and sets
-    ``lowrank_P``/``lowrank_Q`` to rank-revealing factors X Z with
-    C ~= Z Z^T (eigenvalue cutoff 1e-12 ||C||_2). C has P's spectrum for
-    an orthogonal X, and P E's for the E-orthonormal eigenbasis of a
-    model with mass matrix E. Dense ``P`` and ``Q``, with C's negligible
-    negative eigenvalues zeroed, are formed on first read, which
-    releases the square root of C kept for them. The set is frozen.
+    Each Gramian is held as P = X C X^T with C = R R^T: the operator
+    record's basis X and the root R it factored the core C into, or
+    X = I for a hand-built ``GramianSet(P=, Q=, horizon=)``.
+    ``lowrank_P``/``lowrank_Q`` are the rank-revealing factors X Z, Z the
+    leading columns of R. A finite horizon's pair on the eigenbasis of a
+    symmetric-definite model comes from pivoted Cholesky, and R = Z
+    (tr(C - Z Z^T) <= 1e-12 max C_ii). Every other pair, and a
+    hand-built one, takes R from one eigendecomposition per core, which
+    checks that C is numerically PSD (no eigenvalue below
+    -1e-10 ||C||_2); R spans C's positive eigenvalues and Z its
+    eigenvalues above 1e-12 ||C||_2. C has P's spectrum for an
+    orthogonal X, and P E's for the E-orthonormal eigenbasis of a model
+    with mass matrix E. Dense ``P`` and ``Q`` = (X R)(X R)^T are formed
+    on first read, which releases the R kept for them. The set is
+    frozen.
     """
 
     horizon: float
@@ -69,19 +79,19 @@ class GramianSet:
     lowrank_Q: np.ndarray = field(repr=False)
 
     def __init__(self, P, Q, horizon: float):
-        self._factor(horizon, P=(None, P), Q=(None, Q))
+        self._factor(horizon, P=(None, *_psd_factor(_symmetric(P, "P"), "P")),
+                     Q=(None, *_psd_factor(_symmetric(Q, "Q"), "Q")))
 
     @classmethod
     def _of(cls, horizon: float, p: tuple, q: tuple) -> "GramianSet":
-        """The set of an operator record's pairs (X, C) for P and Q."""
+        """The set of an operator record's factors (X, R, k) of P and Q."""
         gset = cls.__new__(cls)
         gset._factor(horizon, P=p, Q=q)
         return gset
 
-    def _factor(self, horizon: float, **pairs) -> None:
+    def _factor(self, horizon: float, **factors) -> None:
         held = {}
-        for name, (basis, core) in pairs.items():
-            root, k = _psd_factor(_symmetric(core, name), name)
+        for name, (basis, root, k) in factors.items():
             object.__setattr__(self, "lowrank_" + name, root[:, :k] if basis is None else basis @ root[:, :k])
             held[name] = (basis, root)
         n_p, n_q = self.lowrank_P.shape[0], self.lowrank_Q.shape[0]

@@ -1,10 +1,12 @@
 """Dense linear-algebra kernels used throughout the toolkit.
 
-Provides the matrix exponential, Sylvester/Lyapunov solvers, a
-rank-revealing factorization of symmetric positive semidefinite matrices,
-a spectrum-separation check that guards the solvers' uniqueness
-condition, and samples of an impulse response C e^(A s) B on a graded
-Gauss-Legendre mesh. Only ``as_matrix`` and ``expm`` are public.
+Provides the matrix exponential, Sylvester/Lyapunov solvers, two
+rank-revealing factorizations of symmetric positive semidefinite
+matrices (one eigendecomposition of a dense matrix, or pivoted Cholesky
+of one given by its diagonal and columns), a spectrum-separation check
+that guards the solvers' uniqueness condition, and samples of an
+impulse response C e^(A s) B on a graded Gauss-Legendre mesh. Only
+``as_matrix`` and ``expm`` are public.
 
 The kernels take factored matrices but do not choose a factorization: a
 system's operator is factored once, and how, by its operator record in
@@ -293,6 +295,48 @@ def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
     pos = evals > 0.0
     root = evecs[:, pos][:, ::-1] * np.sqrt(evals[pos][::-1])
     return root, int(np.count_nonzero(evals > tol * norm2))
+
+
+def _pivoted_cholesky(diag: np.ndarray, column, label: str) -> np.ndarray:
+    """Greedy pivoted Cholesky factor L (n x k) of a symmetric C given by
+    its diagonal ``diag`` and ``column(j)`` = C[:, j], with C ~= L L^T
+    (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 2012).
+
+    Each step pivots on the largest entry of the Schur complement's
+    diagonal, which is updated by subtraction; it stops once that
+    diagonal sums to at most 1e-12 max(diag). The complement is then
+    PSD up to rounding, so ||C - L L^T||_2 <= 1e-12 ||C||_2, the bound
+    of ``_psd_factor``'s cutoff. The work is k calls of ``column`` and
+    O(n k^2); no n x n matrix is formed.
+
+    Raises NotPsdError when a diagonal entry falls below
+    -1e-10 max(diag).
+    """
+    tol, neg_tol = 1e-12, 1e-10
+    d = np.array(diag, dtype=float)
+    n = d.size
+    scale = float(np.max(d))
+    # row k holds column k of L
+    rows = np.empty((min(n, 64), n))
+    k = 0
+    while True:
+        if np.min(d) < -neg_tol * scale:
+            raise NotPsdError(
+                f"{label} has a pivoted Cholesky remainder {np.min(d):.6e} on its diagonal, below "
+                f"-{neg_tol:g} times its largest diagonal entry; the matrix is not numerically PSD"
+            )
+        if k == n or d.sum() <= tol * scale:
+            return rows[:k].T
+        j = int(np.argmax(d))
+        if k == rows.shape[0]:
+            rows = np.vstack((rows, np.empty((min(n, 2 * k) - k, n))))
+        row = rows[k]
+        row[:] = column(j)
+        row -= rows[:k, j] @ rows[:k]
+        row /= math.sqrt(d[j])
+        d -= row * row
+        d[j] = 0.0
+        k += 1
 
 
 def _exp_finite(x: np.ndarray) -> np.ndarray:

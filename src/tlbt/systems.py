@@ -11,7 +11,9 @@ symmetric and positive definite: the generated heat models and
 finite-element rods with a consistent mass matrix) gets one generalized
 symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, done
 in O(n^2) by MRRR (LAPACK dstemr) when E is absent and A tridiagonal,
-and works from lambda, X, X^T B and C X alone; every other model gets
+and works from lambda, X, X^T B and C X alone (a finite horizon's
+Gramians are factored by pivoted Cholesky from the closed-form columns
+of their cores, with no n x n core formed); every other model gets
 the real Schur form of A_std, and only that record forms A_std and
 B_std = E^-1 B (by one solve with E). Both records answer the same calls
 (Gramians, propagators, mixed Gramian, projection, kernel samples) and
@@ -36,6 +38,8 @@ from .linalg import (
     _mesh_exponentials,
     _mesh_nodes,
     _mesh_samples,
+    _pivoted_cholesky,
+    _psd_factor,
     _require_separated,
     _schur_form,
     _SchurForm,
@@ -159,8 +163,11 @@ class _Record(_Spectrum):
       (its name in messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
-      that A_std is Hurwitz), each as a pair (basis, core) with
-      P = basis core basis^T and core symmetric;
+      that A_std is Hurwitz), each factored as a triple (basis, root, k)
+      with P = (basis root)(basis root)^T up to the factorization's
+      rounding and cutoff (``gramians.GramianSet``), and basis
+      root[:, :k] its rank-revealing factor; NotPsdError, naming P or Q,
+      for a core that is not numerically PSD;
     - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
       A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
       of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
@@ -189,6 +196,17 @@ class _Record(_Spectrum):
         return _memo(self._memos, ("kernel", tbar, levels), lambda: self._kernel_samples(tbar, levels))
 
 
+def _expm1_rate(rates: np.ndarray, tbar: float) -> np.ndarray:
+    """int_0^tbar e^(r s) ds = expm1(r tbar) / r for each rate r, tbar
+    where r = 0; overflow gives inf."""
+    phi = rates * tbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.expm1(phi, out=phi)
+        np.divide(phi, rates, out=phi, where=rates != 0.0)
+    phi[rates == 0.0] = tbar
+    return phi
+
+
 class _EigenRecord(_Record):
     """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lambda)
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
@@ -215,25 +233,27 @@ class _EigenRecord(_Record):
         """Closed forms P = X ((X^T B)(X^T B)^T o Phi) X^T and
         Q = Y ((C X)^T (C X) o Phi) Y^T with
         Phi_ij = expm1((l_i + l_j) tbar) / (l_i + l_j) (tbar when
-        l_i + l_j = 0), or -1 / (l_i + l_j) for tbar = inf, as the pairs
-        (X, core) and (Y, core)."""
+        l_i + l_j = 0), or -1 / (l_i + l_j) for tbar = inf. A finite
+        horizon's cores are factored by pivoted Cholesky from their
+        columns, so no n x n core is formed; the unrestricted pair's by
+        one eigendecomposition each."""
         lam = self.eigvals
-        rates = lam[:, None] + lam[None, :]
+        gens = (("P", self.x, self.xb), ("Q", self.y, self.cx.T))
         if math.isfinite(tbar):
-            phi = rates * tbar
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.expm1(phi, out=phi)
-                np.divide(phi, rates, out=phi, where=rates != 0.0)
-            phi[rates == 0.0] = tbar
-            if not np.all(np.isfinite(phi)):
-                raise OverflowError(f"time-limited Gramian overflowed (largest rate {np.max(rates):.3e}, tbar = {tbar:g})")
-        else:
-            phi = -1.0 / rates
-        del rates
-        g = self.xb @ self.xb.T
-        g *= phi
-        phi *= self.cx.T @ self.cx
-        return (self.x, g), (self.y, phi)
+            top = _expm1_rate(2.0 * lam, tbar)
+            if not np.all(np.isfinite(top)):
+                raise OverflowError(f"time-limited Gramian overflowed (largest rate {2.0 * np.max(lam):.3e}, "
+                                    f"tbar = {tbar:g})")
+
+            def factor(name, basis, g):
+                # the core's entries are (g_i . g_j) Phi_ij
+                root = _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
+                                         lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name)
+                return basis, root, root.shape[1]
+
+            return tuple(factor(*gen) for gen in gens)
+        phi = -1.0 / (lam[:, None] + lam[None, :])
+        return tuple((basis, *_psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
@@ -301,7 +321,8 @@ class _SchurRecord(_Record):
         else:
             w_p, w_q = -b @ b.T, -c.T @ c
         _require_separated(self, self, "solve_lyapunov")
-        return tuple((s.z, _lyapunov_core(s, w)) for s, w in ((self.schur, w_p), (self.schur.transposed(), w_q)))
+        return tuple((s.z, *_psd_factor(_lyapunov_core(s, w), name))
+                     for name, s, w in (("P", self.schur, w_p), ("Q", self.schur.transposed(), w_q)))
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         w = -self.b @ b1.T
@@ -378,7 +399,10 @@ def generate_heat_model(n: int, m: int, p: int) -> StateSpaceSystem:
     if not (1 <= p <= n):
         raise ValueError(f"p must be in [1, {n}], got {p}")
     h2 = float((n + 1) ** 2)
-    a = h2 * (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
+    a = np.zeros((n, n))
+    i = np.arange(n)
+    a[i, i] = -2.0 * h2
+    a[i[:-1], i[1:]] = a[i[1:], i[:-1]] = h2
     b = np.eye(n)[:, :m].copy()
     c = np.eye(n)[n - p:, :].copy()
     return StateSpaceSystem(A=a, B=b, C=c, name=f"heat-{n}-{m}-{p}")

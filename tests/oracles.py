@@ -8,11 +8,15 @@ them on every call, then run the package's private kernels (the blocked
 Bartels-Stewart solve, the Schur form, the PSD eigendecomposition), so
 the tests of these wrappers test the code the pipeline runs. Each
 wrapper checks its own arguments and its equation's separation
-condition; the private kernels leave that to their caller.
+condition; the private kernels leave that to their caller. The exact
+Hankel singular values are read from ``hankel_reference.json``, which
+``hankel_reference.py`` writes.
 
 The tests import these names with ``from oracles import ...``.
 """
+import json
 import math
+import os
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -186,6 +190,19 @@ def hinf_error_sampled(sys: StateSpaceSystem, rom, frequencies) -> float:
             raise ValueError(f"shifted pencil is singular at frequency w = {w:g}") from exc
         worst = max(worst, float(np.linalg.norm(h_full - h_rom, 2)))
     return worst
+
+
+# exact reference values
+
+def exact_hankel_values(model: str, horizon: str) -> np.ndarray:
+    """The leading Hankel singular values of a model at a horizon ("0.05"
+    or "inf"), as ``hankel_reference.py`` computed them at 120 digits
+    from the model's closed-form eigenpairs."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "hankel_reference.json"),
+              encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    (case,) = (c for c in cases if c["model"] == model and c["horizon"] == horizon)
+    return np.array([float(v) for v in case["singular_values"]])
 
 
 # state coordinates

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import rand_spd
-from oracles import apply_state_transform, hinf_error_sampled
+from oracles import apply_state_transform, exact_hankel_values, hinf_error_sampled
 from tlbt.errors import DimensionError
 from tlbt.balancing import (
     ReducedModel,
@@ -54,6 +54,17 @@ class TestBalance:
     def test_readme_model_resolves_twenty_singular_values(self):
         sys = generate_heat_model(50, 7, 6)
         assert balance(time_limited_gramians(sys, 0.05), sys).n_hat == 20
+
+    def test_readme_model_values_against_the_exact_ones(self):
+        # the relative errors of sigma_3..9 when each core was factored by
+        # one n x n eigh; the pivoted Cholesky factors must be five times closer
+        by_eigh = np.array([2.07e-10, 8.57e-09, 3.24e-07, 1.06e-05, 2.12e-04, 2.23e-03, 1.48e-02])
+        sys = generate_heat_model(50, 7, 6)
+        exact = exact_hankel_values("gen:50,7,6", "0.05")
+        sigma = balance(time_limited_gramians(sys, 0.05), sys).singular_values[:exact.size]
+        err = np.abs(sigma - exact) / exact
+        assert np.all(err[:2] <= 2e-13)
+        assert np.all(err[2:] <= by_eigh / 5.0)
 
     def test_readme_model_unrestricted_pair_resolves_nineteen(self):
         sys = generate_heat_model(50, 7, 6)

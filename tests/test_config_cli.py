@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import fem_rod
+from oracles import exact_hankel_values
 from tlbt.balancing import balance, select_order, truncate
 from tlbt.cli import main, parse_input, parse_model
 from tlbt.config import ExperimentConfig
-from tlbt.gramians import GramianSet, time_limited_gramians
+from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
 from tlbt.mmio import write_matrix
-from tlbt.systems import _SchurRecord, generate_heat_model, load_system
+from tlbt.systems import generate_heat_model, load_system
 
 
 def run_cli(*argv):
@@ -166,9 +167,8 @@ class TestGenModel:
             assert np.array_equal(x, y)
         sigma = np.loadtxt(tmp_path / "out" / "singular_values.csv", delimiter=",", skiprows=1)[:, 1]
         assert np.array_equal(sigma, bal.singular_values)
-        # the kept Hankel singular values against the Schur record's
-        schur = GramianSet._of(0.05, *_SchurRecord(rod).gramians(0.05))
-        ref = balance(schur, rod).singular_values[:6]
+        # the kept Hankel singular values against the exact ones
+        ref = exact_hankel_values("fem_rod(60,7,6)", "0.05")
         assert np.linalg.norm(sigma[:6] - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_non_ascii_model_name_is_escaped_in_comments(self, tmp_path):
@@ -529,8 +529,8 @@ def test_nonsymmetric_model_factors_a_and_its_transpose(command, tmp_path, monke
     assert exponentiated.count((30, 30)) == (2 if command == "bound" else 1)
 
 
-@pytest.mark.parametrize("command", ["reduce", "bound"])
-def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
+def counted_eighs(monkeypatch):
+    """The shapes of the matrices handed to np.linalg.eigh from now on."""
     eigh = np.linalg.eigh
     shapes = []
 
@@ -539,8 +539,22 @@ def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return shapes
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
+    shapes = counted_eighs(monkeypatch)
     assert run_cli(command, "--model", "gen:80,7,6", "--tbar", 0.05, "--order", 9,
                    "--out", tmp_path) == 0
+    # the eigen record factors a finite horizon's P and Q by pivoted
+    # Cholesky from their closed-form columns
+    assert shapes.count((80, 80)) == 0
+
+
+def test_one_eigh_per_unrestricted_gramian(monkeypatch):
+    shapes = counted_eighs(monkeypatch)
+    infinite_gramians(generate_heat_model(80, 7, 6))
     # P and Q, each checked, clamped and factored from one eigendecomposition
     assert shapes.count((80, 80)) == 2
 

@@ -8,10 +8,13 @@ from hypothesis import given, strategies as st
 
 import tlbt.linalg
 from tlbt import generate_heat_model
+from tlbt.balancing import balance
 from tlbt.errors import DimensionError, NotPsdError, SpectrumSeparationError
-from tlbt.linalg import _trsyl, expm
+from tlbt.gramians import time_limited_gramians
+from tlbt.linalg import _pivoted_cholesky, _trsyl, expm
+from tlbt.systems import StateSpaceSystem
 
-from conftest import rand_spd, rand_stable
+from conftest import fem_rod, rand_spd, rand_stable
 from oracles import solve_lyapunov, solve_sylvester, spd_factor, spectrum_separation
 
 
@@ -143,6 +146,54 @@ def test_spd_factor_approximation_bound(n, seed):
     z = spd_factor(p, tol=tol)
     gap = np.linalg.norm(p - z @ z.T, 2)
     assert gap <= 2 * tol * np.linalg.norm(p, 2) + 1e-15
+
+
+# pivoted Cholesky of the eigen record's time-limited cores
+
+def closed_form_cores(sys, tbar):
+    """The cores (X^T B)(X^T B)^T o Phi and (C X)^T (C X) o Phi of the
+    system's eigen record, formed densely, and the record's factors."""
+    record = sys._operator()
+    lam = record.eigvals
+    rates = lam[:, None] + lam[None, :]
+    phi = np.full_like(rates, tbar)
+    nonzero = rates != 0.0
+    phi[nonzero] = np.expm1(rates[nonzero] * tbar) / rates[nonzero]
+    cores = [g @ g.T * phi for g in (record.xb, record.cx.T)]
+    return cores, [root for _, root, _ in record.gramians(tbar)]
+
+
+def test_pivoted_cholesky_rejects_indefinite():
+    # the first pivot leaves 1 - 2^2 = -3 on the diagonal
+    c = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotPsdError, match="Q has a pivoted Cholesky remainder -3"):
+        _pivoted_cholesky(np.diag(c), lambda j: c[:, j], "Q")
+
+
+def test_pivoted_cholesky_of_a_zero_generator_has_rank_zero():
+    heat = generate_heat_model(10, 2, 2)
+    sys = StateSpaceSystem(A=heat.A, B=np.zeros((10, 2)), C=heat.C)
+    gset = time_limited_gramians(sys, 0.05)
+    assert gset.lowrank_P.shape == (10, 0)
+    with pytest.raises(ValueError, match="degenerate Gramian pair"):
+        balance(gset, sys)
+
+
+def test_pivoted_cholesky_where_rates_cancel():
+    # lambda = 1, -1, -2: l_i + l_j = 0 for the first two, where Phi = tbar
+    rng = np.random.default_rng(7)
+    sys = StateSpaceSystem(A=np.diag([1.0, -1.0, -2.0]), B=rng.standard_normal((3, 2)),
+                           C=rng.standard_normal((2, 3)))
+    for core, root in zip(*closed_form_cores(sys, 0.5)):
+        assert np.linalg.norm(root @ root.T - core) <= 1e-13 * np.linalg.norm(core)
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(50, 7, 6), fem_rod(30, 7, 6)], ids=["gen-50", "fem-30"])
+def test_pivoted_cholesky_stops_on_the_trace(sys):
+    for core, root in zip(*closed_form_cores(sys, 0.05)):
+        remainder = core - root @ root.T
+        assert np.trace(remainder) <= 1e-12 * np.max(np.diag(core))
+        assert np.linalg.norm(remainder, 2) <= 1e-12 * np.linalg.norm(core, 2)
 
 
 # spectrum_separation
