@@ -9,9 +9,11 @@ operator A_std = E^-1 A, the only code that knows how A_std is factored.
 A symmetric-definite model (A exactly symmetric, E absent or exactly
 symmetric and positive definite: the generated heat models and
 finite-element rods with a consistent mass matrix) gets one generalized
-symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, done
-in O(n^2) by MRRR (LAPACK dstemr) when E is absent and A tridiagonal,
-and works from lambda, X, X^T B and C X alone (a finite horizon's
+symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, read
+in closed form from the sine basis when A and E are symmetric
+tridiagonal Toeplitz (every uniform-grid rod) and done by the dense
+generalized ``eigh`` otherwise, and works from lambda, X, X^T B and C X
+alone (a finite horizon's
 Gramians are factored by pivoted Cholesky from the closed-form columns
 of their cores, with no n x n core formed); every other model gets
 the real Schur form of A_std, and only that record forms A_std and
@@ -108,7 +110,8 @@ class StateSpaceSystem:
                 raise DimensionError(f"E must have shape {(n, n)} to match A, got {e.shape}")
             if np.array_equal(e, e.T):
                 # the singular values of a symmetric matrix are |eigenvalues|
-                lam = np.abs(np.linalg.eigvalsh(e))
+                lam = _toeplitz_symbol(e)
+                lam = np.abs(np.linalg.eigvalsh(e) if lam is None else lam)
                 cond = lam.max() / lam.min() if lam.min() > 0.0 else np.inf
             else:
                 cond = np.linalg.cond(e)
@@ -142,18 +145,69 @@ def _memo(store: dict, key, build):
 
 
 def _factored(sys: StateSpaceSystem) -> "_Record":
-    """The eigen record of a symmetric-definite model, by
-    ``eigh_tridiagonal`` for a tridiagonal A without E and by the dense
-    ``eigh`` otherwise; the Schur record of every other one."""
+    """The eigen record of a symmetric-definite model, from the sine
+    basis when A and E are symmetric tridiagonal Toeplitz
+    (``_sine_pairs``) and by the dense generalized ``eigh`` otherwise;
+    the Schur record of every other one."""
     a, e = sys.A, sys.E
     if np.array_equal(a, a.T) and (e is None or np.array_equal(e, e.T)):
         try:
-            if e is None and not np.triu(a, 2).any():
-                return _EigenRecord(sys, *sla.eigh_tridiagonal(np.diag(a), np.diag(a, 1)))
-            return _EigenRecord(sys, *sla.eigh(a, e))
-        except np.linalg.LinAlgError:  # E is not positive definite, or dstemr failed
+            pairs = _sine_pairs(a, e)
+            return _EigenRecord(sys, *(sla.eigh(a, e) if pairs is None else pairs))
+        except np.linalg.LinAlgError:  # E is not positive definite
             pass
     return _SchurRecord(sys)
+
+
+def _toeplitz_symbol(t: np.ndarray) -> np.ndarray | None:
+    """The eigenvalues (d + 2o) - 4o sin^2(k pi / (2n + 2)), k = 1..n, of
+    a symmetric t that is tridiagonal Toeplitz with diagonal d and
+    off-diagonal o, whose k-th eigenvector is sin(i k pi / (n + 1)),
+    i = 1..n; the form has no cancellation where d + 2o vanishes. None
+    for any other symmetric t, and for n = 1."""
+    n = t.shape[0]
+    if n < 2:
+        return None
+    d, o = t[0, 0], t[0, 1]
+    diag, off = np.diagonal(t), np.diagonal(t, 1)
+    if not (np.all(diag == d) and np.all(off == o)
+            and np.count_nonzero(t) == np.count_nonzero(diag) + 2 * np.count_nonzero(off)):
+        return None
+    s = np.sin(np.arange(1, n + 1) * (math.pi / (2 * n + 2))) ** 2
+    return (d + 2.0 * o) - 4.0 * o * s
+
+
+def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lambda, X) of the pencil (A, E), lambda ascending and X^T E X = I,
+    from the symbols alpha of A and eps of E (1 without E):
+    lambda_k = alpha_k / eps_k and x_k(i) = sqrt(2 / (n+1))
+    sin(i k pi / (n+1)) / sqrt(eps_k). None unless A and E are symmetric
+    tridiagonal Toeplitz; LinAlgError when eps is not positive."""
+    alpha = _toeplitz_symbol(a)
+    eps = np.ones(a.shape[0]) if e is None else _toeplitz_symbol(e)
+    if alpha is None or eps is None:
+        return None
+    if not np.all(eps > 0.0):
+        raise np.linalg.LinAlgError("E is not positive definite")
+    lam = alpha / eps
+    order = np.argsort(lam, kind="stable")
+    n, period = a.shape[0], 2 * a.shape[0] + 2
+    # sin(j pi / (n+1)) for j in [0, 2n+2), each from an argument in [0, pi/2]
+    r = np.arange(period) % (n + 1)
+    table = np.sin(np.minimum(r, n + 1 - r) * (math.pi / (n + 1)))
+    table[n + 1:] *= -1.0
+    # i k mod (2n + 2), 32 rows i at a time: numpy divides by a scalar
+    # faster than it takes an integer modulo, and a small int32 block
+    # (while i k fits) is faster than one n x n index and keeps it out of
+    # the peak memory
+    k = (order + 1).astype(np.int32 if n * n < 2**31 else np.int64)
+    x = np.empty((n, n))
+    for lo in range(0, n, 32):
+        index = np.multiply.outer(np.arange(lo + 1, min(lo + 32, n) + 1, dtype=k.dtype), k)
+        index -= index // period * period
+        table.take(index, out=x[lo:lo + 32])
+    x *= math.sqrt(2.0 / (n + 1)) / np.sqrt(eps[order])
+    return lam[order], x
 
 
 class _Record(_Spectrum):
@@ -212,7 +266,8 @@ class _EigenRecord(_Record):
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
     without a mass matrix), kept with ``xb`` = X^T B and ``cx`` = C X.
     The closed forms take X^T E X = I as exact, so they carry the
-    orthogonality error of the eigensolver ``_factored`` chose.
+    orthogonality error of the basis ``_factored`` chose (the sine
+    basis's rounding, or the dense ``eigh``'s).
     ``norm2`` is max |lambda|, the norm of A_std in the E inner product."""
 
     def __init__(self, sys: StateSpaceSystem, lam: np.ndarray, x: np.ndarray):

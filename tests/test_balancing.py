@@ -66,6 +66,15 @@ class TestBalance:
         assert np.all(err[:2] <= 2e-13)
         assert np.all(err[2:] <= by_eigh / 5.0)
 
+    @pytest.mark.parametrize("horizon", ["0.05", "inf"])
+    def test_readme_model_leading_value_to_rounding(self, horizon):
+        # the sine eigenbasis is exact to rounding; MRRR's eigenbasis left
+        # sigma_1 1.1e-13 off at T = 0.05 and 2.5e-13 off at T = inf
+        sys = generate_heat_model(50, 7, 6)
+        gset = infinite_gramians(sys) if horizon == "inf" else time_limited_gramians(sys, float(horizon))
+        exact = exact_hankel_values("gen:50,7,6", horizon)[0]
+        assert abs(balance(gset, sys).singular_values[0] - exact) <= 1e-14 * exact
+
     def test_readme_model_unrestricted_pair_resolves_nineteen(self):
         sys = generate_heat_model(50, 7, 6)
         assert balance(infinite_gramians(sys), sys).n_hat == 19

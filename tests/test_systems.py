@@ -84,6 +84,17 @@ class TestStateSpaceSystem:
         with pytest.raises(ValueError, match=re.escape(f"condition estimate {np.linalg.cond(e):.3e}")):
             StateSpaceSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)), E=e)
 
+    def test_condition_of_a_toeplitz_e_comes_from_its_symbol(self, monkeypatch):
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called on a tridiagonal Toeplitz E")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert fem_rod(30, 7, 6).E is not None
+        # tridiag(1, 1, 1) of order 20: the symbol 1 + 2 cos(14 pi / 21) is 0 to rounding
+        a, b, c = -np.eye(20), np.ones((20, 1)), np.ones((1, 20))
+        with pytest.raises(ValueError, match="singular"):
+            StateSpaceSystem(A=a, B=b, C=c, E=np.eye(20, k=1) + np.eye(20) + np.eye(20, k=-1))
+
 
 class TestLoadSystem:
     def test_scalar_round_trip(self, tmp_path):
@@ -429,23 +440,97 @@ def decoupled_tridiagonal(n=60):
     return StateSpaceSystem(A=a, B=rng.standard_normal((n, 3)), C=rng.standard_normal((2, n)))
 
 
-@pytest.mark.parametrize("sys", [generate_heat_model(80, 7, 6), decoupled_tridiagonal()],
-                         ids=["gen-80", "decoupled-60"])
-def test_tridiagonal_record_answers_like_the_dense_eigh(sys, monkeypatch):
-    # a symmetric tridiagonal A is factored by eigh_tridiagonal alone; the
-    # record built from scipy's dense eigh of the same A must agree
+def scipy_eigh_calls(monkeypatch):
+    """The orders of the matrices handed to scipy.linalg.eigh from now on."""
     import scipy.linalg
 
-    tridiagonal, calls = scipy.linalg.eigh_tridiagonal, []
+    eigh, calls = scipy.linalg.eigh, []
 
-    def counting(d, e, *args, **kwargs):
-        calls.append(d.size)
-        return tridiagonal(d, e, *args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sys, eighs", [(generate_heat_model(80, 7, 6), 0), (decoupled_tridiagonal(), 1)],
+                         ids=["gen-80", "decoupled-60"])
+def test_tridiagonal_record_answers_like_the_dense_eigh(sys, eighs, monkeypatch):
+    # a Toeplitz A is read from the sine basis with no eigh, and a
+    # tridiagonal A that is not Toeplitz takes the dense eigh; either
+    # record must agree with the one built from scipy's dense eigh of A
+    import scipy.linalg
+
+    calls = scipy_eigh_calls(monkeypatch)
+    record = sys._operator()
+    assert isinstance(record, _EigenRecord) and calls == [sys.n] * eighs
+    assert_records_answer_alike(sys, record, _EigenRecord(sys, *scipy.linalg.eigh(sys.A)))
+
+
+def row_sum_rod(n=40):
+    """A = (n+1)^2 tridiag(1, -3, 1): Toeplitz, with the nonzero row sum
+    d + 2o that the heat rods do not have."""
+    rng = np.random.default_rng(3)
+    a = float((n + 1) ** 2) * (np.eye(n, k=1) - 3.0 * np.eye(n) + np.eye(n, k=-1))
+    return StateSpaceSystem(A=a, B=rng.standard_normal((n, 3)), C=rng.standard_normal((2, n)))
+
+
+@pytest.mark.parametrize("sys", [fem_rod(30, 7, 6), row_sum_rod()], ids=["fem-mass-30", "row-sum-40"])
+def test_sine_record_answers_like_the_dense_eigh(sys, monkeypatch):
+    # a Toeplitz pencil is read from the sine basis, scaled by E's symbol
+    import scipy.linalg
+
+    calls = scipy_eigh_calls(monkeypatch)
+    record = sys._operator()
+    assert isinstance(record, _EigenRecord) and calls == []
+    assert_records_answer_alike(sys, record, _EigenRecord(sys, *scipy.linalg.eigh(sys.A, sys.E)))
+
+
+def dense_eigh_models():
+    """Symmetric-definite models with no sine basis: a Toeplitz A with
+    an E that is not Toeplitz, a tridiagonal A that is not Toeplitz, a
+    Toeplitz band with corner entries, and n = 1."""
+    rod, rows = fem_rod(20, 2, 2), row_sum_rod(20)
+    e = rod.E.copy()
+    e[0, 0] *= 0.5
+    neumann = rod.A.copy()
+    neumann[0, 0] *= 0.5
+    periodic = rows.A.copy()
+    periodic[0, -1] = periodic[-1, 0] = rows.A[0, 1]
+    return [StateSpaceSystem(A=rod.A, B=rod.B, C=rod.C, E=e),
+            StateSpaceSystem(A=neumann, B=rod.B, C=rod.C),
+            StateSpaceSystem(A=periodic, B=rows.B, C=rows.C),
+            StateSpaceSystem(A=[[-2.0]], B=[[1.0]], C=[[1.0]], E=[[3.0]])]
+
+
+@pytest.mark.parametrize("sys", dense_eigh_models(), ids=["toeplitz-a-other-e", "neumann-a", "periodic-a", "n-1"])
+def test_other_symmetric_definite_models_take_the_dense_eigh(sys, monkeypatch):
+    calls = scipy_eigh_calls(monkeypatch)
     record = sys._operator()
     assert isinstance(record, _EigenRecord) and calls == [sys.n]
-    assert_records_answer_alike(sys, record, _EigenRecord(sys, *scipy.linalg.eigh(sys.A)))
+
+
+def test_indefinite_toeplitz_mass_matrix_takes_the_schur_record_without_eigh(monkeypatch):
+    # E = tridiag(1, 1, 1) has the symbol 1 + 2 cos(k pi / 22), negative for k >= 15
+    heat = generate_heat_model(21, 2, 2)
+    e = np.eye(21, k=1) + np.eye(21) + np.eye(21, k=-1)
+    calls = scipy_eigh_calls(monkeypatch)
+    assert isinstance(StateSpaceSystem(A=heat.A, B=heat.B, C=heat.C, E=e)._operator(), _SchurRecord)
+    assert calls == []
+
+
+def test_sine_eigenvalues_against_mpmath():
+    # lambda_k = -4 (n+1)^2 sin^2(k pi / (2n + 2)) has no cancellation;
+    # MRRR left the slowest mode 1.6e-11 off relative
+    import mpmath as mp
+
+    n = 800
+    lam = generate_heat_model(n, 7, 6)._operator().eigvals
+    with mp.workdps(40):
+        for got, k in ((lam[0], n), (lam[-1], 1)):
+            exact = -4 * (n + 1) ** 2 * mp.sin(k * mp.pi / (2 * n + 2)) ** 2
+            assert abs(got - exact) <= 1e-15 * abs(exact)
 
 
 def test_tridiagonal_eigenbasis_is_orthonormal():
