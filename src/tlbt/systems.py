@@ -197,13 +197,12 @@ def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.nda
     table = np.sin(np.minimum(r, n + 1 - r) * (math.pi / (n + 1)))
     table[n + 1:] *= -1.0
     # i k mod (2n + 2), 32 rows i at a time: numpy divides by a scalar
-    # faster than it takes an integer modulo, and a small int32 block
-    # (while i k fits) is faster than one n x n index and keeps it out of
-    # the peak memory
-    k = (order + 1).astype(np.int32 if n * n < 2**31 else np.int64)
+    # faster than it takes an integer modulo, and a small block is faster
+    # than one n x n index and keeps it out of the peak memory
+    k = order + 1
     x = np.empty((n, n))
     for lo in range(0, n, 32):
-        index = np.multiply.outer(np.arange(lo + 1, min(lo + 32, n) + 1, dtype=k.dtype), k)
+        index = np.multiply.outer(np.arange(lo + 1, min(lo + 32, n) + 1), k)
         index -= index // period * period
         table.take(index, out=x[lo:lo + 32])
     x *= math.sqrt(2.0 / (n + 1)) / np.sqrt(eps[order])
