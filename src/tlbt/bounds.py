@@ -19,17 +19,28 @@ norm of the forward rounding bound of the computed kernel,
 rho(s) = g_{n+2} |C X| e^(Lambda s) |X^T B| + g_{r+2} |C1| |e^(A11 s) B1|
 with g_k = k u:
 
-    R = g_{n+2} || |C X| e^(Lambda s) |X^T B| ||_L2 + g_{r+2} ||C1||_F ||e^(A11 s) B1||_L2
+    R = g_{n+2} (|| |C X| e^(Lambda s) |X^T B| ||_L2 + D) + D + g_{r+2} ||C1||_F ||e^(A11 s) B1||_L2
 
 (Minkowski, and |C1| |Y| <= ||C1||_F ||Y||_F entrywise; without an
-eigenbasis ||C||_F ||e^(A s) B||_L2 replaces the first norm). R is the
-rounding of the products that form the samples given the computed
-factorizations; the error of the factorizations themselves (eigh's X
-and Lambda, the expm at the finest panel width and its squarings up the
-mesh) is outside it, and is checked by the tests against an independent
-quadrature rather than bounded. The full model's samples are kept per
-horizon on the system; each reduced model adds one batched expm of A11,
-squarings of it and O(r^2 m N) products.
+eigenbasis ||C||_F ||e^(A s) B||_L2 replaces the first norm and D = 0).
+D covers the terms the eigenbasis samples leave out: every term whose
+exponent lambda_k s lies below f = -700 (``linalg._EXP_FLOOR``), on the
+fine and on the coarse mesh alike. On each mesh run those are the
+leading modes whose lambda_k s is below f at the run's first node, and
+so at all of its nodes, plus single entries below f, which become exact
+zeros instead of subnormal numbers. A term left out is at most
+e^f |C X|_k |X^T B|_k entrywise, so at every node of either mesh the
+samples are within e^f sum_k |C X|_k |X^T B|_k of the kernel's, and
+within that of the envelope's; its L2 norm on [0, tbar] is
+D = e^f ||sum_k |C X|_k |X^T B|_k||_F sqrt(tbar). D is about 1e-304
+of the kernel's scale: it keeps eps a proof without changing its value.
+R is the rounding of the products that form the samples given the
+computed factorizations; the error of the factorizations themselves (the
+eigenbasis's X and Lambda, the expm at the finest panel width and its
+squarings up the mesh) is outside it, and is checked by the tests
+against an independent quadrature rather than bounded. The full model's
+samples are kept per horizon on the system; each reduced model adds one
+batched expm of A11, squarings of it and O(r^2 m N) products.
 
 The paper writes the same integral as three Gramian traces,
 
@@ -233,12 +244,12 @@ def _kernel_epsilon(sys, b1, c1, base, tbar: float, levels: int) -> float:
     the square roots of their quadrature weights, so each weighted sum
     of squares is a dot product."""
     unit = float(np.finfo(float).eps) / 2.0
-    roots, full, full_coarse, full_envelope = sys._operator().kernel_samples(tbar, levels)
+    roots, full, full_coarse, full_envelope, dropped = sys._operator().kernel_samples(tbar, levels)
     red, red_coarse, red_energy = _mesh_samples(base, b1, c1, levels, roots)
     red -= full
     red_coarse -= full_coarse
     fine, coarse = (float(np.vdot(d, d)) for d in (red, red_coarse))
-    rounding = ((sys.n + 2) * unit * full_envelope
+    rounding = ((sys.n + 2) * unit * (full_envelope + dropped) + dropped
                 + (b1.shape[0] + 2) * unit * float(np.linalg.norm(c1)) * math.sqrt(red_energy))
     return math.sqrt(fine + abs(fine - coarse)) + rounding
 

@@ -36,6 +36,7 @@ import scipy.linalg as sla
 from . import mmio
 from .errors import DimensionError
 from .linalg import (
+    _EXP_FLOOR,
     _exp_finite,
     _mesh_exponentials,
     _mesh_nodes,
@@ -177,12 +178,13 @@ def _toeplitz_symbol(t: np.ndarray) -> np.ndarray | None:
     return (d + 2.0 * o) - 4.0 * o * s
 
 
-def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lambda, X) of the pencil (A, E), lambda ascending and X^T E X = I,
-    from the symbols alpha of A and eps of E (1 without E):
-    lambda_k = alpha_k / eps_k and x_k(i) = sqrt(2 / (n+1))
-    sin(i k pi / (n+1)) / sqrt(eps_k). None unless A and E are symmetric
-    tridiagonal Toeplitz; LinAlgError when eps is not positive."""
+def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(lambda, X, Y = E X) of the pencil (A, E), lambda ascending and
+    X^T E X = I, from the symbols alpha of A and eps of E (1 without E):
+    lambda_k = alpha_k / eps_k, x_k(i) = sqrt(2 / (n+1))
+    sin(i k pi / (n+1)) / sqrt(eps_k) and y_k = eps_k x_k, since x_k is
+    an eigenvector of E. None unless A and E are symmetric tridiagonal
+    Toeplitz; LinAlgError when eps is not positive."""
     alpha = _toeplitz_symbol(a)
     eps = np.ones(a.shape[0]) if e is None else _toeplitz_symbol(e)
     if alpha is None or eps is None:
@@ -206,7 +208,7 @@ def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.nda
         index -= index // period * period
         table.take(index, out=x[lo:lo + 32])
     x *= math.sqrt(2.0 / (n + 1)) / np.sqrt(eps[order])
-    return lam[order], x
+    return lam[order], x, x if e is None else x * eps[order]
 
 
 class _Record(_Spectrum):
@@ -243,9 +245,14 @@ class _Record(_Spectrum):
         """The square roots of the fine and the coarse quadrature weights
         (``linalg._mesh_nodes``); the impulse response C e^(A_std s) B_std
         at the fine and at the coarse nodes, weighted and laid out as by
-        ``linalg._mesh_samples``; and the L2 norm of its rounding
-        envelope by the fine rule: of |C X| e^(lambda s) |X^T B| on the
-        eigenbasis, ||C||_F ||e^(A_std s) B_std||_F otherwise."""
+        ``linalg._mesh_samples``; the L2 norm of its rounding envelope
+        by the fine rule: of |C X| e^(lambda s) |X^T B| on the
+        eigenbasis, ||C||_F ||e^(A_std s) B_std||_F otherwise; and a
+        bound on the L2 norm of the terms the samples leave out: the
+        eigenbasis drops each term with lambda_k s below
+        ``linalg._EXP_FLOOR`` (on each mesh run the leading modes, which
+        are below it at every node, and single entries of the others),
+        so e^floor ||sum_k |C X|_k |X^T B|_k||_F sqrt(tbar); 0 otherwise."""
         return _memo(self._memos, ("kernel", tbar, levels), lambda: self._kernel_samples(tbar, levels))
 
 
@@ -263,15 +270,17 @@ def _expm1_rate(rates: np.ndarray, tbar: float) -> np.ndarray:
 class _EigenRecord(_Record):
     """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lambda)
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
-    without a mass matrix), kept with ``xb`` = X^T B and ``cx`` = C X.
+    without a mass matrix; formed here unless given), kept with
+    ``xb`` = X^T B and ``cx`` = C X.
     The closed forms take X^T E X = I as exact, so they carry the
     orthogonality error of the basis ``_factored`` chose (the sine
     basis's rounding, or the dense ``eigh``'s).
     ``norm2`` is max |lambda|, the norm of A_std in the E inner product."""
 
-    def __init__(self, sys: StateSpaceSystem, lam: np.ndarray, x: np.ndarray):
+    def __init__(self, sys: StateSpaceSystem, lam: np.ndarray, x: np.ndarray, y: np.ndarray | None = None):
         super().__init__(sys)
-        y = x if sys.E is None else sys.E @ x
+        if y is None:
+            y = x if sys.E is None else sys.E @ x
         for arr in (lam, x, y):
             arr.flags.writeable = False
         self.eigvals, self.x, self.y = lam, x, y
@@ -323,27 +332,38 @@ class _EigenRecord(_Record):
 
     def _kernel_samples(self, tbar: float, levels: int) -> tuple:
         (times, root), (times_c, root_c) = (_mesh_nodes(tbar, levels, coarse) for coarse in (False, True))
-        n, (p, m) = self.eigvals.size, (self.cx.shape[0], self.xb.shape[1])
+        lam = self.eigvals
+        n, (p, m) = lam.size, (self.cx.shape[0], self.xb.shape[1])
         # K(s) = sum_k (C X)_k e^(lambda_k s) (X^T B)_k, one row of p m entries per k
         signed = (self.cx.T[:, :, None] * self.xb[:, None, :]).reshape(n, p * m)
         absolute = (np.abs(self.cx).T[:, :, None] * np.abs(self.xb)[:, None, :]).reshape(n, p * m)
 
-        def weighted(decay, w, out):
+        def decay(t):
+            # e^(lambda_k s) at a run's nodes for the live modes k: lambda is
+            # ascending, so the modes below the floor at the run's first node
+            # are a prefix, and they are below it at every node
+            live = int(np.searchsorted(lam * t.min(), _EXP_FLOOR))
+            return _exp_finite(np.outer(t, lam[live:])), live
+
+        def weighted(products, w, out):
             # rows at a run's nodes (node, panel) to (node, p, panel, m), weighted, into out
-            rows = (decay @ signed).reshape(w.size, -1, p, m).transpose(0, 2, 1, 3)
+            rows = products.reshape(w.size, -1, p, m).transpose(0, 2, 1, 3)
             np.multiply(rows, w[:, None, None, None], out=out.reshape(rows.shape))
 
         fine = np.empty((*root.shape, p, times.shape[-1] * m))
         coarse = np.empty((*root_c.shape, p, times_c.shape[-1] * m))
         envelope = 0.0
-        # one run at a time, so the node-by-state exponential stays (64 x n)
+        # one run at a time, so the node-by-state exponential stays at most (64 x n)
         for k in range(root.shape[0]):
-            decay = _exp_finite(np.outer(times[k], self.eigvals))
-            weighted(decay, root[k], fine[k])
-            rows = (decay @ absolute).reshape(*times.shape[1:], -1)
+            e, live = decay(times[k])
+            weighted(e @ signed[live:], root[k], fine[k])
+            rows = (e @ absolute[live:]).reshape(*times.shape[1:], -1)
             envelope += float(np.sum(root[k][:, None] ** 2 * np.einsum("ikj,ikj->ik", rows, rows)))
-            weighted(_exp_finite(np.outer(times_c[k], self.eigvals)), root_c[k], coarse[k])
-        return (root, root_c), fine, coarse, math.sqrt(envelope)
+            e, live = decay(times_c[k])
+            weighted(e @ signed[live:], root_c[k], coarse[k])
+        # each term left out is at most e^floor |C X|_k |X^T B|_k entrywise
+        dropped = math.exp(_EXP_FLOOR) * float(np.linalg.norm(absolute.sum(axis=0))) * math.sqrt(tbar)
+        return (root, root_c), fine, coarse, math.sqrt(envelope), dropped
 
 
 class _SchurRecord(_Record):
@@ -391,7 +411,7 @@ class _SchurRecord(_Record):
         roots = tuple(_mesh_nodes(tbar, levels, coarse)[1] for coarse in (False, True))
         base = _mesh_exponentials(self.a, tbar, levels)[1]
         fine, coarse, energy = _mesh_samples(base, self.b, self.c, levels, roots)
-        return roots, fine, coarse, float(np.linalg.norm(self.c)) * math.sqrt(energy)
+        return roots, fine, coarse, float(np.linalg.norm(self.c)) * math.sqrt(energy), 0.0
 
 
 def load_system(manifest, name: str | None = None) -> StateSpaceSystem:

@@ -330,6 +330,36 @@ def test_kernel_reports_an_illegal_argument(monkeypatch):
         solve_lyapunov([[-1.0]], [[1.0]])
 
 
+# the eigenbasis exponential
+
+def test_exp_finite_is_numpys_exp_at_and_above_the_floor():
+    x = np.concatenate(([tlbt.linalg._EXP_FLOOR, 0.0, 709.0],
+                        np.random.default_rng(6).uniform(tlbt.linalg._EXP_FLOOR, 709.0, (64, 800)).ravel()))
+    assert np.array_equal(tlbt.linalg._exp_finite(x.copy()), np.exp(x))
+
+
+def test_exp_finite_is_an_exact_zero_below_the_floor():
+    # np.exp returns subnormal numbers on [-745, -708.4]; none comes out here
+    floor = tlbt.linalg._EXP_FLOOR
+    below = np.array([np.nextafter(floor, -np.inf), -709.0, -720.0, -745.0, -746.0, -1e300])
+    assert np.all(np.exp(below[1:4]) < np.finfo(float).tiny) and np.all(np.exp(below[1:4]) > 0.0)
+    above = np.linspace(floor, -floor, below.size)
+    got = tlbt.linalg._exp_finite(np.stack([below, above]))
+    assert np.all(got[0] == 0.0) and not np.any(np.signbit(got[0]))
+    assert np.array_equal(got[1], np.exp(above))
+
+
+def test_exp_finite_works_in_place():
+    x = np.array([[-800.0, -1.0], [0.0, 2.0]])
+    assert tlbt.linalg._exp_finite(x) is x
+    assert np.array_equal(x, [[0.0, math.exp(-1.0)], [1.0, math.exp(2.0)]])
+
+
+def test_exp_finite_raises_on_overflow():
+    with pytest.raises(OverflowError, match="exponential overflowed"):
+        tlbt.linalg._exp_finite(np.array([-800.0, 0.0, 710.0]))
+
+
 # the error bound's quadrature mesh
 
 @pytest.mark.parametrize("levels", [0, 3])

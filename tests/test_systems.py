@@ -12,6 +12,8 @@ from oracles import apply_state_transform, random_piecewise_constant
 import tlbt.balancing
 import tlbt.bounds
 import tlbt.gramians
+import tlbt.linalg
+import tlbt.systems
 from tlbt.balancing import balance
 from tlbt.errors import DimensionError
 from tlbt.gramians import time_limited_gramians
@@ -394,14 +396,60 @@ def assert_records_answer_alike(sys, got, want):
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
 
 
-@pytest.mark.parametrize("sys", [generate_heat_model(40, 7, 6), fem_rod(30, 7, 6)],
-                         ids=["gen-40", "fem-mass-30"])
+@pytest.mark.parametrize("sys", [generate_heat_model(40, 7, 6), fem_rod(30, 7, 6), generate_heat_model(200, 7, 6)],
+                         ids=["gen-40", "fem-mass-30", "gen-200"])
 def test_eigen_and_schur_records_answer_alike(sys):
     # the Schur record is built beside the eigen record that the
     # symmetric-definite model gets; every call must agree
     eig = sys._operator()
     assert isinstance(eig, _EigenRecord)
     assert_records_answer_alike(sys, eig, _SchurRecord(sys))
+
+
+def kernel_exponentials(monkeypatch, sys, tbar):
+    """The eigen record's kernel samples of sys on [0, tbar], the mesh
+    nodes of each exponential it took (fine and coarse run by run, in
+    time order), and that exponential's number of modes (last axis) and
+    whether its argument reached below the floor."""
+    calls, real = [], tlbt.systems._exp_finite
+
+    def spy(x):
+        calls.append((x.shape[-1], bool(np.any(x < tlbt.linalg._EXP_FLOOR))))
+        return real(x)
+
+    monkeypatch.setattr(tlbt.systems, "_exp_finite", spy)
+    record = sys._operator()
+    assert isinstance(record, _EigenRecord)
+    levels = _mesh_levels(tbar, record.norm2)
+    fine, coarse = (tlbt.linalg._mesh_nodes(tbar, levels, c)[0] for c in (False, True))
+    runs = [nodes for pair in zip(fine, coarse) for nodes in pair]
+    samples = record.kernel_samples(tbar, levels)
+    assert len(calls) == len(runs)
+    return samples, runs, calls
+
+
+def test_kernel_samples_drop_the_modes_below_the_exponential_floor(monkeypatch):
+    # gen:200 at T = 0.05 reaches lambda s = -8080: most mesh runs drop
+    # the modes below the floor at their first node, hence at all of
+    # their nodes, and keep the others; the bound adds what the dropped
+    # ones could contribute
+    sys = generate_heat_model(200, 7, 6)
+    samples, runs, calls = kernel_exponentials(monkeypatch, sys, 0.05)
+    lam = sys._operator().eigvals
+    for nodes, (width, _) in zip(runs, calls):
+        live = sys.n - width
+        assert live == 0 or lam[live - 1] * nodes.min() < tlbt.linalg._EXP_FLOOR
+        assert live == sys.n or lam[live] * nodes.min() >= tlbt.linalg._EXP_FLOOR
+    widths = [width for width, _ in calls]
+    assert max(widths) == 200 and min(widths) < 50
+    assert 0.0 < samples[4] <= 1e-300
+
+
+def test_readme_model_keeps_every_mode_on_every_mesh_run(monkeypatch):
+    # max |lambda| T = 520 on gen:50,7,6 at T = 0.05: no argument reaches
+    # the floor, so the samples, and eps, are those of the full eigenbasis
+    _, runs, calls = kernel_exponentials(monkeypatch, generate_heat_model(50, 7, 6), 0.05)
+    assert calls == [(50, False)] * len(runs)
 
 
 def test_eigen_record_gramian_overflow_is_reported():
@@ -537,6 +585,26 @@ def test_tridiagonal_eigenbasis_is_orthonormal():
     # the closed-form Gramians and kernel samples take X^T X = I
     x = generate_heat_model(800, 7, 6)._operator().x
     assert np.linalg.norm(x.T @ x - np.eye(800)) <= 1e-12
+
+
+def test_sine_basis_scales_x_by_the_mass_symbol_for_e_x():
+    # the sine vectors are eigenvectors of E, so Y = E X is X diag(eps_k),
+    # formed without the n x n product; evaluated in extended precision,
+    # so that the check's own rounding does not hide it, ||Y^T X - I||_F is
+    # no worse than with the product
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double carries no extra precision here")
+    sys = fem_rod(400, 7, 6)
+    record = sys._operator()
+    alpha, eps = (tlbt.systems._toeplitz_symbol(t) for t in (sys.A, sys.E))
+    assert np.array_equal(record.y, record.x * eps[np.argsort(alpha / eps, kind="stable")])
+    x = record.x.astype(np.longdouble)
+
+    def residual(y):
+        r = y.astype(np.longdouble).T @ x - np.eye(sys.n, dtype=np.longdouble)
+        return float(np.sqrt(np.sum(r * r)))
+
+    assert residual(record.y) <= residual(sys.E @ record.x)
 
 
 @pytest.mark.parametrize("module", [tlbt.gramians, tlbt.balancing, tlbt.bounds],
