@@ -4,10 +4,15 @@ One step of (E) x' = A x + B u reads
 
     (E - dt/2 A) x_{k+1} = (E + dt/2 A) x_k + dt B u(t_k + dt/2),
 
-an A-stable second-order one-step map x_{k+1} = S x_k + D u_k. Each run
-factorizes the step matrix once, solves once for the step map
-S = (E - dt/2 A)^-1 (E + dt/2 A) and the drive D = (E - dt/2 A)^-1 dt B,
-samples the input once on the midpoint grid t_k + dt/2, and then runs
+an A-stable second-order one-step map x_{k+1} = S x_k + D u_k. The first
+run of a system at a step size factorizes the step matrix, solves once
+for the step map S = (E - dt/2 A)^-1 (E + dt/2 A) and the drive
+D = (E - dt/2 A)^-1 dt B, and builds the lifted block operators below.
+The system keeps them, keyed by dt, for as long as it lives (about
+n^2 + 16 (m + p) n doubles each when m, p <= n), so later runs at that
+dt under other inputs skip that work. A reduced model is simulated
+through a fresh system each time, so nothing is kept for it. Each run
+samples the input once on the midpoint grid t_k + dt/2 and then runs
 the map in blocks of L = 16 steps. From a block's first state x and its
 inputs u_0..u_{L-1}, its outputs and the next block's first state are
 
@@ -33,7 +38,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrs
 
 from .balancing import ReducedModel
-from .systems import InputSignal, StateSpaceSystem
+from .systems import InputSignal, StateSpaceSystem, _memo
 
 __all__ = ["Trajectory", "simulate", "output_error", "input_l2_norm"]
 
@@ -83,6 +88,12 @@ def simulate(model, u: InputSignal, t_end: float, dt: float) -> Trajectory:
     Returns
     -------
     Trajectory with t_end/dt + 1 rows.
+
+    The step operators are built on the first run of a system at a dt
+    and kept on the system while it lives (under the lock of its
+    operator records, so threads sharing it build them once); a
+    ReducedModel keeps none. A build that fails keeps nothing and fails
+    again on the next attempt.
     """
     if isinstance(model, ReducedModel):
         model = model.as_system()
@@ -91,6 +102,42 @@ def simulate(model, u: InputSignal, t_end: float, dt: float) -> Trajectory:
     if u.m != model.m:
         raise ValueError(f"input signal has {u.m} components but the model expects {model.m}")
     steps = _grid_steps(float(t_end), float(dt))
+    n, m, p = model.n, model.m, model.p
+    drive, free, markov, reach, leap = _memo(
+        model.__dict__, ("step", dt), lambda: _step_operators(model, dt))
+    times = np.arange(steps + 1) * dt
+    inputs = u.sample(times[:-1] + dt / 2.0)
+    if inputs.shape != (steps, m):
+        raise ValueError(f"input signal sampled to shape {inputs.shape}, expected {(steps, m)}")
+    blocks = -(-steps // _BLOCK)
+    padded = np.zeros((blocks * _BLOCK, m))
+    padded[:steps] = inputs
+    w = padded.reshape(blocks, _BLOCK, m)
+    if drive is not None:
+        w = w @ drive.T
+    # the only sequential part: each block's first state from the last one's
+    pushes = (w.reshape(blocks, 1, -1) @ reach)[:, 0]
+    starts = np.zeros((blocks, n))
+    for j in range(blocks - 1):
+        starts[j + 1] = leap @ starts[j] + pushes[j]
+    lifted = (starts[:, None, :] @ free).reshape(blocks, _BLOCK, -1)
+    for s in range(_BLOCK):
+        lifted[:, s:] += w[:, :_BLOCK - s] @ markov[s]
+    if p > n:
+        lifted = lifted @ model.C.T
+    outputs = np.zeros((steps + 1, p))
+    outputs[1:] = lifted.reshape(-1, p)[:steps]
+    if not np.all(np.isfinite(outputs)):
+        raise OverflowError("simulation produced non-finite outputs")
+    return Trajectory(times=times, outputs=outputs)
+
+
+def _step_operators(model: StateSpaceSystem, dt):
+    """What the block loop of ``simulate`` reads for one step size:
+    (drive, free, markov, reach, leap). drive is D when the model has
+    more inputs than states (the forcing terms D u are then lifted) and
+    None otherwise; the rest are ``_lifted``'s, with F = I when the
+    model has more outputs than states and F = C otherwise."""
     n, m, p = model.n, model.m, model.p
     a, b, c = model.A, model.B, model.C
     e = model.E if model.E is not None else np.eye(n)
@@ -101,36 +148,10 @@ def simulate(model, u: InputSignal, t_end: float, dt: float) -> Trajectory:
     if info != 0:
         raise ValueError(f"LAPACK getrs failed with info = {info}")
     step, drive = maps[:, :n], maps[:, n:]
-    times = np.arange(steps + 1) * dt
-    inputs = u.sample(times[:-1] + dt / 2.0)
-    if inputs.shape != (steps, m):
-        raise ValueError(f"input signal sampled to shape {inputs.shape}, expected {(steps, m)}")
-    blocks = -(-steps // _BLOCK)
-    padded = np.zeros((blocks * _BLOCK, m))
-    padded[:steps] = inputs
-    w = padded.reshape(blocks, _BLOCK, m)
     # lift the fewer of the m inputs and the n forcing terms D u, and of
     # the p outputs and the n states (C is then applied last)
-    if m > n:
-        w = w @ drive.T
-        drive = np.eye(n)
-    lift_states = p > n
-    free, markov, reach, leap = _lifted(step, drive, np.eye(n) if lift_states else c)
-    # the only sequential part: each block's first state from the last one's
-    pushes = (w.reshape(blocks, 1, -1) @ reach)[:, 0]
-    starts = np.zeros((blocks, n))
-    for j in range(blocks - 1):
-        starts[j + 1] = leap @ starts[j] + pushes[j]
-    lifted = (starts[:, None, :] @ free).reshape(blocks, _BLOCK, -1)
-    for s in range(_BLOCK):
-        lifted[:, s:] += w[:, :_BLOCK - s] @ markov[s]
-    if lift_states:
-        lifted = lifted @ c.T
-    outputs = np.zeros((steps + 1, p))
-    outputs[1:] = lifted.reshape(-1, p)[:steps]
-    if not np.all(np.isfinite(outputs)):
-        raise OverflowError("simulation produced non-finite outputs")
-    return Trajectory(times=times, outputs=outputs)
+    lifted = _lifted(step, np.eye(n) if m > n else drive, np.eye(n) if p > n else c)
+    return (drive if m > n else None, *lifted)
 
 
 def _lifted(step, drive, observe):

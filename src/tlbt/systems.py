@@ -66,7 +66,8 @@ _E_COND_TOL = 1e-12
 
 _INPUT_KINDS = ("constant", "star", "zero", "table")
 
-# guards building the operator records and their horizon entries
+# guards building the operator records, their horizon entries and the
+# step operators `simulation.simulate` keeps per step size
 _RECORD_LOCK = threading.Lock()
 
 

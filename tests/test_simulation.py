@@ -1,4 +1,7 @@
 import math
+import sys as sys_module
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -112,10 +115,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"\(10, 2\).*\(10, 1\)"):
             simulate(scalar_system, InputSignal.constant(1.0), t_end=1.0, dt=0.1)
 
-    def test_getrs_failure_raises(self, scalar_system, monkeypatch):
+    def test_getrs_failure_raises(self, monkeypatch):
+        # a system of its own: a shared one may hold this step size's operators already
+        sys = StateSpaceSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
         monkeypatch.setattr(tlbt.simulation, "dgetrs", lambda lu, piv, b, overwrite_b: (b, -3))
         with pytest.raises(ValueError, match="info = -3"):
-            simulate(scalar_system, InputSignal.constant(1.0), t_end=1.0, dt=0.1)
+            simulate(sys, InputSignal.constant(1.0), t_end=1.0, dt=0.1)
 
     def test_input_sampled_once_not_evaluated_per_step(self, monkeypatch):
         def refuse(self, t):
@@ -204,6 +209,90 @@ class TestBlocksMatchPerStepLoop:
         traj = simulate(sys, InputSignal.constant([1.0, 0.5, -1.0]), t_end=steps / 64, dt=1.0 / 64)
         assert calls == [(10, 10 + 3)]
         assert traj.outputs.shape == (steps + 1, 2)
+
+
+def count_builds(monkeypatch):
+    """Spy on the step matrix's LU and the getrs solve; returns the call list."""
+    calls, getrs, lu_factor = [], tlbt.simulation.dgetrs, sla.lu_factor
+
+    def getrs_spy(lu, piv, b, overwrite_b):
+        calls.append("getrs")
+        return getrs(lu, piv, b, overwrite_b=overwrite_b)
+
+    def lu_spy(a, *args, **kwargs):
+        calls.append("lu_factor")
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(tlbt.simulation, "dgetrs", getrs_spy)
+    monkeypatch.setattr(tlbt.simulation.sla, "lu_factor", lu_spy)
+    return calls
+
+
+class TestStepOperatorsAreMemoized:
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS) + ["rod-100"])
+    def test_second_run_builds_nothing_and_matches_a_fresh_system(self, name, monkeypatch):
+        def fresh():
+            if name == "rod-100":
+                return generate_heat_model(100, 7, 6)
+            model = BLOCK_MODELS[name]
+            return StateSpaceSystem(A=model.A, B=model.B, C=model.C, E=model.E)
+
+        sys, dt = fresh(), 1.0 / 512
+        rng = np.random.default_rng(7)
+        first, second = (random_piecewise_constant(sys.m, 0.125, 8, rng) for _ in range(2))
+        calls = count_builds(monkeypatch)
+        simulate(sys, first, 0.125, dt)
+        assert calls == ["lu_factor", "getrs"]
+        out = simulate(sys, second, 0.125, dt).outputs
+        assert calls == ["lu_factor", "getrs"]
+        assert np.array_equal(out, simulate(fresh(), second, 0.125, dt).outputs)
+
+    def test_another_step_size_builds_once_more(self, monkeypatch):
+        sys = generate_heat_model(10, 3, 2)
+        u = InputSignal.constant([1.0, 0.5, -1.0])
+        calls = count_builds(monkeypatch)
+        for dt in (1.0 / 64, 1.0 / 32, 1.0 / 64, 1.0 / 32):
+            simulate(sys, u, t_end=0.5, dt=dt)
+        assert calls == ["lu_factor", "getrs"] * 2
+
+    def test_singular_step_matrix_refused_on_every_attempt(self):
+        sys = StateSpaceSystem(A=[[2.0]], B=[[1.0]], C=[[1.0]])
+        for _ in range(3):
+            with pytest.warns(sla.LinAlgWarning), pytest.raises(
+                    ValueError, match=r"^step matrix E - \(dt/2\) A is singular for dt = 1.0$"):
+                simulate(sys, InputSignal.constant(1.0), t_end=2.0, dt=1.0)
+
+    def test_reduced_model_keeps_nothing(self, monkeypatch):
+        rom = ReducedModel(A11=[[-2.0, 0.5], [0.0, -1.0]], B1=[[1.0], [1.0]], C1=[[1.0, 0.0]],
+                           r=2, horizon=1.0)
+        before = dict(rom.__dict__)
+        calls = count_builds(monkeypatch)
+        first = simulate(rom, InputSignal.constant(1.0), t_end=1.0, dt=0.125)
+        second = simulate(rom, InputSignal.constant(1.0), t_end=1.0, dt=0.125)
+        assert rom.__dict__.keys() == before.keys()
+        assert all(rom.__dict__[k] is v for k, v in before.items())
+        assert calls == ["lu_factor", "getrs"] * 2
+        assert np.array_equal(first.outputs, second.outputs)
+
+    def test_threads_share_one_build(self, monkeypatch):
+        sys = generate_heat_model(40, 3, 2)
+        u = random_piecewise_constant(3, 0.25, 8, np.random.default_rng(9))
+        calls = count_builds(monkeypatch)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def run(_):
+            barrier.wait()
+            return simulate(sys, u, t_end=0.25, dt=1.0 / 256).outputs
+
+        interval = sys_module.getswitchinterval()
+        sys_module.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outs = list(pool.map(run, range(4)))
+        finally:
+            sys_module.setswitchinterval(interval)
+        assert calls.count("getrs") == 1
+        assert all(np.array_equal(out, outs[0]) for out in outs[1:])
 
 
 class TestOutputError:
