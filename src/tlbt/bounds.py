@@ -50,7 +50,9 @@ The paper writes the same integral as three Gramian traces,
 analogue, and Pm the mixed Gramian). Once the reduced model is good the
 three traces agree to more digits than the arithmetic carries, so their
 combination is rounding noise; they are kept in the report as the
-paper's cross-check and do not enter eps.
+paper's cross-check and do not enter eps. The paper's hypotheses, Lambda(A)
+and Lambda(A11) each disjoint from -Lambda(A11), make Pm and Pr unique;
+both go through the solvers' own check, ``linalg._require_separated``.
 
 An equivalent representation of the trace form written in balanced coordinates
 splits into the classical-looking leading trace, a remainder that decays
@@ -80,12 +82,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .balancing import ReducedModel, _singular_values, balance
-from .errors import DimensionError, SpectrumSeparationError, StabilityError
+from .errors import DimensionError
 from .gramians import GramianSet, _check_horizon, _mixed_gramian, _reduced_gramian
 from .linalg import (
     _mesh_exponentials,
     _mesh_levels,
     _mesh_samples,
+    _require_hurwitz,
+    _require_separated,
     _schur_form,
     as_matrix,
     expm,
@@ -176,17 +180,10 @@ class BalancedRepresentation:
 
 
 def _check_hypotheses(op, s11):
-    """Check the bound's spectral hypotheses on the operator record of A
-    and the Schur form of A11. They are also the separation conditions
-    of the Pr and Pm solves, which rely on this check."""
-    for sep, label in ((s11.separation(s11), "Lambda(A11) and -Lambda(A11)"),
-                       (op.separation(s11), "Lambda(A) and -Lambda(A11)")):
-        if not sep.is_separated:
-            lam, mu = sep.worst_pair
-            raise SpectrumSeparationError(
-                f"the error-bound hypothesis that {label} do not intersect fails: "
-                f"pair lambda={lam:.6g}, mu={mu:.6g} has |lambda + mu| = {sep.min_sum_abs:.3e}"
-            )
+    """The bound's hypotheses on the record of A and the Schur form of A11:
+    the separation conditions that its Pr and Pm solves rely on."""
+    _require_separated(s11, s11, "bound hypothesis Lambda(A11) and -Lambda(A11) disjoint (the Pr equation)")
+    _require_separated(op, s11, "bound hypothesis Lambda(A) and -Lambda(A11) disjoint (the Pm equation)")
 
 
 def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
@@ -383,7 +380,7 @@ def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int) -> float:
     """
     if math.isfinite(gramians.horizon):
         raise ValueError("the unrestricted H2 bound needs Gramians with horizon = inf")
-    if np.any(sys._operator().eigvals.real >= 0):
-        raise StabilityError("the unrestricted H2 bound requires a Hurwitz system")
+    op = sys._operator()
+    _require_hurwitz(op, op.label, "the unrestricted H2 bound")
     return _leading_trace(_balanced_coordinates(sys, gramians, r, math.inf))
 

@@ -286,7 +286,7 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
     system = parse_model(cfg.model)
     u = parse_input(cfg.input, system.m)
     tbars = [float(value) if axis == "tbar" else cfg.tbar for value in values]
-    horizons = list(dict.fromkeys(t for t in tbars if t is not None))
+    horizons = list(dict.fromkeys(tbars))
 
     def step(tbar: float) -> float:
         return cfg.dt if cfg.dt is not None else tbar / 256
@@ -302,8 +302,6 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
             row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
                    "bound_level": "", "status": "ok"}
             try:
-                if tbar is None:
-                    raise ValueError("tbar is required")
                 gramians, bal = _settled(balances[(method, tbar if method == "TLBT" else None)])
                 if axis == "r":
                     r = int(value)

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, StabilityError
-from .linalg import _lyapunov_core, _psd_factor, _symmetric
+from .errors import DimensionError
+from .linalg import _lyapunov_core, _psd_factor, _require_hurwitz, _symmetric
 from .systems import StateSpaceSystem
 
 __all__ = ["GramianSet", "infinite_gramians", "time_limited_gramians"]
@@ -112,16 +112,6 @@ class GramianSet:
     Q = property(lambda self: self._dense("Q"), doc="The dense observability Gramian.")
 
 
-def _require_hurwitz(eigvals: np.ndarray, label: str) -> None:
-    bad = eigvals[eigvals.real >= 0]
-    if bad.size:
-        worst = bad[np.argmax(bad.real)]
-        raise StabilityError(
-            f"{label} must be Hurwitz for an unrestricted Gramian; found "
-            f"{bad.size} eigenvalue(s) with Re >= 0, e.g. {worst:.6g}"
-        )
-
-
 def _check_horizon(tbar, allow_inf: bool = False) -> float:
     tbar = float(tbar)
     if allow_inf and tbar == math.inf:
@@ -139,7 +129,7 @@ def infinite_gramians(sys: StateSpaceSystem) -> GramianSet:
     GramianSet with horizon = math.inf.
     """
     op = sys._operator()
-    _require_hurwitz(op.eigvals, op.label)
+    _require_hurwitz(op, op.label, "an unrestricted Gramian")
     return GramianSet._of(math.inf, *op.gramians(math.inf))
 
 
@@ -173,6 +163,6 @@ def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) 
         raise DimensionError(f"B1 has {b1.shape[1]} columns but the system has m = {sys.m}")
     op = sys._operator()
     if not math.isfinite(tbar):
-        _require_hurwitz(op.eigvals, op.label)
-        _require_hurwitz(s11.eigvals, "A11")
+        _require_hurwitz(op, op.label, "an unrestricted Gramian")
+        _require_hurwitz(s11, "A11", "an unrestricted Gramian")
     return op.mixed(s11, b1, fr, tbar)

@@ -3,10 +3,11 @@
 Provides the matrix exponential, Sylvester/Lyapunov solvers, two
 rank-revealing factorizations of symmetric positive semidefinite
 matrices (one eigendecomposition of a dense matrix, or pivoted Cholesky
-of one given by its diagonal and columns), a spectrum-separation check
-that guards the solvers' uniqueness condition, and samples of an
-impulse response C e^(A s) B on a graded Gauss-Legendre mesh. Only
-``as_matrix`` and ``expm`` are public.
+of one given by its diagonal and columns), the package's one check of
+each spectral condition (``_require_separated`` and
+``_require_hurwitz``), and samples of an impulse response C e^(A s) B
+on a graded Gauss-Legendre mesh. Only ``as_matrix`` and ``expm`` are
+public.
 
 The kernels take factored matrices but do not choose a factorization: a
 system's operator is factored once, and how, by its operator record in
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionError, NotPsdError, SpectrumSeparationError
+from .errors import DimensionError, NotPsdError, SpectrumSeparationError, StabilityError
 
 __all__ = ["as_matrix", "expm"]
 
@@ -95,43 +96,7 @@ def _symmetric(a, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpectrumSeparation:
-    """Result of a pairwise eigenvalue-separation check.
-
-    ``min_sum_abs`` is min |lambda_i + mu_j| over eigenvalues lambda of the
-    first matrix and mu of the second; ``worst_pair`` is an attaining pair.
-    ``is_separated`` reports min_sum_abs > tolerance.
-    """
-
-    min_sum_abs: float
-    is_separated: bool
-    tolerance: float
-    worst_pair: tuple[complex, complex]
-
-
-def _separation(lam: np.ndarray, mu: np.ndarray, tol: float) -> SpectrumSeparation:
-    sums = np.abs(lam[:, None] + mu[None, :])
-    i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    min_sum = float(sums[i, j])
-    return SpectrumSeparation(
-        min_sum_abs=min_sum,
-        is_separated=min_sum > tol,
-        tolerance=float(tol),
-        worst_pair=(complex(lam[i]), complex(mu[j])),
-    )
-
-
-class _Spectrum:
-    """Eigenvalues ``eigvals`` and a norm ``norm2`` of a factored matrix."""
-
-    def separation(self, other: "_Spectrum") -> SpectrumSeparation:
-        """Separation of Lambda(A) and -Lambda(other) at the default
-        tolerance 1e-8 * (||A||_2 + ||other||_2)."""
-        return _separation(self.eigvals, other.eigvals, 1e-8 * (self.norm2 + other.norm2))
-
-
-@dataclass(frozen=True)
-class _SchurForm(_Spectrum):
+class _SchurForm:
     """Real Schur form A = Z T Z^T of a square matrix, with the
     eigenvalues ``eigvals`` read off T's 1x1 and 2x2 diagonal blocks and
     ``norm2`` = ||A||_2."""
@@ -171,18 +136,33 @@ def _schur_eigvals(t: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _require_separated(s1: _SchurForm, s2: _SchurForm, context: str) -> None:
-    sep = s1.separation(s2)
-    if not sep.is_separated:
-        lam, mu = sep.worst_pair
+def _require_separated(s1, s2, what: str) -> None:
+    """Raise SpectrumSeparationError, naming ``what``, unless min |lambda + mu|
+    over Lambda(A1) x Lambda(A2) exceeds 1e-8 (||A1||_2 + ||A2||_2), read
+    from ``eigvals`` and ``norm2`` of the Schur forms or operator records."""
+    sums = np.abs(s1.eigvals[:, None] + s2.eigvals[None, :])
+    i, j = np.unravel_index(np.argmin(sums), sums.shape)
+    min_sum, tol = float(sums[i, j]), 1e-8 * (s1.norm2 + s2.norm2)
+    if not min_sum > tol:
+        lam, mu = complex(s1.eigvals[i]), complex(s2.eigvals[j])
         raise SpectrumSeparationError(
-            f"{context}: eigenvalue pair lambda={lam:.6g}, mu={mu:.6g} has "
-            f"|lambda + mu| = {sep.min_sum_abs:.3e} <= tolerance {sep.tolerance:.3e}; "
+            f"{what}: eigenvalue pair lambda={lam:.6g}, mu={mu:.6g} has "
+            f"|lambda + mu| = {min_sum:.3e} <= tolerance {tol:.3e}; "
             "the equation has no unique solution"
         )
 
 
-def expm(a, t: float = 1.0) -> np.ndarray:
+def _require_hurwitz(s, label: str, use: str) -> None:
+    """Raise StabilityError, saying ``label`` must be Hurwitz for ``use``, unless
+    every eigenvalue of the Schur form or operator record ``s`` has Re < 0."""
+    bad = s.eigvals[s.eigvals.real >= 0]
+    if bad.size:
+        worst = bad[np.argmax(bad.real)]
+        raise StabilityError(f"{label} must be Hurwitz for {use}; found {bad.size} "
+                             f"eigenvalue(s) with Re >= 0, e.g. {worst:.6g}")
+
+
+def expm(a, t: float) -> np.ndarray:
     """Matrix exponential e^(A t) via scaling-and-squaring with Pade
     approximants (Pade degree picked by the standard norm thresholds).
 

@@ -49,7 +49,7 @@ from .linalg import (
     _lyapunov_core,
     _solve_sylvester,
     _solve_sylvester_diagonal,
-    _Spectrum,
+    _square,
     as_matrix,
     expm,
 )
@@ -93,9 +93,7 @@ class StateSpaceSystem:
     name: str = "system"
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
-        if a.shape[0] != a.shape[1]:
-            raise DimensionError(f"A must be square, got shape {a.shape}")
+        a = _square(self.A, "A")
         n = a.shape[0]
         b = as_matrix(self.B, "B")
         if b.shape[0] != n:
@@ -212,11 +210,11 @@ def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.nda
     return lam[order], x, x if e is None else x * eps[order]
 
 
-class _Record(_Spectrum):
+class _Record:
     """Standard-form operator of one system, factored once; both records answer:
 
-    - ``eigvals``, ``norm2`` and ``separation`` of A_std, and ``label``
-      (its name in messages);
+    - ``eigvals`` and ``norm2`` of A_std, and ``label`` (its name in
+      messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
       that A_std is Hurwitz), each factored as a triple (basis, root, k)
@@ -415,13 +413,14 @@ class _SchurRecord(_Record):
         return roots, fine, coarse, float(np.linalg.norm(self.c)) * math.sqrt(energy), 0.0
 
 
-def load_system(manifest, name: str | None = None) -> StateSpaceSystem:
+def load_system(manifest) -> StateSpaceSystem:
     """Build a system from a JSON manifest mapping roles to Matrix Market files.
 
     ``manifest`` is either the path of a JSON document like
     ``{"A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "E": "E.mtx"}`` ("E"
     optional) or an equivalent mapping. Relative paths resolve against
-    the manifest's directory.
+    the manifest's directory. The system is named after the manifest's
+    file name, or "system" for a mapping.
     """
     if isinstance(manifest, (str, os.PathLike)):
         manifest_path = str(manifest)
@@ -433,13 +432,9 @@ def load_system(manifest, name: str | None = None) -> StateSpaceSystem:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{manifest_path}: invalid JSON manifest ({exc})") from exc
         base = os.path.dirname(os.path.abspath(manifest_path))
-        if name is None:
-            name = os.path.splitext(os.path.basename(manifest_path))[0]
+        name = os.path.splitext(os.path.basename(manifest_path))[0]
     else:
-        mapping = dict(manifest)
-        base = "."
-        if name is None:
-            name = "system"
+        mapping, base, name = dict(manifest), ".", "system"
     if not isinstance(mapping, dict):
         raise ValueError("manifest must be a JSON object mapping roles to file paths")
     missing = [role for role in ("A", "B", "C") if role not in mapping]
@@ -478,8 +473,8 @@ def generate_heat_model(n: int, m: int, p: int) -> StateSpaceSystem:
     i = np.arange(n)
     a[i, i] = -2.0 * h2
     a[i[:-1], i[1:]] = a[i[1:], i[:-1]] = h2
-    b = np.eye(n)[:, :m].copy()
-    c = np.eye(n)[n - p:, :].copy()
+    b = np.eye(n, m)
+    c = np.eye(p, n, k=n - p)
     return StateSpaceSystem(A=a, B=b, C=c, name=f"heat-{n}-{m}-{p}")
 
 

@@ -24,6 +24,11 @@ T = inf. The squared Hankel singular values are the eigenvalues of
 P Q, which are those of Cp Cq, and of the symmetric
 D^(1/2) U^T Cq U D^(1/2) with Cp = U D U^T. Each pair of Gramians takes
 about 10 s.
+
+For the README model the script also records ``above_cutoff``: how many
+exact values exceed ``balance``'s cutoff of 1e-14 sigma_1, the order
+n_hat that a balancing resolves when its rounding does not move a value
+across the cutoff.
 """
 import json
 import os
@@ -32,12 +37,15 @@ import mpmath as mp
 
 mp.mp.dps = 120
 
-# (name, n, m, p, horizon, number of leading values kept)
+# (name, n, m, p, horizon, number of leading values kept, whether to
+# count the values above the cutoff)
 CASES = [
-    ("gen:50,7,6", 50, 7, 6, "0.05", 9),
-    ("gen:50,7,6", 50, 7, 6, "inf", 9),
-    ("fem_rod(60,7,6)", 60, 7, 6, "0.05", 6),
+    ("gen:50,7,6", 50, 7, 6, "0.05", 9, True),
+    ("gen:50,7,6", 50, 7, 6, "inf", 9, True),
+    ("fem_rod(60,7,6)", 60, 7, 6, "0.05", 6, False),
 ]
+# balance's cutoff, relative to sigma_1
+CUTOFF = mp.mpf("1e-14")
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hankel_reference.json")
 
@@ -69,23 +77,26 @@ def core(lam, gen, horizon):
     return c
 
 
-def hankel_singular_values(name, n, m, p, horizon, count):
+def hankel_singular_values(name, n, m, p, horizon):
+    """All n Hankel singular values, largest first."""
     lam, x = eigenpairs(name, n)
     cp = core(lam, [row[:m] for row in x], horizon)
     cq = core(lam, [row[n - p:] for row in x], horizon)
     d, u = mp.eigsy(cp)
     half = mp.diag([mp.sqrt(max(v, 0)) for v in d])
     s2 = mp.eigsy(half * u.T * cq * u * half, eigvals_only=True)
-    values = sorted((mp.sqrt(max(v, 0)) for v in s2), reverse=True)
-    return values[:count]
+    return sorted((mp.sqrt(max(v, 0)) for v in s2), reverse=True)
 
 
 def main():
     cases = []
-    for name, n, m, p, horizon, count in CASES:
-        sigma = hankel_singular_values(name, n, m, p, horizon, count)
-        cases.append({"model": name, "horizon": horizon,
-                      "singular_values": [mp.nstr(v, 20) for v in sigma]})
+    for name, n, m, p, horizon, count, counted in CASES:
+        sigma = hankel_singular_values(name, n, m, p, horizon)
+        case = {"model": name, "horizon": horizon,
+                "singular_values": [mp.nstr(v, 20) for v in sigma[:count]]}
+        if counted:
+            case["above_cutoff"] = sum(v > CUTOFF * sigma[0] for v in sigma)
+        cases.append(case)
         print(name, horizon, mp.nstr(sigma[0], 16))
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump({"digits": mp.mp.dps, "cases": cases}, fh, indent=1)

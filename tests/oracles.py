@@ -7,8 +7,9 @@ route. The solvers and the PSD factor take dense matrices and factor
 them on every call, then run the package's private kernels (the blocked
 Bartels-Stewart solve, the Schur form, the PSD eigendecomposition), so
 the tests of these wrappers test the code the pipeline runs. Each
-wrapper checks its own arguments and its equation's separation
-condition; the private kernels leave that to their caller. The exact
+wrapper checks its own arguments, and its equation's separation
+condition by the package's one check, ``linalg._require_separated``;
+the private kernels leave that to their caller. The exact
 Hankel singular values are read from ``hankel_reference.json``, which
 ``hankel_reference.py`` writes.
 
@@ -24,12 +25,10 @@ from numpy.polynomial.legendre import leggauss
 from tlbt.errors import DimensionError
 from tlbt.gramians import _check_horizon, _mixed_gramian, _reduced_gramian
 from tlbt.linalg import (
-    SpectrumSeparation,
     _check_residual,
     _psd_factor,
     _require_separated,
     _schur_form,
-    _separation,
     _solve_sylvester,
     _square,
     _symmetric,
@@ -41,16 +40,6 @@ from tlbt.systems import InputSignal, StateSpaceSystem
 
 
 # dense solvers and factors
-
-def spectrum_separation(a1, a2, tol: float | None = None) -> SpectrumSeparation:
-    """Check Lambda(A1) and -Lambda(A2) for overlap; A1 and A2 are square
-    and may differ in size. ``tol`` defaults to 1e-8 (||A1||_2 + ||A2||_2)."""
-    a1 = _square(a1, "A1")
-    a2 = _square(a2, "A2")
-    if tol is None:
-        tol = 1e-8 * (np.linalg.norm(a1, 2) + np.linalg.norm(a2, 2))
-    return _separation(np.linalg.eigvals(a1), np.linalg.eigvals(a2), tol)
-
 
 def solve_sylvester(a1, a2, w) -> np.ndarray:
     """Solve A1 X + X A2^T = W for X by the Schur (Bartels-Stewart) method.
@@ -194,15 +183,25 @@ def hinf_error_sampled(sys: StateSpaceSystem, rom, frequencies) -> float:
 
 # exact reference values
 
-def exact_hankel_values(model: str, horizon: str) -> np.ndarray:
-    """The leading Hankel singular values of a model at a horizon ("0.05"
-    or "inf"), as ``hankel_reference.py`` computed them at 120 digits
-    from the model's closed-form eigenpairs."""
+def _hankel_case(model: str, horizon: str) -> dict:
     with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "hankel_reference.json"),
               encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
     (case,) = (c for c in cases if c["model"] == model and c["horizon"] == horizon)
-    return np.array([float(v) for v in case["singular_values"]])
+    return case
+
+
+def exact_hankel_values(model: str, horizon: str) -> np.ndarray:
+    """The leading Hankel singular values of a model at a horizon ("0.05"
+    or "inf"), as ``hankel_reference.py`` computed them at 120 digits
+    from the model's closed-form eigenpairs."""
+    return np.array([float(v) for v in _hankel_case(model, horizon)["singular_values"]])
+
+
+def exact_hankel_count(model: str, horizon: str) -> int:
+    """How many exact Hankel singular values of the README model exceed
+    ``balance``'s cutoff of 1e-14 sigma_1 (from ``hankel_reference.py``)."""
+    return _hankel_case(model, horizon)["above_cutoff"]
 
 
 # state coordinates

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys as sys_module
 
@@ -11,6 +12,7 @@ from conftest import error_integral_oracle, fem_rod, rand_stable
 from oracles import hinf_error_sampled, random_piecewise_constant, solve_lyapunov
 import tlbt.bounds
 import tlbt.linalg
+import tlbt.systems
 from tlbt.balancing import ReducedModel, balance, truncate
 from tlbt.bounds import (
     bt_h2_bound_infinite,
@@ -80,6 +82,21 @@ class TestDirectBound:
         rom = ReducedModel(A11=[[1.0]], B1=[[1.0]], C1=[[1.0]], r=1, horizon=1.0)
         with pytest.raises(SpectrumSeparationError):
             tlbt_h2_bound(scalar_system, rom, np.eye(1), 1.0)
+
+    @pytest.mark.parametrize("n, a11, expected", [
+        (1, [[1.0]], "bound hypothesis Lambda(A) and -Lambda(A11) disjoint (the Pm equation): "
+                     "eigenvalue pair lambda=-1+0j, mu=1+0j"),
+        (4, [[1.0, 0.0], [0.0, -1.0]], "bound hypothesis Lambda(A11) and -Lambda(A11) disjoint "
+                                       "(the Pr equation): eigenvalue pair lambda=1+0j, mu=-1+0j"),
+    ], ids=["pm", "pr"])
+    def test_failed_hypothesis_names_itself_and_the_pair(self, n, a11, expected):
+        sys = StateSpaceSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]]) if n == 1 else generate_heat_model(n, 1, 1)
+        r = len(a11)
+        rom = ReducedModel(A11=a11, B1=np.ones((r, 1)), C1=np.ones((1, r)), r=r, horizon=1.0)
+        expected += (" has |lambda + mu| = 0.000e+00 <= tolerance 2.000e-08; "
+                     "the equation has no unique solution")
+        with pytest.raises(SpectrumSeparationError, match=f"^{re.escape(expected)}$"):
+            tlbt_h2_bound(sys, rom, np.eye(n), 1.0)
 
     def test_bound_dominates_simulated_error(self):
         sys = generate_heat_model(20, 7, 6)
@@ -308,13 +325,15 @@ def test_each_bound_checks_each_separation_hypothesis_once(sys, monkeypatch):
     tbar = 0.5
     gset = time_limited_gramians(sys, tbar)
     rom = truncate(sys, balance(gset, sys).reduce_to(3))
-    separation, calls = tlbt.linalg._separation, []
+    check, calls = tlbt.linalg._require_separated, []
 
-    def counting(lam, mu, tol):
-        calls.append((lam.size, mu.size))
-        return separation(lam, mu, tol)
+    def counting(s1, s2, what):
+        calls.append((s1.eigvals.size, s2.eigvals.size))
+        return check(s1, s2, what)
 
-    monkeypatch.setattr(tlbt.linalg, "_separation", counting)
+    # every module that binds the check
+    for mod in (tlbt.linalg, tlbt.systems, tlbt.bounds):
+        monkeypatch.setattr(mod, "_require_separated", counting)
     tlbt_h2_bound(sys, rom, gset.P, tbar)
     assert sorted(calls) == [(3, 3), (sys.n, 3)]
     calls.clear()

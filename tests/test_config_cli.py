@@ -431,6 +431,13 @@ class TestSweep:
                        "--values", "0.2,0.4", "--out", tmp_path) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["r", "tau"])
+    def test_r_and_tau_axes_require_tbar(self, tmp_path, capsys, axis):
+        assert run_cli("sweep", "--model", "gen:8,8,8", "--axis", axis,
+                       "--values", "2", "--out", tmp_path) == 2
+        assert "tbar is required" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 def count_factorizations(monkeypatch, *argv):
     """Run the CLI and return the matrices handed to scipy's Schur

@@ -1,5 +1,8 @@
+import ast
 import math
 import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from tlbt.linalg import _pivoted_cholesky, _trsyl, expm
 from tlbt.systems import StateSpaceSystem
 
 from conftest import fem_rod, rand_spd, rand_stable
-from oracles import solve_lyapunov, solve_sylvester, spd_factor, spectrum_separation
+from oracles import solve_lyapunov, solve_sylvester, spd_factor
 
 
 # expm
@@ -35,7 +38,7 @@ def test_expm_scalar_log_two():
 
 def test_expm_rejects_nonsquare():
     with pytest.raises(DimensionError):
-        expm(np.ones((2, 3)))
+        expm(np.ones((2, 3)), 1.0)
 
 
 @given(st.integers(2, 20), st.integers(0, 2**32 - 1))
@@ -196,29 +199,65 @@ def test_pivoted_cholesky_stops_on_the_trace(sys):
         assert np.linalg.norm(remainder, 2) <= 1e-12 * np.linalg.norm(core, 2)
 
 
-# spectrum_separation
+# _require_separated
+
+def _spectrum(eigvals, norm2):
+    """A stand-in for a Schur form or an operator record: the check reads
+    only ``eigvals`` and ``norm2``."""
+    return types.SimpleNamespace(eigvals=np.asarray(eigvals, dtype=complex), norm2=norm2)
+
+
+def _separation_error(s1, s2) -> str:
+    with pytest.raises(SpectrumSeparationError) as info:
+        tlbt.linalg._require_separated(s1, s2, "what")
+    return str(info.value)
+
 
 def test_separation_scalar_stable_pair():
-    sep = spectrum_separation([[-1.0]], [[-1.0]])
-    assert math.isclose(sep.min_sum_abs, 2.0, rel_tol=1e-14)
-    assert sep.is_separated
+    # |-1 + -1| = 2 against the tolerance 1e-8 (1 + 1)
+    s = tlbt.linalg._schur_form(np.array([[-1.0]]))
+    assert tlbt.linalg._require_separated(s, s, "what") is None
 
 
 def test_separation_exact_cancellation():
-    sep = spectrum_separation([[-3.0]], [[3.0]])
-    assert sep.min_sum_abs == 0.0
-    assert not sep.is_separated
+    s1 = tlbt.linalg._schur_form(np.array([[-3.0]]))
+    s2 = tlbt.linalg._schur_form(np.array([[3.0]]))
+    assert _separation_error(s1, s2) == (
+        "what: eigenvalue pair lambda=-3+0j, mu=3+0j has |lambda + mu| = 0.000e+00 "
+        "<= tolerance 6.000e-08; the equation has no unique solution")
 
 
 def test_separation_enumerates_pairs():
-    sep = spectrum_separation(np.diag([-1.0, -2.0]), np.diag([-4.0]))
-    assert math.isclose(sep.min_sum_abs, 5.0, rel_tol=1e-14)
+    # min |lambda + mu| over the pairs is |-1 + -4| = 5: a tolerance just
+    # below it passes, one just above it names that pair
+    lam, mu = [-1.0, -2.0], [-4.0]
+    tlbt.linalg._require_separated(_spectrum(lam, 2.49999e8), _spectrum(mu, 2.5e8), "what")
+    message = _separation_error(_spectrum(lam, 2.50001e8), _spectrum(mu, 2.5e8))
+    assert "lambda=-1+0j, mu=-4+0j has |lambda + mu| = 5.000e+00 <= tolerance 5.000e+00" in message
 
 
 def test_separation_nonnegative_and_threshold():
-    sep = spectrum_separation(np.diag([-1.0, -2.0]), np.diag([-4.0]), tol=6.0)
-    assert sep.min_sum_abs >= 0
-    assert not sep.is_separated
+    message = _separation_error(_spectrum([-1.0, -2.0], 2e8), _spectrum([-4.0], 4e8))
+    assert "|lambda + mu| = 5.000e+00 <= tolerance 6.000e+00" in message
+
+
+def test_one_raiser_per_spectral_condition():
+    # the solvers, the bound's hypotheses and every Hurwitz requirement go
+    # through these two checks, so a message or tolerance lives in one place
+    sites = []
+    for path in sorted(Path(tlbt.linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk reaches an outer function before its inner ones, so
+        # each node ends up owned by its innermost function
+        owner = {node: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) in ("SpectrumSeparationError", "StabilityError"):
+                    sites.append((exc.id, f"{path.stem}.{owner.get(node, '<module>')}"))
+    assert sorted(sites) == [("SpectrumSeparationError", "linalg._require_separated"),
+                             ("StabilityError", "linalg._require_hurwitz")]
 
 
 # blocked Bartels-Stewart kernel

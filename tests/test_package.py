@@ -58,8 +58,6 @@ OPTIONS = [
     "ReducedModel.parent_name",
     "StateSpaceSystem.E",
     "StateSpaceSystem.name",
-    "expm(t)",
-    "load_system(name)",
     "write_matrix(comment)",
 ]
 FLAGS = [
@@ -117,4 +115,4 @@ def test_the_settable_options_are_pinned():
             for sub in action.choices.values():
                 flags.update(f for a in sub._actions for f in a.option_strings if f.startswith("--"))
     assert sorted(flags - {"--help"}) == FLAGS
-    assert len(OPTIONS) + len(FLAGS) == 28
+    assert len(OPTIONS) + len(FLAGS) == 26

@@ -132,8 +132,8 @@ class TestLoadSystem:
     def test_mapping_input(self, tmp_path):
         write_manifest(tmp_path, [[-1.0]], [[1.0]], [[1.0]])
         mapping = {"A": str(tmp_path / "A.mtx"), "B": str(tmp_path / "B.mtx"), "C": str(tmp_path / "C.mtx")}
-        sys = load_system(mapping, name="direct")
-        assert sys.name == "direct"
+        sys = load_system(mapping)
+        assert sys.name == "system"
         assert sys.n == 1
 
 
@@ -158,6 +158,13 @@ class TestHeatModel:
         assert np.array_equal(s1.A, s2.A)
         assert np.array_equal(s1.B, s2.B)
         assert np.array_equal(s1.C, s2.C)
+
+    @pytest.mark.parametrize("n, m, p", [(3, 1, 1), (3, 3, 3), (10, 4, 7), (12, 12, 1), (50, 7, 6)])
+    def test_io_matrices_are_the_identity_slices(self, n, m, p):
+        # B is the first m columns of the n x n identity and C its last p rows, bit for bit
+        sys = generate_heat_model(n, m, p)
+        for got, want in ((sys.B, np.eye(n)[:, :m]), (sys.C, np.eye(n)[n - p:, :])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_io_dimension_validation(self):
         with pytest.raises(ValueError, match="m must be in"):
