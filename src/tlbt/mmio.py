@@ -4,11 +4,13 @@ Supports the ``array`` and ``coordinate`` formats with ``general`` or
 ``symmetric`` symmetry, which covers the benchmark collections this
 toolkit ingests. Parse errors report the 1-based line number.
 
-An ``array`` data block is split once and converted by one
-``np.array(tokens, dtype=np.float64)``, which parses each token as
-Python's ``float`` does; only when that fails, or the entry count is
-wrong, is the block scanned again line by line to name the line at
-fault.
+An ``array`` data block of plain decimal numbers (digits, signs,
+points, exponents and whitespace alone) is parsed by one
+``np.fromstring``, which reads each number as Python's ``float`` does
+and raises on a malformed one. Any other block, or one whose count is
+wrong, is split and converted by one ``np.array(tokens,
+dtype=np.float64)``; only when that fails too is the block scanned again
+line by line to name the line at fault.
 """
 from __future__ import annotations
 
@@ -23,6 +25,14 @@ _SYMMETRIES = {"general", "symmetric"}
 
 # the ASCII line boundaries of str.splitlines, so that line numbers agree with it
 _EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e]")
+
+# the bytes of a plain decimal array block; hex, nan, inf, underscores and
+# the separators str.split alone knows (\x1c-\x1f) are not among them
+_PLAIN = b"0123456789eE.+- \t\n\r\v\f"
+# np.fromstring raises on unmatched data in numpy 2.4 (checked on 2.4.6);
+# older releases may return the values before it with a DeprecationWarning
+# instead, so they keep the split path
+_FROMSTRING_RAISES = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
 
 class MatrixMarketError(ValueError):
@@ -130,15 +140,17 @@ def _read_array(path, text, start, lineno, n, m, symmetry):
     # array format stores entries column by column
     count = n * m if symmetry == "general" else n * (n + 1) // 2
     if text.find("%", start) < 0:
-        tokens = text[start:].split()
+        block = text[start:]
     else:
-        tokens = "\n".join(line for _, line in _data_lines(text, start, lineno)).split()
-    values = None
-    if len(tokens) == count:
-        try:
-            values = np.array(tokens, dtype=np.float64)
-        except ValueError:
-            pass
+        block = "\n".join(line for _, line in _data_lines(text, start, lineno))
+    values = _plain_values(block, count)
+    if values is None:
+        tokens = block.split()
+        if len(tokens) == count:
+            try:
+                values = np.array(tokens, dtype=np.float64)
+            except ValueError:
+                pass
     if values is None:
         _array_error(path, text, start, lineno, count, n, m)
     if symmetry == "general":
@@ -150,6 +162,20 @@ def _read_array(path, text, start, lineno, n, m, symmetry):
     out[rows, cols] = values
     out[cols, rows] = values
     return out
+
+
+def _plain_values(block, count):
+    """The ``count`` values of a block of plain decimal numbers by one
+    ``np.fromstring``; None for any other block, for a malformed number
+    and for a wrong count. A blank block is not plain: np.fromstring
+    reads it as [-1.0]."""
+    if not _FROMSTRING_RAISES or block.isspace() or block.encode("ascii").translate(None, _PLAIN):
+        return None
+    try:
+        values = np.fromstring(block, sep=" ")
+    except ValueError:
+        return None
+    return values if values.size == count else None
 
 
 def _array_error(path, text, start, lineno, count, n, m):

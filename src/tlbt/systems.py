@@ -13,7 +13,9 @@ symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, read
 in closed form from the sine basis when A and E are symmetric
 tridiagonal Toeplitz (every uniform-grid rod) and done by the dense
 generalized ``eigh`` otherwise, and works from lambda, X, X^T B and C X
-alone (a finite horizon's
+alone. From order ``_DST_MIN`` on the sine basis X is never formed: it
+is applied to thin blocks as a discrete sine transform by FFT, so the
+record holds no n x n array (a finite horizon's
 Gramians are factored by pivoted Cholesky from the closed-form columns
 of their cores, with no n x n core formed); every other model gets
 the real Schur form of A_std, and only that record forms A_std and
@@ -177,13 +179,73 @@ def _toeplitz_symbol(t: np.ndarray) -> np.ndarray | None:
     return (d + 2.0 * o) - 4.0 * o * s
 
 
-def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _dst1(m: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I along axis 0, sqrt(2 / (n+1))
+    sum_i m_i sin(i k pi / (n+1)) for k = 1..n: minus the imaginary part
+    of one real FFT of the odd extension (0, m, 0, -m reversed), halved."""
+    n = m.shape[0]
+    z = np.zeros((2 * n + 2, *m.shape[1:]))
+    z[1:n + 1] = m
+    z[n + 2:] = -m[::-1]
+    return np.fft.rfft(z, axis=0)[1:n + 1].imag * -math.sqrt(0.5 / (n + 1))
+
+
+class _SineBasis:
+    """X = S[:, order] diag(scale) of an order-n sine basis, S the
+    orthonormal DST-I matrix, never formed: X @ M, M @ X and the same
+    with ``.T`` (X^T) go through ``_dst1``, O(n log n) per column of M,
+    for an M with n rows (columns on the right). numpy defers ``M @ X``
+    to ``__rmatmul__``."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, order: np.ndarray, scale: np.ndarray, transposed: bool = False):
+        for arr in (order, scale):
+            arr.flags.writeable = False
+        self.order, self.scale, self._transposed = order, scale, transposed
+
+    @property
+    def T(self) -> "_SineBasis":
+        return _SineBasis(self.order, self.scale, not self._transposed)
+
+    def __matmul__(self, m) -> np.ndarray:
+        return self._apply(np.asarray(m, dtype=float), self._transposed)
+
+    def __rmatmul__(self, m) -> np.ndarray:
+        # M @ X = (X^T M^T)^T
+        return self._apply(np.asarray(m, dtype=float).T, not self._transposed).T
+
+    def _apply(self, m: np.ndarray, transposed: bool) -> np.ndarray:
+        """X^T m when transposed, else X m."""
+        n = self.order.size
+        if m.ndim == 0 or m.shape[0] != n:
+            raise ValueError(f"sine basis of order {n} cannot multiply an operand of shape {m.shape}")
+        scale = self.scale.reshape(n, *(1,) * (m.ndim - 1))
+        if transposed:
+            return _dst1(m)[self.order] * scale
+        w = np.empty_like(m)
+        w[self.order] = m * scale
+        return _dst1(w)
+
+
+# the order from which `_sine_pairs` applies the basis by FFT instead of
+# forming it: `reduce` plus `bound` (1 BLAS thread) measured the table
+# faster at n = 400 and 420, where n + 1 is prime and numpy's FFT of
+# length 2(n+1) takes its slow path, and the FFT faster or level from
+# 512 on at every order tried, prime n + 1 included (n = 800: 41 ms
+# against 57 ms)
+_DST_MIN = 512
+
+
+def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple | None:
     """(lambda, X, Y = E X) of the pencil (A, E), lambda ascending and
     X^T E X = I, from the symbols alpha of A and eps of E (1 without E):
     lambda_k = alpha_k / eps_k, x_k(i) = sqrt(2 / (n+1))
     sin(i k pi / (n+1)) / sqrt(eps_k) and y_k = eps_k x_k, since x_k is
-    an eigenvector of E. None unless A and E are symmetric tridiagonal
-    Toeplitz; LinAlgError when eps is not positive."""
+    an eigenvector of E. X and Y are dense arrays below order
+    ``_DST_MIN`` and ``_SineBasis`` operators from it on. None unless A
+    and E are symmetric tridiagonal Toeplitz; LinAlgError when eps is
+    not positive."""
     alpha = _toeplitz_symbol(a)
     eps = np.ones(a.shape[0]) if e is None else _toeplitz_symbol(e)
     if alpha is None or eps is None:
@@ -192,6 +254,10 @@ def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple[np.ndarray, np.nda
         raise np.linalg.LinAlgError("E is not positive definite")
     lam = alpha / eps
     order = np.argsort(lam, kind="stable")
+    if a.shape[0] >= _DST_MIN:
+        scale = 1.0 / np.sqrt(eps[order])
+        x = _SineBasis(order, scale)
+        return lam[order], x, x if e is None else _SineBasis(order, scale * eps[order])
     n, period = a.shape[0], 2 * a.shape[0] + 2
     # sin(j pi / (n+1)) for j in [0, 2n+2), each from an argument in [0, pi/2]
     r = np.arange(period) % (n + 1)
@@ -270,7 +336,10 @@ class _EigenRecord(_Record):
     """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lambda)
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
     without a mass matrix; formed here unless given), kept with
-    ``xb`` = X^T B and ``cx`` = C X.
+    ``xb`` = X^T B and ``cx`` = C X. X and Y are dense arrays, or
+    ``_SineBasis`` operators for a sine basis from order ``_DST_MIN`` on;
+    the record only multiplies them with thin blocks, and so does
+    ``gramians.GramianSet`` with the basis it is handed.
     The closed forms take X^T E X = I as exact, so they carry the
     orthogonality error of the basis ``_factored`` chose (the sine
     basis's rounding, or the dense ``eigh``'s).
@@ -281,7 +350,8 @@ class _EigenRecord(_Record):
         if y is None:
             y = x if sys.E is None else sys.E @ x
         for arr in (lam, x, y):
-            arr.flags.writeable = False
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
         self.eigvals, self.x, self.y = lam, x, y
         self.norm2 = float(np.max(np.abs(lam)))
         self.xb = _readonly(x.T @ sys.B)

@@ -184,6 +184,46 @@ def test_unconvertible_block_still_raises_when_the_rescan_finds_nothing(tmp_path
         read_matrix(path)
 
 
+@pytest.mark.parametrize("token", ["nan(1)", "0x1p3"])
+def test_entries_float_refuses_are_refused_as_before(tmp_path, token):
+    # np.fromstring reads nan(1) as nan, and float reads neither
+    path = write(tmp_path, f"%%MatrixMarket matrix array real general\n1 2\n1\n{token}\n")
+    with pytest.raises(MatrixMarketError, match=re.escape(f":4: could not parse value '{token}'")):
+        read_matrix(path)
+
+
+def test_blank_block_of_one_entry_is_refused(tmp_path):
+    # np.fromstring reads a blank block as [-1.0]
+    path = write(tmp_path, "%%MatrixMarket matrix array real general\n1 1\n  \n")
+    with pytest.raises(MatrixMarketError, match=":3: expected 1 entries, found 0"):
+        read_matrix(path)
+
+
+def test_plain_block_reads_bitwise_alike_through_both_parsers(tmp_path, monkeypatch):
+    # one np.fromstring for a plain decimal block, str.split and float
+    # for any other; signed zeros and subnormals included
+    import tlbt.mmio
+
+    rng = np.random.default_rng(11)
+    a = rng.choice([-1.0, 1.0], size=(40, 30)) * 10.0 ** rng.uniform(-320, 300, size=(40, 30))
+    a[0, :3] = [0.0, -0.0, 5e-324]
+    path = tmp_path / "plain.mtx"
+    write_matrix(path, a, comment="plain")
+    plain, taken = tlbt.mmio._plain_values, []
+
+    def spy(*args):
+        taken.append(plain(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(tlbt.mmio, "_plain_values", spy)
+    fast = read_matrix(path)
+    monkeypatch.setattr(tlbt.mmio, "_plain_values", lambda *args: None)
+    split = read_matrix(path)
+    assert taken[0] is not None
+    assert np.array_equal(fast.view(np.int64), a.view(np.int64))
+    assert np.array_equal(split.view(np.int64), a.view(np.int64))
+
+
 def test_non_ascii_byte_names_path_and_line(tmp_path):
     path = tmp_path / "cafe.mtx"
     path.write_bytes("%%MatrixMarket matrix array real general\n% café\n1 1\n1\n".encode("utf-8"))

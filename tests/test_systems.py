@@ -589,8 +589,9 @@ def test_sine_eigenvalues_against_mpmath():
 
 
 def test_tridiagonal_eigenbasis_is_orthonormal():
-    # the closed-form Gramians and kernel samples take X^T X = I
-    x = generate_heat_model(800, 7, 6)._operator().x
+    # the closed-form Gramians and kernel samples take X^T X = I; at this
+    # order X is applied as a transform, so its columns are X @ I
+    x = generate_heat_model(800, 7, 6)._operator().x @ np.eye(800)
     assert np.linalg.norm(x.T @ x - np.eye(800)) <= 1e-12
 
 
@@ -614,13 +615,92 @@ def test_sine_basis_scales_x_by_the_mass_symbol_for_e_x():
     assert residual(record.y) <= residual(sys.E @ record.x)
 
 
+def sine_reference(sys):
+    """lambda, X and Y = E X of a Toeplitz pencil, from the symbols, with
+    X formed in extended precision: sqrt(2 / (n+1)) sin(i k pi / (n+1))
+    with i k reduced mod 2n + 2, scaled by 1 / sqrt(eps_k)."""
+    n = sys.n
+    alpha = tlbt.systems._toeplitz_symbol(sys.A)
+    eps = np.ones(n) if sys.E is None else tlbt.systems._toeplitz_symbol(sys.E)
+    order = np.argsort(alpha / eps, kind="stable")
+    i = np.arange(1, n + 1)
+    arg = (np.multiply.outer(i, order + 1) % (2 * n + 2)).astype(np.longdouble)
+    pi = 4 * np.arctan(np.longdouble(1))
+    x = np.sqrt(np.longdouble(2) / (n + 1)) * np.sin(arg * (pi / (n + 1))) / np.sqrt(eps[order].astype(np.longdouble))
+    return (alpha / eps)[order], x, x * eps[order]
+
+
+def extended_precision():
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double carries no extra precision here")
+
+
+@pytest.mark.parametrize("make", [lambda n: generate_heat_model(n, 7, 6), lambda n: fem_rod(n, 7, 6)],
+                         ids=["gen", "fem-mass"])
+@pytest.mark.parametrize("n", [512, 600, 800])
+def test_sine_basis_products_against_the_extended_precision_matrix(make, n):
+    # n = 600 has the prime n + 1 = 601, so the FFT of length 2(n + 1)
+    # takes its slow path; each product within 1e-14 relative
+    extended_precision()
+    sys = make(n)
+    record = sys._operator()
+    assert isinstance(record.x, tlbt.systems._SineBasis)
+    _, x, y = sine_reference(sys)
+    rng = np.random.default_rng(n)
+    for op, ref in ((record.x, x), (record.y, y)):
+        for shape in ((n, 9), (n,)):
+            m = rng.standard_normal(shape)
+            ml = m.astype(np.longdouble)
+            for got, want in ((op @ m, ref @ ml), (m.T @ op, ml.T @ ref),
+                              (op.T @ m, ref.T @ ml), (m.T @ op.T, ml.T @ ref.T)):
+                assert got.shape == want.shape and got.dtype == float
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("sys", [generate_heat_model(800, 7, 6), fem_rod(600, 7, 6)], ids=["gen-800", "fem-mass-600"])
+def test_sine_basis_record_answers_like_the_formed_basis(sys):
+    # against the record of the same basis formed as a matrix (in extended
+    # precision, then rounded), not against the dense eigh, which at
+    # n = 800 is itself 2.1e-10 off on the projected A11 (the operator
+    # 1.1e-11)
+    extended_precision()
+    lam, x, y = sine_reference(sys)
+    record = sys._operator()
+    assert isinstance(record.x, tlbt.systems._SineBasis)
+    assert_records_answer_alike(sys, record, _EigenRecord(sys, lam, x.astype(float), y.astype(float)))
+
+
+def test_sine_basis_is_formed_below_its_transform_order():
+    # small models keep the table-built X and its arithmetic, bit for bit
+    small = tlbt.systems._DST_MIN - 1
+    for sys in (generate_heat_model(small, 7, 6), fem_rod(400, 7, 6)):
+        record = sys._operator()
+        assert type(record.x) is np.ndarray and type(record.y) is np.ndarray
+    assert isinstance(generate_heat_model(small + 1, 7, 6)._operator().x, tlbt.systems._SineBasis)
+
+
+def test_sine_record_is_built_without_an_n_by_n_array():
+    # a formed X of gen:2000 takes 32 MB; what is left is the n x n
+    # boolean of the symmetry check (4 MB)
+    import tracemalloc
+
+    sys = generate_heat_model(2000, 7, 6)
+    tracemalloc.start()
+    try:
+        sys._operator()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("module", [tlbt.gramians, tlbt.balancing, tlbt.bounds],
                          ids=lambda m: m.__name__)
 def test_only_the_operator_record_knows_how_a_is_factored(module):
     # these modules see A through the record's calls alone, so a second
     # factorization route changes systems and nothing else
     forbidden = {"_Record", "_EigenRecord", "_SchurRecord", "_EigForm", "_eigh_form",
-                 "_solve_sylvester_diagonal", "_exp_finite"}
+                 "_solve_sylvester_diagonal", "_exp_finite", "_SineBasis", "_dst1"}
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
