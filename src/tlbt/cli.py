@@ -294,7 +294,8 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
     def balanced(key):
         method, tbar = key
         g = infinite_gramians(system) if method == "BT" else time_limited_gramians(system, tbar)
-        return g, balance(g, system)
+        # each read of g.P forms P, so the TLBT rows' bounds share this one
+        return (g.P if method == "TLBT" else None), balance(g, system)
 
     def one(value, tbar):
         rows = []
@@ -302,7 +303,7 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
             row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
                    "bound_level": "", "status": "ok"}
             try:
-                gramians, bal = _settled(balances[(method, tbar if method == "TLBT" else None)])
+                p_tbar, bal = _settled(balances[(method, tbar if method == "TLBT" else None)])
                 if axis == "r":
                     r = int(value)
                 elif axis == "tau":
@@ -316,7 +317,7 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
                 _, max_tbar, _ = output_error(full, reduced, tbar)
                 row["max_error_tbar"] = _fmt(max_tbar)
                 if method == "TLBT":
-                    report = tlbt_h2_bound(system, rom, gramians.P, tbar)
+                    report = tlbt_h2_bound(system, rom, p_tbar, tbar)
                     row["bound_level"] = _fmt(report.epsilon * _settled(norms[tbar]))
             except Exception as exc:
                 msg = f"{type(exc).__name__}: {exc}".replace("\n", "; ").replace(",", ";")

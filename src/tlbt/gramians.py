@@ -23,16 +23,15 @@ real Schur form of A for every other one. This module checks the
 arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
-The record hands each Gramian over factored, as a basis X and a root R
-with P = (X R)(X R)^T. The eigen record builds a finite horizon's R by
-pivoted Cholesky from the closed-form columns of the core C with
-P = X C X^T, stopping once the remaining diagonal sums to 1e-12 of C's
+It holds each Gramian as its cut factor Z, with P ~= Z Z^T: the record's
+basis times the factor of the core C with P = X C X^T. The eigen record
+factors a finite horizon's C by pivoted Cholesky from its closed-form
+columns, stopping once the remaining diagonal sums to 1e-12 of C's
 largest diagonal entry; its unrestricted pair, the Schur record and a
-hand-built set take R from one eigendecomposition of C, cut at
-eigenvalues of 1e-12 ||C||_2. Either way a core that is not
-numerically PSD is refused. With a mass matrix the eigenbasis is
-E-orthonormal, so the PSD check and the cutoffs apply in the E inner
-product. Dense P and Q are formed only when read.
+hand-built set keep the eigenvectors of C with eigenvalues above
+1e-12 ||C||_2. Either way a core that is not numerically PSD is
+refused. With a mass matrix the eigenbasis is E-orthonormal, so the
+PSD check and the cutoffs apply in the E inner product.
 
 The independent Gauss-Legendre quadrature of the defining integrals
 that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
@@ -40,7 +39,6 @@ that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,21 +55,11 @@ class GramianSet:
     """A reachability/observability Gramian pair for one horizon, in
     standard form; ``horizon`` is math.inf for the unrestricted pair.
 
-    Each Gramian is held as P = X C X^T with C = R R^T: the operator
-    record's basis X and the root R it factored the core C into, or
-    X = I for a hand-built ``GramianSet(P=, Q=, horizon=)``.
-    ``lowrank_P``/``lowrank_Q`` are the rank-revealing factors X Z, Z the
-    leading columns of R. A finite horizon's pair on the eigenbasis of a
-    symmetric-definite model comes from pivoted Cholesky, and R = Z
-    (tr(C - Z Z^T) <= 1e-12 max C_ii). Every other pair, and a
-    hand-built one, takes R from one eigendecomposition per core, which
-    checks that C is numerically PSD (no eigenvalue below
-    -1e-10 ||C||_2); R spans C's positive eigenvalues and Z its
-    eigenvalues above 1e-12 ||C||_2. C has P's spectrum for an
-    orthogonal X, and P E's for the E-orthonormal eigenbasis of a model
-    with mass matrix E. Dense ``P`` and ``Q`` = (X R)(X R)^T are formed
-    on first read, which releases the R kept for them. The set is
-    frozen.
+    ``lowrank_P`` and ``lowrank_Q`` are the read-only cut factors Z of
+    the Gramians, with P ~= Z Z^T (see the module docstring); a
+    hand-built ``GramianSet(P=, Q=, horizon=)`` factors P and Q by one
+    eigendecomposition each. ``P`` and ``Q`` are Z Z^T, formed on each
+    read. The set is frozen.
     """
 
     horizon: float
@@ -79,37 +67,24 @@ class GramianSet:
     lowrank_Q: np.ndarray = field(repr=False)
 
     def __init__(self, P, Q, horizon: float):
-        self._factor(horizon, P=(None, *_psd_factor(_symmetric(P, "P"), "P")),
-                     Q=(None, *_psd_factor(_symmetric(Q, "Q"), "Q")))
+        self._hold(horizon, *(_psd_factor(_symmetric(g, name), name) for name, g in (("P", P), ("Q", Q))))
 
     @classmethod
     def _of(cls, horizon: float, p: tuple, q: tuple) -> "GramianSet":
-        """The set of an operator record's factors (X, R, k) of P and Q."""
+        """The set of an operator record's pairs (basis, Z) of P and Q."""
         gset = cls.__new__(cls)
-        gset._factor(horizon, P=p, Q=q)
+        gset._hold(horizon, *(basis @ z for basis, z in (p, q)))
         return gset
 
-    def _factor(self, horizon: float, **factors) -> None:
-        held = {}
-        for name, (basis, root, k) in factors.items():
-            object.__setattr__(self, "lowrank_" + name, root[:, :k] if basis is None else basis @ root[:, :k])
-            held[name] = (basis, root)
-        n_p, n_q = self.lowrank_P.shape[0], self.lowrank_Q.shape[0]
-        if n_p != n_q:
-            raise DimensionError(f"P and Q must have equal shapes, got {(n_p, n_p)} and {(n_q, n_q)}")
-        for name, value in (("horizon", horizon), ("_held", held), ("_lock", threading.Lock())):
+    def _hold(self, horizon: float, zp: np.ndarray, zq: np.ndarray) -> None:
+        if zp.shape[0] != zq.shape[0]:
+            raise DimensionError(f"P and Q must have equal shapes, got {zp.shape[:1] * 2} and {zq.shape[:1] * 2}")
+        zp.flags.writeable = zq.flags.writeable = False
+        for name, value in (("horizon", horizon), ("lowrank_P", zp), ("lowrank_Q", zq)):
             object.__setattr__(self, name, value)
 
-    def _dense(self, name: str) -> np.ndarray:
-        with self._lock:
-            held = self._held[name]
-            if isinstance(held, tuple):
-                w = held[1] if held[0] is None else held[0] @ held[1]
-                held = self._held[name] = w @ w.T
-            return held
-
-    P = property(lambda self: self._dense("P"), doc="The dense reachability Gramian.")
-    Q = property(lambda self: self._dense("Q"), doc="The dense observability Gramian.")
+    P = property(lambda self: self.lowrank_P @ self.lowrank_P.T, doc="The dense reachability Gramian Z Z^T.")
+    Q = property(lambda self: self.lowrank_Q @ self.lowrank_Q.T, doc="The dense observability Gramian Z Z^T.")
 
 
 def _check_horizon(tbar, allow_inf: bool = False) -> float:
@@ -149,8 +124,8 @@ def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
     solution of A11 Pr + Pr A11^T + B1 B1^T - Fr Fr^T = 0 with
     Fr = e^(A11 tbar) B1, on the Schur form of A11; the caller checks
     that Lambda(A11) and -Lambda(A11) are separated."""
-    w = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
-    return w @ w.T
+    z = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")
+    return z @ z.T
 
 
 def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:

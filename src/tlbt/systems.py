@@ -110,13 +110,15 @@ class StateSpaceSystem:
             e = as_matrix(self.E, "E")
             if e.shape != (n, n):
                 raise DimensionError(f"E must have shape {(n, n)} to match A, got {e.shape}")
-            if np.array_equal(e, e.T):
-                # the singular values of a symmetric matrix are |eigenvalues|
-                lam = _toeplitz_symbol(e)
-                lam = np.abs(np.linalg.eigvalsh(e) if lam is None else lam)
-                cond = lam.max() / lam.min() if lam.min() > 0.0 else np.inf
-            else:
+            lam = _toeplitz_symbol(e)
+            if lam is None and np.array_equal(e, e.T):
+                lam = np.linalg.eigvalsh(e)
+            if lam is None:
                 cond = np.linalg.cond(e)
+            else:
+                # the singular values of a symmetric matrix are |eigenvalues|
+                lam = np.abs(lam)
+                cond = lam.max() / lam.min() if lam.min() > 0.0 else np.inf
             if not np.isfinite(cond) or cond > 1.0 / _E_COND_TOL:
                 raise ValueError(f"E is numerically singular (condition estimate {cond:.3e})")
             object.__setattr__(self, "E", _readonly(e))
@@ -149,30 +151,34 @@ def _memo(store: dict, key, build):
 def _factored(sys: StateSpaceSystem) -> "_Record":
     """The eigen record of a symmetric-definite model, from the sine
     basis when A and E are symmetric tridiagonal Toeplitz
-    (``_sine_pairs``) and by the dense generalized ``eigh`` otherwise;
-    the Schur record of every other one."""
+    (``_sine_pairs``, tried first: a match proves the symmetry, so the
+    n x n comparison with the transpose is left to the others) and by
+    the dense generalized ``eigh`` otherwise; the Schur record of every
+    other one."""
     a, e = sys.A, sys.E
-    if np.array_equal(a, a.T) and (e is None or np.array_equal(e, e.T)):
-        try:
-            pairs = _sine_pairs(a, e)
+    try:
+        pairs = _sine_pairs(a, e)
+        if pairs is not None or (np.array_equal(a, a.T) and (e is None or np.array_equal(e, e.T))):
             return _EigenRecord(sys, *(sla.eigh(a, e) if pairs is None else pairs))
-        except np.linalg.LinAlgError:  # E is not positive definite
-            pass
+    except np.linalg.LinAlgError:  # E is not positive definite
+        pass
     return _SchurRecord(sys)
 
 
 def _toeplitz_symbol(t: np.ndarray) -> np.ndarray | None:
     """The eigenvalues (d + 2o) - 4o sin^2(k pi / (2n + 2)), k = 1..n, of
-    a symmetric t that is tridiagonal Toeplitz with diagonal d and
-    off-diagonal o, whose k-th eigenvector is sin(i k pi / (n + 1)),
-    i = 1..n; the form has no cancellation where d + 2o vanishes. None
-    for any other symmetric t, and for n = 1."""
+    a t that is tridiagonal Toeplitz with diagonal d and both
+    off-diagonals o, so symmetric, whose k-th eigenvector is
+    sin(i k pi / (n + 1)), i = 1..n; the form has no cancellation where
+    d + 2o vanishes. None for any other t, and for n = 1. Only the
+    three diagonals and a count of nonzeros are read, so no n x n array
+    is formed."""
     n = t.shape[0]
     if n < 2:
         return None
     d, o = t[0, 0], t[0, 1]
     diag, off = np.diagonal(t), np.diagonal(t, 1)
-    if not (np.all(diag == d) and np.all(off == o)
+    if not (np.all(diag == d) and np.all(off == o) and np.all(np.diagonal(t, -1) == o)
             and np.count_nonzero(t) == np.count_nonzero(diag) + 2 * np.count_nonzero(off)):
         return None
     s = np.sin(np.arange(1, n + 1) * (math.pi / (2 * n + 2))) ** 2
@@ -283,11 +289,10 @@ class _Record:
       messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
-      that A_std is Hurwitz), each factored as a triple (basis, root, k)
-      with P = (basis root)(basis root)^T up to the factorization's
-      rounding and cutoff (``gramians.GramianSet``), and basis
-      root[:, :k] its rank-revealing factor; NotPsdError, naming P or Q,
-      for a core that is not numerically PSD;
+      that A_std is Hurwitz), each as a pair (basis, Z) with
+      P ~= (basis Z)(basis Z)^T, Z the cut factor of P's core in the
+      record's basis (``gramians.GramianSet``); NotPsdError, naming P or
+      Q, for a core that is not numerically PSD;
     - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
       A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
       of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
@@ -377,15 +382,12 @@ class _EigenRecord(_Record):
                 raise OverflowError(f"time-limited Gramian overflowed (largest rate {2.0 * np.max(lam):.3e}, "
                                     f"tbar = {tbar:g})")
 
-            def factor(name, basis, g):
-                # the core's entries are (g_i . g_j) Phi_ij
-                root = _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
-                                         lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name)
-                return basis, root, root.shape[1]
-
-            return tuple(factor(*gen) for gen in gens)
+            # the core's entries are (g_i . g_j) Phi_ij
+            return tuple((basis, _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
+                                                   lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name))
+                         for name, basis, g in gens)
         phi = -1.0 / (lam[:, None] + lam[None, :])
-        return tuple((basis, *_psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
+        return tuple((basis, _psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
@@ -456,7 +458,8 @@ class _SchurRecord(_Record):
     def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Bartels-Stewart on the Schur form of A_std for P, and for Q on
         the Schur form of A_std^T that it gives with the order of the
-        Schur vectors reversed, as the pairs (Schur vectors, core)."""
+        Schur vectors reversed, as the pairs (Schur vectors, cut factor
+        of the core)."""
         b, c = self.b, self.c
         if math.isfinite(tbar):
             f, g = self.propagators(tbar)
@@ -464,7 +467,7 @@ class _SchurRecord(_Record):
         else:
             w_p, w_q = -b @ b.T, -c.T @ c
         _require_separated(self, self, "solve_lyapunov")
-        return tuple((s.z, *_psd_factor(_lyapunov_core(s, w), name))
+        return tuple((s.z, _psd_factor(_lyapunov_core(s, w), name))
                      for name, s, w in (("P", self.schur, w_p), ("Q", self.schur.transposed(), w_q)))
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:

@@ -561,15 +561,20 @@ def test_one_eigh_per_unrestricted_gramian(monkeypatch):
 
 
 def formed_gramians(monkeypatch, *argv):
-    """Run the CLI and return the dense Gramians it formed, as (name, order)."""
-    formed, dense = [], GramianSet._dense
+    """Run the CLI and return the dense Gramians it read, as (name, order)."""
+    formed = []
 
-    def spying(self, name):
-        if isinstance(self._held[name], tuple):  # still held as (basis, root)
+    def spying(name):
+        prop = getattr(GramianSet, name)
+
+        def read(self):
             formed.append((name, self.lowrank_P.shape[0]))
-        return dense(self, name)
+            return prop.fget(self)
 
-    monkeypatch.setattr(GramianSet, "_dense", spying)
+        return property(read)
+
+    for name in ("P", "Q"):
+        monkeypatch.setattr(GramianSet, name, spying(name))
     assert run_cli(*argv) == 0
     return formed
 

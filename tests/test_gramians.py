@@ -76,6 +76,17 @@ class TestGramianSet:
             GramianSet(P=[[1.0, 0.5], [0.0, 1.0]], Q=np.eye(2), horizon=1.0)
 
 
+    @pytest.mark.parametrize("build", [lambda: GramianSet(P=np.diag([4.0, 1.0]), Q=np.eye(2), horizon=1.0),
+                                       lambda: time_limited_gramians(generate_heat_model(10, 2, 2), 0.05),
+                                       lambda: infinite_gramians(rand_stable(6, 2, 2, np.random.default_rng(3)))],
+                             ids=["hand-built", "eigen-record", "schur-record"])
+    def test_holds_its_horizon_and_two_read_only_factors(self, build):
+        gset = build()
+        assert sorted(vars(gset)) == ["horizon", "lowrank_P", "lowrank_Q"]
+        for z in (gset.lowrank_P, gset.lowrank_Q):
+            with pytest.raises(ValueError, match="read-only"):
+                z[0, 0] = 1.0
+
     def test_rejects_pairs_of_different_orders(self):
         with pytest.raises(DimensionError, match="equal shapes"):
             GramianSet(P=np.eye(2), Q=np.eye(3), horizon=1.0)
@@ -324,8 +335,8 @@ def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
     assert factored.count((40, 40)) == 1
 
 
-def test_threads_reading_one_set_share_one_dense_gramian():
-    # P is formed on first read; a read racing the first must wait for it
+def test_threads_reading_one_set_get_bitwise_equal_gramians():
+    # P is formed from the read-only factor on each read, with no shared cache
     gset = time_limited_gramians(generate_heat_model(300, 7, 6), 0.05)
     workers = 4
     start = threading.Barrier(workers)
@@ -346,7 +357,8 @@ def test_threads_reading_one_set_share_one_dense_gramian():
     finally:
         sys_module.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(x is results[0] for x in results)
+    for p in results:
+        assert np.array_equal(p, gset.lowrank_P @ gset.lowrank_P.T)
 
 
 def lyapunov_reference(sys, tbar):

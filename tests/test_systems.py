@@ -384,7 +384,7 @@ def assert_records_answer_alike(sys, got, want):
         assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
     def dense(gramians):
-        return [(basis @ root) @ (basis @ root).T for basis, root, _ in gramians]
+        return [(basis @ z) @ (basis @ z).T for basis, z in gramians]
 
     pairs = [(dense(got.gramians(h)), dense(want.gramians(h))) for h in (tbar, math.inf)]
     pairs.append((got.propagators(tbar), want.propagators(tbar)))
@@ -575,6 +575,18 @@ def test_indefinite_toeplitz_mass_matrix_takes_the_schur_record_without_eigh(mon
     assert calls == []
 
 
+def test_tridiagonal_toeplitz_with_unequal_off_diagonals_takes_the_schur_record(monkeypatch):
+    # the Toeplitz test runs before any symmetry check, so it must read
+    # the lower off-diagonal too; the same holds for E
+    heat = generate_heat_model(21, 2, 2)
+    skewed = heat.A + float(22 ** 2) * np.eye(21, k=-1)
+    e = np.eye(21, k=1) + 4.0 * np.eye(21) + 2.0 * np.eye(21, k=-1)
+    calls = scipy_eigh_calls(monkeypatch)
+    for a, mass in ((skewed, None), (heat.A, e)):
+        assert isinstance(StateSpaceSystem(A=a, B=heat.B, C=heat.C, E=mass)._operator(), _SchurRecord)
+    assert calls == []
+
+
 def test_sine_eigenvalues_against_mpmath():
     # lambda_k = -4 (n+1)^2 sin^2(k pi / (2n + 2)) has no cancellation;
     # MRRR left the slowest mode 1.6e-11 off relative
@@ -680,18 +692,19 @@ def test_sine_basis_is_formed_below_its_transform_order():
 
 
 def test_sine_record_is_built_without_an_n_by_n_array():
-    # a formed X of gen:2000 takes 32 MB; what is left is the n x n
-    # boolean of the symmetry check (4 MB)
+    # a formed X of gen:2000 takes 32 MB, and an n x n boolean of a
+    # symmetry check 4 MB, or 10 MB at gen:3200
     import tracemalloc
 
-    sys = generate_heat_model(2000, 7, 6)
-    tracemalloc.start()
-    try:
-        sys._operator()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    for n in (2000, 3200):
+        sys = generate_heat_model(n, 7, 6)
+        tracemalloc.start()
+        try:
+            sys._operator()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, n
 
 
 @pytest.mark.parametrize("module", [tlbt.gramians, tlbt.balancing, tlbt.bounds],
