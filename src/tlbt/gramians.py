@@ -23,15 +23,17 @@ real Schur form of A for every other one. This module checks the
 arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
-It holds each Gramian as its cut factor Z, with P ~= Z Z^T: the record's
-basis times the factor of the core C with P = X C X^T. The eigen record
-factors a finite horizon's C by pivoted Cholesky from its closed-form
-columns, stopping once the remaining diagonal sums to 1e-12 of C's
-largest diagonal entry; its unrestricted pair, the Schur record and a
-hand-built set keep the eigenvectors of C with eigenvalues above
-1e-12 ||C||_2. Either way a core that is not numerically PSD is
-refused. With a mass matrix the eigenbasis is E-orthonormal, so the
-PSD check and the cutoffs apply in the E inner product.
+The record hands each Gramian over factored, as a basis X and a root R
+of the core C with P = X C X^T and C = R R^T, and the number k of
+leading columns of R that form the cut factor. The eigen record builds a
+finite horizon's R by pivoted Cholesky from the closed-form columns of
+C, stopping once the remaining diagonal sums to 1e-12 of C's largest
+diagonal entry, and keeps all of it. Its unrestricted pair, the Schur
+record and a hand-built set take R from one eigendecomposition of C,
+over all positive eigenvalues, and k counts those above 1e-12 ||C||_2.
+Either way a core that is not numerically PSD is refused. With a mass
+matrix the eigenbasis is E-orthonormal, so the PSD check and the
+cutoffs apply in the E inner product.
 
 The independent Gauss-Legendre quadrature of the defining integrals
 that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
@@ -55,11 +57,14 @@ class GramianSet:
     """A reachability/observability Gramian pair for one horizon, in
     standard form; ``horizon`` is math.inf for the unrestricted pair.
 
-    ``lowrank_P`` and ``lowrank_Q`` are the read-only cut factors Z of
-    the Gramians, with P ~= Z Z^T (see the module docstring); a
-    hand-built ``GramianSet(P=, Q=, horizon=)`` factors P and Q by one
-    eigendecomposition each. ``P`` and ``Q`` are Z Z^T, formed on each
-    read. The set is frozen.
+    ``lowrank_P`` and ``lowrank_Q`` are the cut factors Z = X R[:, :k]
+    that balancing reads (see the module docstring). The set also holds
+    each root X R over all of the core's positive eigenvalues, all
+    read-only, and ``P`` and ``Q`` are (X R)(X R)^T, formed on each
+    read, so they keep the core's eigenvalues below the cut. On the
+    pivoted Cholesky route the root is Z itself. A hand-built
+    ``GramianSet(P=, Q=, horizon=)`` factors P and Q by one
+    eigendecomposition each, with X = I. The set is frozen.
     """
 
     horizon: float
@@ -67,24 +72,35 @@ class GramianSet:
     lowrank_Q: np.ndarray = field(repr=False)
 
     def __init__(self, P, Q, horizon: float):
-        self._hold(horizon, *(_psd_factor(_symmetric(g, name), name) for name, g in (("P", P), ("Q", Q))))
+        self._hold(horizon, *((None, *_psd_factor(_symmetric(g, name), name)) for name, g in (("P", P), ("Q", Q))))
 
     @classmethod
     def _of(cls, horizon: float, p: tuple, q: tuple) -> "GramianSet":
-        """The set of an operator record's pairs (basis, Z) of P and Q."""
+        """The set of an operator record's factors (X, R, k) of P and Q."""
         gset = cls.__new__(cls)
-        gset._hold(horizon, *(basis @ z for basis, z in (p, q)))
+        gset._hold(horizon, p, q)
         return gset
 
-    def _hold(self, horizon: float, zp: np.ndarray, zq: np.ndarray) -> None:
-        if zp.shape[0] != zq.shape[0]:
-            raise DimensionError(f"P and Q must have equal shapes, got {zp.shape[:1] * 2} and {zq.shape[:1] * 2}")
-        zp.flags.writeable = zq.flags.writeable = False
-        for name, value in (("horizon", horizon), ("lowrank_P", zp), ("lowrank_Q", zq)):
+    def _hold(self, horizon: float, *factors) -> None:
+        def times(basis, root):
+            return root if basis is None else basis @ root
+
+        roots = tuple(times(basis, root) for basis, root, _ in factors)
+        n_p, n_q = (w.shape[0] for w in roots)
+        if n_p != n_q:
+            raise DimensionError(f"P and Q must have equal shapes, got {(n_p, n_p)} and {(n_q, n_q)}")
+        # Z is the product of the k leading columns, not a view of the
+        # root's: a GEMM's rounding depends on its width, and balancing
+        # must not depend on the columns below the cut
+        z_p, z_q = (w if k == root.shape[1] else times(basis, root[:, :k])
+                    for w, (basis, root, k) in zip(roots, factors))
+        for a in (*roots, z_p, z_q):
+            a.flags.writeable = False
+        for name, value in (("horizon", horizon), ("lowrank_P", z_p), ("lowrank_Q", z_q), ("_roots", roots)):
             object.__setattr__(self, name, value)
 
-    P = property(lambda self: self.lowrank_P @ self.lowrank_P.T, doc="The dense reachability Gramian Z Z^T.")
-    Q = property(lambda self: self.lowrank_Q @ self.lowrank_Q.T, doc="The dense observability Gramian Z Z^T.")
+    P = property(lambda self: self._roots[0] @ self._roots[0].T, doc="The dense reachability Gramian.")
+    Q = property(lambda self: self._roots[1] @ self._roots[1].T, doc="The dense observability Gramian.")
 
 
 def _check_horizon(tbar, allow_inf: bool = False) -> float:
@@ -124,8 +140,8 @@ def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
     solution of A11 Pr + Pr A11^T + B1 B1^T - Fr Fr^T = 0 with
     Fr = e^(A11 tbar) B1, on the Schur form of A11; the caller checks
     that Lambda(A11) and -Lambda(A11) are separated."""
-    z = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")
-    return z @ z.T
+    w = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
+    return w @ w.T
 
 
 def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:

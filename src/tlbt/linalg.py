@@ -259,10 +259,12 @@ def _check_residual(res, w, context: str, tol: float = 1e-10) -> None:
 
 
 def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
-                neg_tol: float = 1e-10) -> np.ndarray:
-    """The cut factor Z of a symmetric P, with P ~= Z Z^T, from one
-    eigendecomposition: the eigenvectors scaled by sqrt(lambda) for the
-    eigenvalues above tol * ||P||_2, largest first.
+                neg_tol: float = 1e-10) -> tuple[np.ndarray, int]:
+    """One eigendecomposition of a symmetric P: the square root R over
+    its positive eigenvalues, columns by decreasing eigenvalue, so R R^T
+    is P with its negligible negative eigenvalues zeroed; and the number
+    k of leading columns of R whose eigenvalues exceed tol * ||P||_2,
+    the rank-revealing factor Z with P ~= Z Z^T.
 
     Raises NotPsdError for an eigenvalue below -neg_tol * ||P||_2.
     """
@@ -273,8 +275,9 @@ def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
             f"{label} has eigenvalue {evals[0]:.6e} below -{neg_tol:g} * ||{label}||_2; "
             "the matrix is not numerically PSD"
         )
-    kept = evals > tol * norm2
-    return evecs[:, kept][:, ::-1] * np.sqrt(evals[kept][::-1])
+    pos = evals > 0.0
+    root = evecs[:, pos][:, ::-1] * np.sqrt(evals[pos][::-1])
+    return root, int(np.count_nonzero(evals > tol * norm2))
 
 
 def _pivoted_cholesky(diag: np.ndarray, column, label: str) -> np.ndarray:

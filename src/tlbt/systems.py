@@ -289,10 +289,11 @@ class _Record:
       messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
-      that A_std is Hurwitz), each as a pair (basis, Z) with
-      P ~= (basis Z)(basis Z)^T, Z the cut factor of P's core in the
-      record's basis (``gramians.GramianSet``); NotPsdError, naming P or
-      Q, for a core that is not numerically PSD;
+      that A_std is Hurwitz), each factored as a triple (basis, root, k)
+      with P = (basis root)(basis root)^T up to the factorization's
+      rounding and cutoff (``gramians.GramianSet``), and basis
+      root[:, :k] its rank-revealing factor; NotPsdError, naming P or Q,
+      for a core that is not numerically PSD;
     - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
       A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
       of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
@@ -382,12 +383,15 @@ class _EigenRecord(_Record):
                 raise OverflowError(f"time-limited Gramian overflowed (largest rate {2.0 * np.max(lam):.3e}, "
                                     f"tbar = {tbar:g})")
 
-            # the core's entries are (g_i . g_j) Phi_ij
-            return tuple((basis, _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
-                                                   lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name))
-                         for name, basis, g in gens)
+            def factor(name, basis, g):
+                # the core's entries are (g_i . g_j) Phi_ij
+                root = _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
+                                         lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name)
+                return basis, root, root.shape[1]
+
+            return tuple(factor(*gen) for gen in gens)
         phi = -1.0 / (lam[:, None] + lam[None, :])
-        return tuple((basis, _psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
+        return tuple((basis, *_psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
@@ -458,8 +462,7 @@ class _SchurRecord(_Record):
     def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Bartels-Stewart on the Schur form of A_std for P, and for Q on
         the Schur form of A_std^T that it gives with the order of the
-        Schur vectors reversed, as the pairs (Schur vectors, cut factor
-        of the core)."""
+        Schur vectors reversed, as the pairs (Schur vectors, core)."""
         b, c = self.b, self.c
         if math.isfinite(tbar):
             f, g = self.propagators(tbar)
@@ -467,7 +470,7 @@ class _SchurRecord(_Record):
         else:
             w_p, w_q = -b @ b.T, -c.T @ c
         _require_separated(self, self, "solve_lyapunov")
-        return tuple((s.z, _psd_factor(_lyapunov_core(s, w), name))
+        return tuple((s.z, *_psd_factor(_lyapunov_core(s, w), name))
                      for name, s, w in (("P", self.schur, w_p), ("Q", self.schur.transposed(), w_q)))
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:

@@ -87,7 +87,8 @@ def spd_factor(p, tol: float = 1e-12) -> np.ndarray:
     eigenvalue, so ||P - Z Z^T||_2 <= 2 tol ||P||_2. Raises NotPsdError
     for an eigenvalue below -tol ||P||_2."""
     p = _symmetric(p, "P")
-    return _psd_factor((p + p.T) / 2.0, "P", tol, tol)
+    root, k = _psd_factor((p + p.T) / 2.0, "P", tol, tol)
+    return root[:, :k]
 
 
 # Gramians

@@ -147,6 +147,24 @@ class TestSumOfSquaresCertificate:
         for r in orders:
             assert_brackets_the_integral(sys, truncate(sys, bal.reduce_to(r)), tbar)
 
+    @pytest.mark.parametrize("advection", [np.eye(100, k=-1) - np.eye(100), np.eye(100, k=1) - np.eye(100)],
+                             ids=["upwind", "against-the-flow"])
+    def test_term_cpc_of_a_schur_route_model_matches_the_kernel(self, advection):
+        # P keeps its core's eigenvalues below the rank cut of the factor
+        # balancing reads: here they decay smoothly through 1e-12 ||P||_2
+        # and C sits at the far end of the rod, so the cut factor alone
+        # puts tr(C P C^T) 1.6e-8 and 2.0e-8 low; P's root gives 6.6e-11
+        # and 1.1e-10 against the kernel on a mesh two levels finer
+        heat = generate_heat_model(100, 7, 6)
+        sys = StateSpaceSystem(A=heat.A + 20.0 * advection, B=heat.B, C=heat.C)
+        tbar = 0.05
+        gset, rom = balanced_rom(sys, tbar, r=8)
+        record = sys._operator()
+        assert isinstance(record, tlbt.systems._SchurRecord)
+        fine = record.kernel_samples(tbar, tlbt.linalg._mesh_levels(tbar, record.norm2) + 2)[1]
+        term = tlbt_h2_bound(sys, rom, gset.P, tbar).term_cpc
+        assert term == pytest.approx(np.vdot(fine, fine), rel=1e-9, abs=0.0)
+
     def test_stiff_kernel_is_resolved_near_zero(self):
         # B = C = I excites the fastest modes, which decay within 1e-4 of
         # a horizon of 10; uniform panels would miss them

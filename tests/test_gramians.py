@@ -53,16 +53,25 @@ class TestInfiniteGramians:
     def test_factors_always_present(self):
         sys = generate_heat_model(6, 6, 6)
         gset = infinite_gramians(sys)
-        assert np.allclose(gset.lowrank_P @ gset.lowrank_P.T, gset.P, atol=1e-10)
-        assert np.allclose(gset.lowrank_Q @ gset.lowrank_Q.T, gset.Q, atol=1e-10)
+        a, b = standard_form(sys)
+        for z, want in ((gset.lowrank_P, solve_lyapunov(a, -b @ b.T)),
+                        (gset.lowrank_Q, solve_lyapunov(a.T, -sys.C.T @ sys.C))):
+            assert np.allclose(z @ z.T, want, atol=1e-10)
 
 
 class TestGramianSet:
     def test_hand_built_set_is_factored(self):
         gset = GramianSet(P=np.diag([4.0, 1.0, 0.0]), Q=np.eye(3), horizon=1.0)
         assert gset.lowrank_P.shape == (3, 2)
-        assert np.allclose(gset.lowrank_P @ gset.lowrank_P.T, gset.P, atol=1e-14)
+        assert np.allclose(gset.lowrank_P @ gset.lowrank_P.T, np.diag([4.0, 1.0, 0.0]), atol=1e-14)
         assert gset.lowrank_Q.shape == (3, 3)
+        assert np.allclose(gset.lowrank_Q @ gset.lowrank_Q.T, np.eye(3), atol=1e-14)
+
+    def test_hand_built_set_keeps_the_eigenvalues_below_the_cut(self):
+        p = np.diag([1.0, 1e-14])
+        gset = GramianSet(P=p, Q=np.eye(2), horizon=1.0)
+        assert gset.lowrank_P.shape == (2, 1)
+        assert np.allclose(gset.P, p, rtol=0.0, atol=1e-26)
 
     def test_negligible_negative_eigenvalue_is_zeroed(self):
         gset = GramianSet(P=np.diag([1.0, -1e-12]), Q=np.eye(2), horizon=1.0)
@@ -76,16 +85,21 @@ class TestGramianSet:
             GramianSet(P=[[1.0, 0.5], [0.0, 1.0]], Q=np.eye(2), horizon=1.0)
 
 
-    @pytest.mark.parametrize("build", [lambda: GramianSet(P=np.diag([4.0, 1.0]), Q=np.eye(2), horizon=1.0),
-                                       lambda: time_limited_gramians(generate_heat_model(10, 2, 2), 0.05),
-                                       lambda: infinite_gramians(rand_stable(6, 2, 2, np.random.default_rng(3)))],
-                             ids=["hand-built", "eigen-record", "schur-record"])
-    def test_holds_its_horizon_and_two_read_only_factors(self, build):
+    @pytest.mark.parametrize("build, cut", [
+        (lambda: GramianSet(P=np.diag([4.0, 1e-14]), Q=np.eye(2), horizon=1.0), True),
+        (lambda: time_limited_gramians(generate_heat_model(10, 2, 2), 0.05), False),
+        (lambda: infinite_gramians(rand_stable(6, 2, 2, np.random.default_rng(3))), False),
+    ], ids=["hand-built", "pivoted-cholesky", "schur-record"])
+    def test_holds_read_only_factors_and_the_roots_of_p_and_q(self, build, cut):
         gset = build()
-        assert sorted(vars(gset)) == ["horizon", "lowrank_P", "lowrank_Q"]
-        for z in (gset.lowrank_P, gset.lowrank_Q):
-            with pytest.raises(ValueError, match="read-only"):
-                z[0, 0] = 1.0
+        assert sorted(vars(gset)) == ["_roots", "horizon", "lowrank_P", "lowrank_Q"]
+        for z, w in zip((gset.lowrank_P, gset.lowrank_Q), gset._roots):
+            for a in (z, w):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
+        # the root is the cut factor itself unless the cut drops columns
+        assert (gset.lowrank_P is gset._roots[0]) != cut
+        assert gset.lowrank_Q is gset._roots[1]
 
     def test_rejects_pairs_of_different_orders(self):
         with pytest.raises(DimensionError, match="equal shapes"):
@@ -333,32 +347,6 @@ def test_threads_sharing_a_system_get_identical_gramians(monkeypatch):
         assert np.array_equal(other.Q, results[0].Q)
     # one shared Schur form of A; A^T's is read off it
     assert factored.count((40, 40)) == 1
-
-
-def test_threads_reading_one_set_get_bitwise_equal_gramians():
-    # P is formed from the read-only factor on each read, with no shared cache
-    gset = time_limited_gramians(generate_heat_model(300, 7, 6), 0.05)
-    workers = 4
-    start = threading.Barrier(workers)
-    results = [None] * workers
-
-    def work(k):
-        start.wait(timeout=10)
-        results[k] = gset.P
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
-    interval = sys_module.getswitchinterval()
-    sys_module.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys_module.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for p in results:
-        assert np.array_equal(p, gset.lowrank_P @ gset.lowrank_P.T)
 
 
 def lyapunov_reference(sys, tbar):

@@ -163,7 +163,7 @@ def closed_form_cores(sys, tbar):
     nonzero = rates != 0.0
     phi[nonzero] = np.expm1(rates[nonzero] * tbar) / rates[nonzero]
     cores = [g @ g.T * phi for g in (record.xb, record.cx.T)]
-    return cores, [z for _, z in record.gramians(tbar)]
+    return cores, [root for _, root, _ in record.gramians(tbar)]
 
 
 def test_pivoted_cholesky_rejects_indefinite():

@@ -1,11 +1,7 @@
 import argparse
-import ast
 import dataclasses
 import importlib
 import inspect
-import io
-import tokenize
-from pathlib import Path
 
 import pytest
 
@@ -69,11 +65,6 @@ FLAGS = [
     "--out", "--tbar", "--tend", "--tol", "--values", "--verify",
 ]
 
-# lines of src/tlbt/*.py that hold code: blank lines, comments and
-# docstrings are not counted. A change that moves the count edits this
-# number, so the size of the package is a reviewed figure.
-CODE_LINES = 1710
-
 # names that left the package (the test oracles and dense wrappers, now
 # in tests/oracles.py or gone), by the module of the package that held them
 ORACLES = {
@@ -125,32 +116,3 @@ def test_the_settable_options_are_pinned():
                 flags.update(f for a in sub._actions for f in a.option_strings if f.startswith("--"))
     assert sorted(flags - {"--help"}) == FLAGS
     assert len(OPTIONS) + len(FLAGS) == 26
-
-
-def _code_lines(source: str) -> int:
-    """The lines that carry a token other than a comment, a newline or an
-    indent, less those of module, class and function docstrings."""
-    docstrings = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
-                    and isinstance(first.value.value, str):
-                docstrings.update(range(first.lineno, first.end_lineno + 1))
-    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
-    lines = set()
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in layout:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
-
-
-def test_code_lines_of_a_small_module():
-    source = '"""Doc,\non two lines."""\n\nimport os  # why\n\n\ndef f(x):\n    """Doc."""\n    # note\n' \
-             '    return (x +\n            1)\n'
-    assert _code_lines(source) == 4
-
-
-def test_the_code_lines_are_pinned():
-    files = sorted(Path(tlbt.__file__).parent.glob("*.py"))
-    assert sum(_code_lines(f.read_text(encoding="utf-8")) for f in files) == CODE_LINES
