@@ -19,6 +19,7 @@ sweep       tabulate BT vs. time-limited BT over r, tbar, or tau values
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -264,25 +265,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     return files
 
 
-def _attempt(fn, *args):
-    """``fn(*args)``, or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _settled(result):
-    """The value of an ``_attempt``; re-raises the exception it caught."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
-    """BT and TLBT rows per sweep value. The balancings, the full-model
-    trajectories and the input norms shared by rows are computed once, up
-    front; a failure there is reported on every row that needs it."""
+    """The BT and TLBT rows of each sweep value, in order. Work the rows
+    share (balancings, full-model trajectories, input norms) runs once,
+    queued ahead of them; its failure is reported on every row reading it."""
     system = parse_model(cfg.model)
     u = parse_input(cfg.input, system.m)
     tbars = [float(value) if axis == "tbar" else cfg.tbar for value in values]
@@ -291,47 +277,47 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
     def step(tbar: float) -> float:
         return cfg.dt if cfg.dt is not None else tbar / 256
 
-    def balanced(key):
-        method, tbar = key
+    def balanced(method, tbar):
         g = infinite_gramians(system) if method == "BT" else time_limited_gramians(system, tbar)
         # each read of g.P forms P, so the TLBT rows' bounds share this one
         return (g.P if method == "TLBT" else None), balance(g, system)
 
-    def one(value, tbar):
-        rows = []
-        for method in ("BT", "TLBT"):
-            row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
-                   "bound_level": "", "status": "ok"}
-            try:
-                p_tbar, bal = _settled(balances[(method, tbar if method == "TLBT" else None)])
-                if axis == "r":
-                    r = int(value)
-                elif axis == "tau":
-                    r = select_order(bal.singular_values, float(value))
-                else:
-                    r = cfg.r if cfg.r is not None else select_order(bal.singular_values, cfg.tau)
-                rom = truncate(system, bal.reduce_to(r))
-                row["r"] = r
-                full = _settled(fulls[tbar])
-                reduced = simulate(rom, u, tbar, step(tbar))
-                _, max_tbar, _ = output_error(full, reduced, tbar)
-                row["max_error_tbar"] = _fmt(max_tbar)
-                if method == "TLBT":
-                    report = tlbt_h2_bound(system, rom, p_tbar, tbar)
-                    row["bound_level"] = _fmt(report.epsilon * _settled(norms[tbar]))
-            except Exception as exc:
-                msg = f"{type(exc).__name__}: {exc}".replace("\n", "; ").replace(",", ";")
-                row["status"] = f"error: {msg}"
-            rows.append(row)
-        return rows
+    def one(value, method, tbar):
+        row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
+               "bound_level": "", "status": "ok"}
+        try:
+            p_tbar, bal = balances[(method, tbar if method == "TLBT" else None)].result()
+            if axis == "r":
+                r = int(value)
+            elif axis == "tau":
+                r = select_order(bal.singular_values, float(value))
+            else:
+                r = cfg.r if cfg.r is not None else select_order(bal.singular_values, cfg.tau)
+            rom = truncate(system, bal.reduce_to(r))
+            row["r"] = r
+            full = fulls[tbar].result()
+            reduced = simulate(rom, u, tbar, step(tbar))
+            _, max_tbar, _ = output_error(full, reduced, tbar)
+            row["max_error_tbar"] = _fmt(max_tbar)
+            if method == "TLBT":
+                report = tlbt_h2_bound(system, rom, p_tbar, tbar)
+                row["bound_level"] = _fmt(report.epsilon * norms[tbar].result())
+        except Exception as exc:
+            msg = f"{type(exc).__name__}: {exc}".replace("\n", "; ").replace(",", ";")
+            row["status"] = f"error: {msg}"
+        return row
 
+    # All shared work is queued before the first row and the workers take
+    # tasks in queue order, so a row waits only on work a worker has
+    # already taken: no number of workers, one included, can deadlock.
     keys = [("BT", None)] + [("TLBT", t) for t in horizons]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        balances = dict(zip(keys, pool.map(lambda key: _attempt(balanced, key), keys)))
-        fulls = dict(zip(horizons, pool.map(lambda t: _attempt(simulate, system, u, t, step(t)), horizons)))
-        norms = {t: _attempt(input_l2_norm, u, t, step(t)) for t in horizons}
-        nested = list(pool.map(one, values, tbars))
-    return [row for group in nested for row in group]
+        balances = {key: pool.submit(balanced, *key) for key in keys}
+        fulls = {t: pool.submit(simulate, system, u, t, step(t)) for t in horizons}
+        norms = {t: pool.submit(input_l2_norm, u, t, step(t)) for t in horizons}
+        rows = [pool.submit(one, value, method, tbar)
+                for value, tbar in zip(values, tbars) for method in ("BT", "TLBT")]
+        return [f.result() for f in rows]
 
 
 def cmd_sweep(cfg: ExperimentConfig, axis: str, values, jobs: int = 1) -> list[str]:
@@ -358,6 +344,7 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values, jobs: int = 1) -> list[s
     return [path]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tlbt",

@@ -12,12 +12,13 @@ public.
 The kernels take factored matrices but do not choose a factorization: a
 system's operator is factored once, and how, by its operator record in
 ``systems``, which calls the private kernels here. Every
-Sylvester/Lyapunov solve is Bartels-Stewart on real Schur forms (or on a
-diagonal for an eigenbasis); the triangular equation goes through a
-recursive blocked kernel (after Jonsson and Kagstrom's RECSY) whose
-leaves are LAPACK dtrsyl calls. The solvers take Schur forms and leave
-the separation check to their caller. Dense wrappers that factor their
-arguments on every call, for tests, are in ``tests/oracles.py``.
+Sylvester/Lyapunov solve is Bartels-Stewart on real Schur forms (or, for
+an eigenbasis, on row blocks of its diagonal); the triangular equation
+goes through a recursive blocked kernel (after Jonsson and Kagstrom's
+RECSY) whose leaves are LAPACK dtrsyl calls. The solvers take Schur
+forms and leave the separation check to their caller. Dense wrappers
+that factor their arguments on every call, for tests, are in
+``tests/oracles.py``.
 
 The mesh: 4-node composite Gauss-Legendre on [0, tbar] with 64 panels,
 or 32 for the coarse estimate. When the operator is stiff, the panels
@@ -205,8 +206,11 @@ def _lyapunov_core(s: _SchurForm, w: np.ndarray) -> np.ndarray:
 
 def _solve_sylvester_diagonal(lam: np.ndarray, s2: _SchurForm, w: np.ndarray) -> np.ndarray:
     """diag(lam) X + X A2^T = W on the Schur form of A2; the caller
-    checks separation."""
-    y = _trsyl(np.diag(lam), s2.t, w @ s2.z, "solve_sylvester")
+    checks separation. The rows decouple, so they are solved in blocks of
+    _TRSYL_BLOCK, and no n x n diag(lam) is formed."""
+    f = w @ s2.z
+    y = np.vstack([_trsyl(np.diag(lam[i:i + _TRSYL_BLOCK]), s2.t, f[i:i + _TRSYL_BLOCK],
+                          "solve_sylvester") for i in range(0, lam.size, _TRSYL_BLOCK)])
     x = y @ s2.z.T
     _check_residual(lam[:, None] * x + x @ s2.a.T - w, w, "solve_sylvester")
     return x

@@ -40,7 +40,7 @@ class TestBalance:
     def test_scalar_singular_value(self, scalar_system):
         gset = time_limited_gramians(scalar_system, 1.0)
         bal = balance(gset, scalar_system)
-        assert bal.singular_values[0] == pytest.approx(SCALAR_TL_1, rel=1e-13)
+        assert bal.singular_values[0] == pytest.approx(SCALAR_TL_1, rel=1e-13, abs=0.0)
         assert bal.n_hat == 1
 
     def test_state_symmetric_system_values_are_gramian_eigenvalues(self):
@@ -215,8 +215,8 @@ class TestTruncate:
     def test_scalar_reduction_is_exact(self, scalar_system):
         bal = balance(time_limited_gramians(scalar_system, 1.0), scalar_system)
         rom = truncate(scalar_system, bal)
-        assert rom.A11[0, 0] == pytest.approx(-1.0, rel=1e-13)
-        assert rom.B1[0, 0] * rom.C1[0, 0] == pytest.approx(1.0, rel=1e-13)
+        assert rom.A11[0, 0] == pytest.approx(-1.0, rel=1e-13, abs=0.0)
+        assert rom.B1[0, 0] * rom.C1[0, 0] == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_reduced_heat_model_is_stable(self):
         sys = generate_heat_model(20, 20, 20)

@@ -57,7 +57,7 @@ class TestDirectBound:
         p_red = (1.0 - math.exp(-4.0)) / 4.0
         p_mix = (1.0 - math.exp(-3.0)) / 3.0
         expect = p_full + p_red - 2.0 * p_mix
-        assert report.epsilon_squared == pytest.approx(expect, rel=1e-12)
+        assert report.epsilon_squared == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_report_terms_reconstruct_epsilon(self):
         sys = generate_heat_model(10, 4, 3)
@@ -173,7 +173,7 @@ class TestSumOfSquaresCertificate:
         gset, rom = balanced_rom(sys, tbar, r=5)
         report = tlbt_h2_bound(sys, rom, gset.P, tbar)
         trace = report.term_cpc + report.term_cprc - 2.0 * report.term_cpmc
-        assert report.epsilon_squared == pytest.approx(trace, rel=1e-10)
+        assert report.epsilon_squared == pytest.approx(trace, rel=1e-10, abs=0.0)
 
     def test_independent_of_the_blas_thread_count(self):
         script = (
@@ -386,7 +386,7 @@ class TestClassicalBounds:
         c_err = np.hstack([sys.C, -rom.C1])
         p_err = solve_lyapunov(a_err, -b_err @ b_err.T)
         h2_sq = float(np.trace(c_err @ p_err @ c_err.T))
-        assert bound_sq == pytest.approx(h2_sq, rel=1e-8)
+        assert bound_sq == pytest.approx(h2_sq, rel=1e-8, abs=0.0)
 
     def test_h2_infinite_validation(self):
         sys = generate_heat_model(6, 6, 6)

@@ -298,7 +298,7 @@ class TestSimulate:
                        "--input", "const:1", "--out", out) == 0
         data = json.loads((out / "max_error.json").read_text())
         assert 0 < data["max_error_tbar"] <= data["bound_level"]
-        assert data["bound_level"] == pytest.approx(data["epsilon"] * data["input_l2_tbar"], rel=1e-12)
+        assert data["bound_level"] == pytest.approx(data["epsilon"] * data["input_l2_tbar"], rel=1e-12, abs=0.0)
 
     def test_longer_observation_window(self, tmp_path):
         out = tmp_path / "sim"
@@ -307,7 +307,7 @@ class TestSimulate:
                        "--tend", 4 * tbar, "--dt", dt, "--out", out) == 0
         full = np.loadtxt(out / "y_full.csv", delimiter=",", skiprows=1)
         assert full.shape[0] == 129
-        assert full[-1, 0] == pytest.approx(1.0, rel=1e-12)
+        assert full[-1, 0] == pytest.approx(1.0, rel=1e-12, abs=0.0)
         data = json.loads((out / "max_error.json").read_text())
         assert data["max_error_total"] >= data["max_error_tbar"]
 

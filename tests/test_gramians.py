@@ -129,7 +129,7 @@ class TestTimeLimitedGramians:
     def test_defined_for_unstable_systems(self):
         sys = StateSpaceSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         gset = time_limited_gramians(sys, 1.0)
-        assert gset.P[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-13)
+        assert gset.P[0, 0] == pytest.approx((math.exp(2.0) - 1.0) / 2.0, rel=1e-13, abs=0.0)
 
     def test_exponential_overflow_raises_overflow_error(self):
         # a non-normal, strongly unstable A: the Schur record's expm
@@ -181,7 +181,7 @@ class TestReducedGramian:
         gset = time_limited_gramians(scalar_system, 1.0)
         bal = balance(gset, scalar_system)
         rom = truncate(scalar_system, bal)
-        assert reduced_gramian(rom, 1.0)[0, 0] == pytest.approx(SCALAR_TL_1, rel=1e-12)
+        assert reduced_gramian(rom, 1.0)[0, 0] == pytest.approx(SCALAR_TL_1, rel=1e-12, abs=0.0)
 
     def test_full_order_balanced_is_diagonal(self):
         sys = generate_heat_model(6, 6, 6)
@@ -208,7 +208,7 @@ class TestMixedGramian:
 
     def test_scalar(self, scalar_system):
         rom = ReducedModel(A11=[[-1.0]], B1=[[1.0]], C1=[[1.0]], r=1, horizon=1.0)
-        assert mixed_gramian(scalar_system, rom, 1.0)[0, 0] == pytest.approx(SCALAR_TL_1, rel=1e-13)
+        assert mixed_gramian(scalar_system, rom, 1.0)[0, 0] == pytest.approx(SCALAR_TL_1, rel=1e-13, abs=0.0)
 
     def test_infinite_horizon(self, scalar_system):
         rom = ReducedModel(A11=[[-1.0]], B1=[[1.0]], C1=[[1.0]], r=1, horizon=math.inf)

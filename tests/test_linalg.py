@@ -413,7 +413,7 @@ def test_mesh_samples_match_per_node_exponentials(levels):
     want_energy = 0.0
     for got, (times, roots) in ((fine, nodes[0]), (coarse, nodes[1])):
         # the weights sum to tbar
-        assert np.sum(roots[:, :, None] ** 2 * np.ones(times.shape)) == pytest.approx(tbar, rel=1e-14)
+        assert np.sum(roots[:, :, None] ** 2 * np.ones(times.shape)) == pytest.approx(tbar, rel=1e-14, abs=0.0)
         assert got.shape == times.shape[:2] + (3, 2 * times.shape[2])
         for (run, node, panel), t in np.ndenumerate(times):
             block = sla.expm(a * t) @ b
@@ -422,7 +422,7 @@ def test_mesh_samples_match_per_node_exponentials(levels):
             assert np.linalg.norm(sample - want) <= 1e-12 * np.linalg.norm(want)
             if got is fine:
                 want_energy += roots[run, node] ** 2 * np.sum(block**2)
-    assert energy == pytest.approx(want_energy, rel=1e-12)
+    assert energy == pytest.approx(want_energy, rel=1e-12, abs=0.0)
 
 
 def test_mesh_samples_of_a_stiff_transport_operator():
@@ -447,4 +447,4 @@ def test_mesh_samples_of_a_stiff_transport_operator():
             if samples is got[0]:
                 want_energy += roots[run, node] ** 2 * np.sum(block**2)
         assert np.max(np.abs(samples - want)) <= 1e-12 * np.max(np.abs(want))
-    assert got[2] == pytest.approx(want_energy, rel=1e-12)
+    assert got[2] == pytest.approx(want_energy, rel=1e-12, abs=0.0)

@@ -32,7 +32,7 @@ class TestSimulate:
 
     def test_scalar_single_step(self, scalar_system):
         traj = simulate(scalar_system, InputSignal.constant(1.0), t_end=0.1, dt=0.1)
-        assert traj.outputs[1, 0] == pytest.approx(0.1 / 1.05, rel=1e-15)
+        assert traj.outputs[1, 0] == pytest.approx(0.1 / 1.05, rel=1e-15, abs=0.0)
 
     def test_homogeneous_decay_factor(self, scalar_system):
         dt = 0.1
@@ -40,7 +40,7 @@ class TestSimulate:
         y = traj.outputs[:, 0]
         rho = (1.0 - dt / 2.0) / (1.0 + dt / 2.0)
         for k in range(1, 10):
-            assert y[k + 1] == pytest.approx(rho * y[k], rel=1e-13)
+            assert y[k + 1] == pytest.approx(rho * y[k], rel=1e-13, abs=0.0)
 
     def test_second_order_convergence(self, scalar_system):
         u = InputSignal.constant(1.0)
@@ -165,7 +165,7 @@ class TestMatchesPerStepLoop:
         ref = per_step_simulate(model, u, 2.0 * tbar, dt)
         out = simulate(model, u, 2.0 * tbar, dt).outputs
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert input_l2_norm(u, tbar, dt) == pytest.approx(per_step_l2_norm(u, tbar, dt), rel=1e-13)
+        assert input_l2_norm(u, tbar, dt) == pytest.approx(per_step_l2_norm(u, tbar, dt), rel=1e-13, abs=0.0)
 
 
 BLOCK_MODELS = {
@@ -336,14 +336,14 @@ class TestOutputError:
 class TestInputL2Norm:
     def test_constant_vector(self):
         u = InputSignal.constant(50.0 * np.ones(7))
-        assert input_l2_norm(u, 100.0, 0.5) == pytest.approx(50.0 * math.sqrt(700.0), rel=1e-12)
+        assert input_l2_norm(u, 100.0, 0.5) == pytest.approx(50.0 * math.sqrt(700.0), rel=1e-12, abs=0.0)
 
     def test_zero(self):
         assert input_l2_norm(InputSignal.zero(3), 5.0, 0.5) == 0.0
 
     def test_trapezoid_on_linear_ramp(self):
         u = InputSignal.from_table([0.0, 1.0], [[0.0], [1.0]])
-        assert input_l2_norm(u, 1.0, 0.5) == pytest.approx(math.sqrt(0.375), rel=1e-14)
+        assert input_l2_norm(u, 1.0, 0.5) == pytest.approx(math.sqrt(0.375), rel=1e-14, abs=0.0)
 
 
 class TestTrajectoryCsv:

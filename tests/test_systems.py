@@ -707,6 +707,25 @@ def test_sine_record_is_built_without_an_n_by_n_array():
         assert peak < 8e6, n
 
 
+def test_sine_record_mixed_gramian_forms_no_n_by_n_array():
+    # a formed diag(lambda) of gen:3200 takes 82 MB
+    import tracemalloc
+
+    sys = generate_heat_model(3200, 7, 6)
+    record = sys._operator()
+    rng = np.random.default_rng(3)
+    a11 = -np.diag(np.arange(1.0, 10.0)) + 0.1 * rng.standard_normal((9, 9))
+    b1 = rng.standard_normal((9, 7))
+    tracemalloc.start()
+    try:
+        pm = record.mixed(_schur_form(a11), b1, expm(a11, 0.05) @ b1, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pm.shape == (3200, 9)
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("module", [tlbt.gramians, tlbt.balancing, tlbt.bounds],
                          ids=lambda m: m.__name__)
 def test_only_the_operator_record_knows_how_a_is_factored(module):
