@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 
 __all__ = ["ExperimentConfig"]
@@ -53,7 +54,14 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if not isinstance(self.model, str) or not self.model:
+        for name in ("model", "input", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        # a bool is Real: it reaches the range check below, which refuses it
+        for name in ("tau", "tbar", "dt", "tend"):
+            if not isinstance(getattr(self, name), (type(None), Real)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not self.model:
             raise ValueError("model must be a nonempty string")
         if self.r is not None and self.tau is not None:
             raise ValueError("give exactly one of r and tau, not both")

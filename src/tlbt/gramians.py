@@ -23,17 +23,17 @@ real Schur form of A for every other one. This module checks the
 arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
-The record hands each Gramian over factored, as a basis X and a root R
-of the core C with P = X C X^T and C = R R^T, and the number k of
-leading columns of R that form the cut factor. The eigen record builds a
-finite horizon's R by pivoted Cholesky from the closed-form columns of
-C, stopping once the remaining diagonal sums to 1e-12 of C's largest
-diagonal entry, and keeps all of it. Its unrestricted pair, the Schur
-record and a hand-built set take R from one eigendecomposition of C,
-over all positive eigenvalues, and k counts those above 1e-12 ||C||_2.
-Either way a core that is not numerically PSD is refused. With a mass
-matrix the eigenbasis is E-orthonormal, so the PSD check and the
-cutoffs apply in the E inner product.
+The record hands each Gramian over factored, as a basis X and a factor
+L of the core C with P = X C X^T and C ~= L L^T. A finite horizon's L
+comes from pivoted Cholesky on both records: from the closed-form
+columns of C on the eigenbasis, from the dense C on the Schur form,
+stopping once the remaining diagonal sums to 1e-12 of C's largest
+diagonal entry. The unrestricted pair, a hand-built set and a reduced
+model's Gramian take L from one eigendecomposition of C, over the
+eigenvalues above 1e-12 ||C||_2. Either way a core that is not
+numerically PSD is refused. With a mass matrix the eigenbasis is
+E-orthonormal, so the PSD check and the cutoffs apply in the E inner
+product.
 
 The independent Gauss-Legendre quadrature of the defining integrals
 that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
@@ -57,14 +57,12 @@ class GramianSet:
     """A reachability/observability Gramian pair for one horizon, in
     standard form; ``horizon`` is math.inf for the unrestricted pair.
 
-    ``lowrank_P`` and ``lowrank_Q`` are the cut factors Z = X R[:, :k]
-    that balancing reads (see the module docstring). The set also holds
-    each root X R over all of the core's positive eigenvalues, all
-    read-only, and ``P`` and ``Q`` are (X R)(X R)^T, formed on each
-    read, so they keep the core's eigenvalues below the cut. On the
-    pivoted Cholesky route the root is Z itself. A hand-built
+    ``lowrank_P`` and ``lowrank_Q`` are the rank-revealing factors
+    Z = X L that balancing reads (see the module docstring), read-only,
+    and ``P`` and ``Q`` are Z Z^T, formed on each read. A hand-built
     ``GramianSet(P=, Q=, horizon=)`` factors P and Q by one
-    eigendecomposition each, with X = I. The set is frozen.
+    eigendecomposition each, with X = I, and checks the horizon. The
+    set is frozen.
     """
 
     horizon: float
@@ -72,35 +70,26 @@ class GramianSet:
     lowrank_Q: np.ndarray = field(repr=False)
 
     def __init__(self, P, Q, horizon: float):
-        self._hold(horizon, *((None, *_psd_factor(_symmetric(g, name), name)) for name, g in (("P", P), ("Q", Q))))
+        self._hold(_check_horizon(horizon, allow_inf=True),
+                   *(_psd_factor(_symmetric(g, name), name) for name, g in (("P", P), ("Q", Q))))
 
     @classmethod
     def _of(cls, horizon: float, p: tuple, q: tuple) -> "GramianSet":
-        """The set of an operator record's factors (X, R, k) of P and Q."""
+        """The set of an operator record's pairs (basis, factor) of P and Q."""
         gset = cls.__new__(cls)
-        gset._hold(horizon, p, q)
+        gset._hold(horizon, *(basis @ factor for basis, factor in (p, q)))
         return gset
 
-    def _hold(self, horizon: float, *factors) -> None:
-        def times(basis, root):
-            return root if basis is None else basis @ root
-
-        roots = tuple(times(basis, root) for basis, root, _ in factors)
-        n_p, n_q = (w.shape[0] for w in roots)
+    def _hold(self, horizon: float, z_p: np.ndarray, z_q: np.ndarray) -> None:
+        n_p, n_q = z_p.shape[0], z_q.shape[0]
         if n_p != n_q:
             raise DimensionError(f"P and Q must have equal shapes, got {(n_p, n_p)} and {(n_q, n_q)}")
-        # Z is the product of the k leading columns, not a view of the
-        # root's: a GEMM's rounding depends on its width, and balancing
-        # must not depend on the columns below the cut
-        z_p, z_q = (w if k == root.shape[1] else times(basis, root[:, :k])
-                    for w, (basis, root, k) in zip(roots, factors))
-        for a in (*roots, z_p, z_q):
-            a.flags.writeable = False
-        for name, value in (("horizon", horizon), ("lowrank_P", z_p), ("lowrank_Q", z_q), ("_roots", roots)):
+        z_p.flags.writeable = z_q.flags.writeable = False
+        for name, value in (("horizon", horizon), ("lowrank_P", z_p), ("lowrank_Q", z_q)):
             object.__setattr__(self, name, value)
 
-    P = property(lambda self: self._roots[0] @ self._roots[0].T, doc="The dense reachability Gramian.")
-    Q = property(lambda self: self._roots[1] @ self._roots[1].T, doc="The dense observability Gramian.")
+    P = property(lambda self: self.lowrank_P @ self.lowrank_P.T, doc="The dense reachability Gramian.")
+    Q = property(lambda self: self.lowrank_Q @ self.lowrank_Q.T, doc="The dense observability Gramian.")
 
 
 def _check_horizon(tbar, allow_inf: bool = False) -> float:
@@ -140,7 +129,7 @@ def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
     solution of A11 Pr + Pr A11^T + B1 B1^T - Fr Fr^T = 0 with
     Fr = e^(A11 tbar) B1, on the Schur form of A11; the caller checks
     that Lambda(A11) and -Lambda(A11) are separated."""
-    w = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")[0]
+    w = s11.z @ _psd_factor(_lyapunov_core(s11, fr @ fr.T - b1 @ b1.T), "Pr")
     return w @ w.T
 
 

@@ -3,11 +3,11 @@
 Provides the matrix exponential, Sylvester/Lyapunov solvers, two
 rank-revealing factorizations of symmetric positive semidefinite
 matrices (one eigendecomposition of a dense matrix, or pivoted Cholesky
-of one given by its diagonal and columns), the package's one check of
-each spectral condition (``_require_separated`` and
-``_require_hurwitz``), and samples of an impulse response C e^(A s) B
-on a graded Gauss-Legendre mesh. Only ``as_matrix`` and ``expm`` are
-public.
+of one given by its diagonal and columns, or of a dense one with its
+remainder checked), the package's one check of each spectral condition
+(``_require_separated`` and ``_require_hurwitz``), and samples of an
+impulse response C e^(A s) B on a graded Gauss-Legendre mesh. Only
+``as_matrix`` and ``expm`` are public.
 
 The kernels take factored matrices but do not choose a factorization: a
 system's operator is factored once, and how, by its operator record in
@@ -252,36 +252,33 @@ def _split(t: np.ndarray) -> int:
     return k + 1 if t[k, k - 1] != 0.0 else k
 
 
-def _check_residual(res, w, context: str, tol: float = 1e-10) -> None:
+def _check_residual(res, w, context: str) -> None:
     wnorm = np.linalg.norm(w)
     rnorm = np.linalg.norm(res)
-    if rnorm > tol * max(wnorm, 1e-300):
+    if rnorm > 1e-10 * max(wnorm, 1e-300):
         raise ArithmeticError(
-            f"{context}: relative residual {rnorm / max(wnorm, 1e-300):.3e} exceeds {tol:.0e}; "
+            f"{context}: relative residual {rnorm / max(wnorm, 1e-300):.3e} exceeds 1e-10; "
             "the spectra are likely too close to violating the separation condition"
         )
 
 
-def _psd_factor(p: np.ndarray, label: str, tol: float = 1e-12,
-                neg_tol: float = 1e-10) -> tuple[np.ndarray, int]:
-    """One eigendecomposition of a symmetric P: the square root R over
-    its positive eigenvalues, columns by decreasing eigenvalue, so R R^T
-    is P with its negligible negative eigenvalues zeroed; and the number
-    k of leading columns of R whose eigenvalues exceed tol * ||P||_2,
-    the rank-revealing factor Z with P ~= Z Z^T.
+def _psd_factor(p: np.ndarray, label: str) -> np.ndarray:
+    """One eigendecomposition of a symmetric P: the rank-revealing factor
+    Z with P ~= Z Z^T from its eigenpairs above 1e-12 ||P||_2, columns by
+    decreasing eigenvalue, so the eigenvalues below that cut, and the
+    negligible negative ones, are zeroed.
 
-    Raises NotPsdError for an eigenvalue below -neg_tol * ||P||_2.
+    Raises NotPsdError for an eigenvalue below -1e-10 ||P||_2.
     """
     evals, evecs = np.linalg.eigh(p)
     norm2 = float(np.max(np.abs(evals)))
-    if evals[0] < -neg_tol * norm2:
+    if evals[0] < -1e-10 * norm2:
         raise NotPsdError(
-            f"{label} has eigenvalue {evals[0]:.6e} below -{neg_tol:g} * ||{label}||_2; "
+            f"{label} has eigenvalue {evals[0]:.6e} below -1e-10 * ||{label}||_2; "
             "the matrix is not numerically PSD"
         )
-    pos = evals > 0.0
-    root = evecs[:, pos][:, ::-1] * np.sqrt(evals[pos][::-1])
-    return root, int(np.count_nonzero(evals > tol * norm2))
+    keep = evals > 1e-12 * norm2
+    return evecs[:, keep][:, ::-1] * np.sqrt(evals[keep][::-1])
 
 
 def _pivoted_cholesky(diag: np.ndarray, column, label: str) -> np.ndarray:
@@ -324,6 +321,19 @@ def _pivoted_cholesky(diag: np.ndarray, column, label: str) -> np.ndarray:
         d -= row * row
         d[j] = 0.0
         k += 1
+
+
+def _dense_cholesky(c: np.ndarray, label: str) -> np.ndarray:
+    """``_pivoted_cholesky`` of a dense symmetric C, checked: raises
+    NotPsdError unless ||C - L L^T||_F <= 1e-10 max(diag C). The stop on
+    the trace alone accepts an indefinite part whose diagonal is small,
+    such as a coupling of 1e-6 between two diagonal entries of 1e-13."""
+    low = _pivoted_cholesky(c.diagonal(), lambda j: c[j], label)
+    gap = np.linalg.norm(c - low @ low.T)
+    if gap > 1e-10 * np.max(c.diagonal()):
+        raise NotPsdError(f"{label} is off its pivoted Cholesky factor's product by {gap:.6e}, above 1e-10 "
+                          "times its largest diagonal entry; the matrix is not numerically PSD")
+    return low
 
 
 def _exp_finite(x: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ tridiagonal Toeplitz (every uniform-grid rod) and done by the dense
 generalized ``eigh`` otherwise, and works from lambda, X, X^T B and C X
 alone. From order ``_DST_MIN`` on the sine basis X is never formed: it
 is applied to thin blocks as a discrete sine transform by FFT, so the
-record holds no n x n array (a finite horizon's
-Gramians are factored by pivoted Cholesky from the closed-form columns
-of their cores, with no n x n core formed); every other model gets
-the real Schur form of A_std, and only that record forms A_std and
-B_std = E^-1 B (by one solve with E). Both records answer the same calls
+record holds no n x n array (a finite horizon's Gramians are factored
+by pivoted Cholesky from the closed-form columns of their cores, with
+no n x n core formed); every other model gets the real Schur form of
+A_std, and only that record forms A_std and B_std = E^-1 B (by one
+solve with E), and its finite horizon's dense cores are factored by
+pivoted Cholesky too. Both records answer the same calls
 (Gramians, propagators, mixed Gramian, projection, kernel samples) and
 build each per-horizon entry once under a lock, so systems can still be
 shared freely across threads.
@@ -39,6 +40,7 @@ from . import mmio
 from .errors import DimensionError
 from .linalg import (
     _EXP_FLOOR,
+    _dense_cholesky,
     _exp_finite,
     _mesh_exponentials,
     _mesh_nodes,
@@ -289,11 +291,10 @@ class _Record:
       messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
-      that A_std is Hurwitz), each factored as a triple (basis, root, k)
-      with P = (basis root)(basis root)^T up to the factorization's
-      rounding and cutoff (``gramians.GramianSet``), and basis
-      root[:, :k] its rank-revealing factor; NotPsdError, naming P or Q,
-      for a core that is not numerically PSD;
+      that A_std is Hurwitz), each as a pair (basis, factor) whose
+      product is the rank-revealing factor Z with P ~= Z Z^T
+      (``gramians.GramianSet``); NotPsdError, naming P or Q, for a core
+      that is not numerically PSD;
     - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
       A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
       of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
@@ -382,16 +383,12 @@ class _EigenRecord(_Record):
             if not np.all(np.isfinite(top)):
                 raise OverflowError(f"time-limited Gramian overflowed (largest rate {2.0 * np.max(lam):.3e}, "
                                     f"tbar = {tbar:g})")
-
-            def factor(name, basis, g):
-                # the core's entries are (g_i . g_j) Phi_ij
-                root = _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
-                                         lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name)
-                return basis, root, root.shape[1]
-
-            return tuple(factor(*gen) for gen in gens)
+            # the core's entries are (g_i . g_j) Phi_ij
+            return tuple((basis, _pivoted_cholesky(np.einsum("ij,ij->i", g, g) * top,
+                                                   lambda j: (g @ g[j]) * _expm1_rate(lam + lam[j], tbar), name))
+                         for name, basis, g in gens)
         phi = -1.0 / (lam[:, None] + lam[None, :])
-        return tuple((basis, *_psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
+        return tuple((basis, _psd_factor(g @ g.T * phi, name)) for name, basis, g in gens)
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
@@ -462,7 +459,9 @@ class _SchurRecord(_Record):
     def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Bartels-Stewart on the Schur form of A_std for P, and for Q on
         the Schur form of A_std^T that it gives with the order of the
-        Schur vectors reversed, as the pairs (Schur vectors, core)."""
+        Schur vectors reversed, each core factored by pivoted Cholesky
+        for a finite horizon and by one eigendecomposition for
+        tbar = inf, as the pairs (Schur vectors, factor)."""
         b, c = self.b, self.c
         if math.isfinite(tbar):
             f, g = self.propagators(tbar)
@@ -470,7 +469,8 @@ class _SchurRecord(_Record):
         else:
             w_p, w_q = -b @ b.T, -c.T @ c
         _require_separated(self, self, "solve_lyapunov")
-        return tuple((s.z, *_psd_factor(_lyapunov_core(s, w), name))
+        factor = _dense_cholesky if math.isfinite(tbar) else _psd_factor
+        return tuple((s.z, factor(_lyapunov_core(s, w), name))
                      for name, s, w in (("P", self.schur, w_p), ("Q", self.schur.transposed(), w_q)))
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:

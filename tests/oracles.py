@@ -3,10 +3,11 @@
 None of this is on the pipeline's path: no CLI command and no pipeline
 function calls it. The quadrature oracles integrate the Gramians'
 defining integrals directly, independently of the Lyapunov/Sylvester
-route. The solvers and the PSD factor take dense matrices and factor
-them on every call, then run the package's private kernels (the blocked
-Bartels-Stewart solve, the Schur form, the PSD eigendecomposition), so
-the tests of these wrappers test the code the pipeline runs. Each
+route. The solvers take dense matrices and factor them on every call,
+then run the package's private kernels (the blocked Bartels-Stewart
+solve, the Schur form), so the tests of these wrappers test the code
+the pipeline runs; the PSD factor is one eigendecomposition of its own,
+with its cutoff and its check as parameters. Each
 wrapper checks its own arguments, and its equation's separation
 condition by the package's one check, ``linalg._require_separated``;
 the private kernels leave that to their caller. The exact
@@ -22,11 +23,10 @@ import os
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from tlbt.errors import DimensionError
+from tlbt.errors import DimensionError, NotPsdError
 from tlbt.gramians import _check_horizon, _mixed_gramian, _reduced_gramian
 from tlbt.linalg import (
     _check_residual,
-    _psd_factor,
     _require_separated,
     _schur_form,
     _solve_sylvester,
@@ -87,8 +87,12 @@ def spd_factor(p, tol: float = 1e-12) -> np.ndarray:
     eigenvalue, so ||P - Z Z^T||_2 <= 2 tol ||P||_2. Raises NotPsdError
     for an eigenvalue below -tol ||P||_2."""
     p = _symmetric(p, "P")
-    root, k = _psd_factor((p + p.T) / 2.0, "P", tol, tol)
-    return root[:, :k]
+    evals, evecs = np.linalg.eigh((p + p.T) / 2.0)
+    norm2 = float(np.max(np.abs(evals)))
+    if evals[0] < -tol * norm2:
+        raise NotPsdError(f"P has eigenvalue {evals[0]:.6e} below -{tol:g} * ||P||_2")
+    keep = evals > tol * norm2
+    return evecs[:, keep][:, ::-1] * np.sqrt(evals[keep][::-1])
 
 
 # Gramians

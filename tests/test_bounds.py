@@ -150,11 +150,11 @@ class TestSumOfSquaresCertificate:
     @pytest.mark.parametrize("advection", [np.eye(100, k=-1) - np.eye(100), np.eye(100, k=1) - np.eye(100)],
                              ids=["upwind", "against-the-flow"])
     def test_term_cpc_of_a_schur_route_model_matches_the_kernel(self, advection):
-        # P keeps its core's eigenvalues below the rank cut of the factor
-        # balancing reads: here they decay smoothly through 1e-12 ||P||_2
-        # and C sits at the far end of the rod, so the cut factor alone
-        # puts tr(C P C^T) 1.6e-8 and 2.0e-8 low; P's root gives 6.6e-11
-        # and 1.1e-10 against the kernel on a mesh two levels finer
+        # P's eigenvalues decay smoothly through 1e-12 ||P||_2 and C sits
+        # at the far end of the rod, so an eigh of the core cut there puts
+        # tr(C P C^T) 1.6e-8 and 2.0e-8 low; pivoted Cholesky of the core
+        # stops on the trace and gives -4.5e-10 and -2.2e-11 against the
+        # kernel on a mesh two levels finer
         heat = generate_heat_model(100, 7, 6)
         sys = StateSpaceSystem(A=heat.A + 20.0 * advection, B=heat.B, C=heat.C)
         tbar = 0.05

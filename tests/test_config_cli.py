@@ -15,7 +15,7 @@ from tlbt.cli import main, parse_input, parse_model
 from tlbt.config import ExperimentConfig
 from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
 from tlbt.mmio import write_matrix
-from tlbt.systems import generate_heat_model, load_system
+from tlbt.systems import StateSpaceSystem, generate_heat_model, load_system
 
 
 def run_cli(*argv):
@@ -71,6 +71,13 @@ class TestExperimentConfig:
             ExperimentConfig(model="gen:5,1,1", tbar=-2.0)
         with pytest.raises(ValueError, match="model"):
             ExperimentConfig(model="")
+        # a config file can give any JSON type
+        for name in ("tbar", "dt", "tend", "tau"):
+            with pytest.raises(ValueError, match=f"{name} must be a real number, got '0.1'"):
+                ExperimentConfig(model="gen:5,1,1", **{name: "0.1"})
+        for name in ("model", "input", "out"):
+            with pytest.raises(ValueError, match=f"{name} must be a string, got 5"):
+                ExperimentConfig(**{"model": "gen:5,1,1", name: 5})
         # bool is a subclass of int, so true would pass as 1
         with pytest.raises(ValueError, match="r must be a positive integer, got True"):
             ExperimentConfig(model="gen:5,1,1", r=True)
@@ -551,6 +558,18 @@ def test_one_eigh_per_gramian_per_command(command, tmp_path, monkeypatch):
     # the eigen record factors a finite horizon's P and Q by pivoted
     # Cholesky from their closed-form columns
     assert shapes.count((80, 80)) == 0
+
+
+def test_no_eigh_of_a_schur_record_time_limited_gramian(monkeypatch):
+    # the Schur record factors a finite horizon's cores by pivoted
+    # Cholesky, and the unrestricted pair's by one eigh each
+    heat = generate_heat_model(100, 7, 6)
+    sys = StateSpaceSystem(A=heat.A + 20.0 * (np.eye(100, k=-1) - np.eye(100)), B=heat.B, C=heat.C)
+    shapes = counted_eighs(monkeypatch)
+    time_limited_gramians(sys, 0.05)
+    assert shapes.count((100, 100)) == 0
+    infinite_gramians(sys)
+    assert shapes.count((100, 100)) == 2
 
 
 def test_one_eigh_per_unrestricted_gramian(monkeypatch):

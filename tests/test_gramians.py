@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import fem_rod, rand_stable
 from oracles import (
     cross_gramian_quadrature,
+    exact_hankel_values,
     gramian_quadrature_oracle,
     mixed_gramian,
     reduced_gramian,
@@ -67,11 +68,10 @@ class TestGramianSet:
         assert gset.lowrank_Q.shape == (3, 3)
         assert np.allclose(gset.lowrank_Q @ gset.lowrank_Q.T, np.eye(3), atol=1e-14)
 
-    def test_hand_built_set_keeps_the_eigenvalues_below_the_cut(self):
-        p = np.diag([1.0, 1e-14])
-        gset = GramianSet(P=p, Q=np.eye(2), horizon=1.0)
+    def test_hand_built_set_drops_the_eigenvalues_below_the_cut(self):
+        gset = GramianSet(P=np.diag([1.0, 1e-14]), Q=np.eye(2), horizon=1.0)
         assert gset.lowrank_P.shape == (2, 1)
-        assert np.allclose(gset.P, p, rtol=0.0, atol=1e-26)
+        assert np.array_equal(gset.P, np.diag([1.0, 0.0]))
 
     def test_negligible_negative_eigenvalue_is_zeroed(self):
         gset = GramianSet(P=np.diag([1.0, -1e-12]), Q=np.eye(2), horizon=1.0)
@@ -85,25 +85,32 @@ class TestGramianSet:
             GramianSet(P=[[1.0, 0.5], [0.0, 1.0]], Q=np.eye(2), horizon=1.0)
 
 
-    @pytest.mark.parametrize("build, cut", [
-        (lambda: GramianSet(P=np.diag([4.0, 1e-14]), Q=np.eye(2), horizon=1.0), True),
-        (lambda: time_limited_gramians(generate_heat_model(10, 2, 2), 0.05), False),
-        (lambda: infinite_gramians(rand_stable(6, 2, 2, np.random.default_rng(3))), False),
+    @pytest.mark.parametrize("build", [
+        lambda: GramianSet(P=np.diag([4.0, 1e-14]), Q=np.eye(2), horizon=1.0),
+        lambda: time_limited_gramians(generate_heat_model(10, 2, 2), 0.05),
+        lambda: infinite_gramians(rand_stable(6, 2, 2, np.random.default_rng(3))),
     ], ids=["hand-built", "pivoted-cholesky", "schur-record"])
-    def test_holds_read_only_factors_and_the_roots_of_p_and_q(self, build, cut):
+    def test_holds_read_only_factors_and_the_roots_of_p_and_q(self, build):
+        # the factors are the only roots: P and Q are their products
         gset = build()
-        assert sorted(vars(gset)) == ["_roots", "horizon", "lowrank_P", "lowrank_Q"]
-        for z, w in zip((gset.lowrank_P, gset.lowrank_Q), gset._roots):
-            for a in (z, w):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0, 0] = 1.0
-        # the root is the cut factor itself unless the cut drops columns
-        assert (gset.lowrank_P is gset._roots[0]) != cut
-        assert gset.lowrank_Q is gset._roots[1]
+        assert sorted(vars(gset)) == ["horizon", "lowrank_P", "lowrank_Q"]
+        for z in (gset.lowrank_P, gset.lowrank_Q):
+            with pytest.raises(ValueError, match="read-only"):
+                z[0, 0] = 1.0
+        assert np.array_equal(gset.P, gset.lowrank_P @ gset.lowrank_P.T)
 
     def test_rejects_pairs_of_different_orders(self):
         with pytest.raises(DimensionError, match="equal shapes"):
             GramianSet(P=np.eye(2), Q=np.eye(3), horizon=1.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, -1.0, 0.0])
+    def test_rejects_a_horizon_that_is_not_positive(self, horizon):
+        with pytest.raises(ValueError, match="tbar must be positive and finite"):
+            GramianSet(P=np.eye(2), Q=np.eye(2), horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [1.0, math.inf])
+    def test_accepts_a_positive_horizon_and_the_unrestricted_one(self, horizon):
+        assert GramianSet(P=np.eye(2), Q=np.eye(2), horizon=horizon).horizon == horizon
 
 
 class TestTimeLimitedGramians:
@@ -386,6 +393,17 @@ def test_low_rank_factors_of_both_records_match_the_lyapunov_reference(sys):
             for name in ("P", "Q"):
                 z, y = getattr(got, "lowrank_" + name), getattr(reference, name)
                 assert np.linalg.norm(z @ z.T - y) <= 1e-10 * np.linalg.norm(y), (type(record), horizon, name)
+
+
+def test_schur_record_time_limited_hankel_values_match_the_exact_ones():
+    # the Schur record factors a finite horizon's cores by pivoted
+    # Cholesky; a per-eigenvalue cut put sigma_4 1.2e-8 and sigma_6
+    # 8.3e-6 off
+    rod = fem_rod(60, 7, 6)
+    gset = GramianSet._of(0.05, *tlbt.systems._SchurRecord(rod).gramians(0.05))
+    sigma = balance(gset, rod).singular_values[:6]
+    err = np.abs(sigma - exact_hankel_values("fem_rod(60,7,6)", "0.05")) / sigma
+    assert err[3] <= 1e-9 and err[5] <= 1e-6
 
 
 def test_observability_gramian_on_the_reversed_schur_form():

@@ -14,7 +14,7 @@ from tlbt import generate_heat_model
 from tlbt.balancing import balance
 from tlbt.errors import DimensionError, NotPsdError, SpectrumSeparationError
 from tlbt.gramians import time_limited_gramians
-from tlbt.linalg import _pivoted_cholesky, _trsyl, expm
+from tlbt.linalg import _dense_cholesky, _pivoted_cholesky, _trsyl, expm
 from tlbt.systems import StateSpaceSystem
 
 from conftest import fem_rod, rand_spd, rand_stable
@@ -163,7 +163,7 @@ def closed_form_cores(sys, tbar):
     nonzero = rates != 0.0
     phi[nonzero] = np.expm1(rates[nonzero] * tbar) / rates[nonzero]
     cores = [g @ g.T * phi for g in (record.xb, record.cx.T)]
-    return cores, [root for _, root, _ in record.gramians(tbar)]
+    return cores, [root for _, root in record.gramians(tbar)]
 
 
 def test_pivoted_cholesky_rejects_indefinite():
@@ -189,6 +189,15 @@ def test_pivoted_cholesky_where_rates_cancel():
                            C=rng.standard_normal((2, 3)))
     for core, root in zip(*closed_form_cores(sys, 0.5)):
         assert np.linalg.norm(root @ root.T - core) <= 1e-13 * np.linalg.norm(core)
+
+
+def test_dense_cholesky_refuses_an_indefinite_part_with_a_small_diagonal():
+    # the coupling of the two tiny entries makes C indefinite, yet the
+    # first pivot leaves a diagonal that sums below the stop on the trace
+    c = np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 1e-6], [0.0, 1e-6, 1e-13]])
+    assert _pivoted_cholesky(np.diag(c), lambda j: c[j], "P").shape == (3, 1)
+    with pytest.raises(NotPsdError, match="P is off its pivoted Cholesky factor's product"):
+        _dense_cholesky(c, "P")
 
 
 @pytest.mark.parametrize("sys", [generate_heat_model(50, 7, 6), fem_rod(30, 7, 6)], ids=["gen-50", "fem-30"])

@@ -384,7 +384,7 @@ def assert_records_answer_alike(sys, got, want):
         assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
 
     def dense(gramians):
-        return [(basis @ root) @ (basis @ root).T for basis, root, _ in gramians]
+        return [(basis @ root) @ (basis @ root).T for basis, root in gramians]
 
     pairs = [(dense(got.gramians(h)), dense(want.gramians(h))) for h in (tbar, math.inf)]
     pairs.append((got.propagators(tbar), want.propagators(tbar)))
