@@ -47,7 +47,9 @@ The paper writes the same integral as three Gramian traces,
     tr(C P C^T) + tr(C1 Pr C1^T) - 2 tr(C Pm C1^T)
 
 (with P the time-limited reachability Gramian, Pr its reduced-model
-analogue, and Pm the mixed Gramian). Once the reduced model is good the
+analogue, and Pm the mixed Gramian; tr(C P C^T) = ||C Z||_F^2 for the
+factor P = Z Z^T that a ``GramianSet`` holds, so P need not be formed).
+Once the reduced model is good the
 three traces agree to more digits than the arithmetic carries, so their
 combination is rounding noise; they are kept in the report as the
 paper's cross-check and do not enter eps. The paper's hypotheses, Lambda(A)
@@ -196,10 +198,13 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     sys : StateSpaceSystem
     rom : ReducedModel
         Reduction of ``sys`` (any projection with conforming dimensions).
-    p_tbar : (n, n) array_like
-        Time-limited reachability Gramian of ``sys`` on the same
-        [0, tbar], read for the trace tr(C P C^T) only. A Gramian of
-        another horizon is not detected: it changes term_cpc alone.
+    p_tbar : GramianSet or (n, n) array_like
+        The time-limited Gramians of ``sys`` on the same [0, tbar], read
+        for the trace tr(C P C^T) only. A set gives it as ||C Z||_F^2
+        from its factor Z = ``lowrank_P``, so P is never formed, and a
+        set of another horizon is refused. A dense reachability Gramian
+        P gives it as tr(C P C^T); a P of another horizon is not
+        detected: it changes term_cpc alone.
     tbar : float
 
     Returns
@@ -212,13 +217,22 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
         raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
     if rom.r > sys.n:
         raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
-    p = as_matrix(p_tbar, "P")
-    if p.shape != (sys.n, sys.n):
-        raise DimensionError(f"P must have shape {(sys.n, sys.n)} to match the system, got {p.shape}")
+    if isinstance(p_tbar, GramianSet):
+        if p_tbar.horizon != tbar:
+            raise ValueError(f"the Gramians are of horizon {p_tbar.horizon} but the bound's horizon is tbar = {tbar}")
+        z = p_tbar.lowrank_P
+        if z.shape[0] != sys.n:
+            raise DimensionError(f"the Gramians are of order {z.shape[0]} but the system has n = {sys.n}")
+        cz = sys.C @ z
+        term_cpc = float(np.vdot(cz, cz))
+    else:
+        p = as_matrix(p_tbar, "P")
+        if p.shape != (sys.n, sys.n):
+            raise DimensionError(f"P must have shape {(sys.n, sys.n)} to match the system, got {p.shape}")
+        term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
     op = sys._operator()
     s11 = _schur_form(a11)
     _check_hypotheses(op, s11)
-    term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
     levels = _mesh_levels(tbar, max(op.norm2, s11.norm2))
     phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
     fr = phi_r @ b1

@@ -206,7 +206,7 @@ def cmd_reduce(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
     system, gramians, bal, r, rom = _reduce_pipeline(cfg)
-    report = tlbt_h2_bound(system, rom, gramians.P, cfg.tbar)
+    report = tlbt_h2_bound(system, rom, gramians, cfg.tbar)
     data = report.to_dict()
     if verify:
         alt = tlbt_h2_bound_alt(system, gramians, r)
@@ -233,7 +233,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     full = simulate(system, u, tend, dt)
     reduced = simulate(rom, u, tend, dt)
     err, max_tbar, max_total = output_error(full, reduced, cfg.tbar)
-    report = tlbt_h2_bound(system, rom, gramians.P, cfg.tbar)
+    report = tlbt_h2_bound(system, rom, gramians, cfg.tbar)
     unorm = input_l2_norm(u, cfg.tbar, dt)
     level = report.epsilon * unorm
     os.makedirs(cfg.out, exist_ok=True)
@@ -279,14 +279,13 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
 
     def balanced(method, tbar):
         g = infinite_gramians(system) if method == "BT" else time_limited_gramians(system, tbar)
-        # each read of g.P forms P, so the TLBT rows' bounds share this one
-        return (g.P if method == "TLBT" else None), balance(g, system)
+        return g, balance(g, system)
 
     def one(value, method, tbar):
         row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
                "bound_level": "", "status": "ok"}
         try:
-            p_tbar, bal = balances[(method, tbar if method == "TLBT" else None)].result()
+            gramians, bal = balances[(method, tbar if method == "TLBT" else None)].result()
             if axis == "r":
                 r = int(value)
             elif axis == "tau":
@@ -300,7 +299,7 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
             _, max_tbar, _ = output_error(full, reduced, tbar)
             row["max_error_tbar"] = _fmt(max_tbar)
             if method == "TLBT":
-                report = tlbt_h2_bound(system, rom, p_tbar, tbar)
+                report = tlbt_h2_bound(system, rom, gramians, tbar)
                 row["bound_level"] = _fmt(report.epsilon * norms[tbar].result())
         except Exception as exc:
             msg = f"{type(exc).__name__}: {exc}".replace("\n", "; ").replace(",", ";")

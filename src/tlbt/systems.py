@@ -2,7 +2,12 @@
 
 A system is x' = A x + B u, y = C x, optionally with a nonsingular mass
 matrix E on the left of x'. A system's matrices are immutable after
-construction (its arrays are marked read-only).
+construction: it keeps, without a copy, each one given as a read-only
+C-contiguous float64 array that owns its data, which no view can write
+to, and keeps a read-only copy of any other (a writable array, a view,
+a list or another dtype). ``generate_heat_model`` and ``load_system``
+mark the arrays they build read-only before they construct the system,
+so its n x n A is allocated once.
 
 Each system memoizes, on first use, one record of its standard-form
 operator A_std = E^-1 A, the only code that knows how A_std is factored.
@@ -75,9 +80,14 @@ _INPUT_KINDS = ("constant", "star", "zero", "table")
 _RECORD_LOCK = threading.Lock()
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, order="C")
-    a.flags.writeable = False
+def _readonly(a) -> np.ndarray:
+    """``a`` itself when it is a read-only, C-contiguous float64 ndarray
+    that owns its data, so that no view of it can write to it; a
+    read-only C-contiguous float64 copy of anything else."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float, order="C")
+        a.flags.writeable = False
     return a
 
 
@@ -529,6 +539,9 @@ def load_system(manifest) -> StateSpaceSystem:
     b = _load("B")
     c = _load("C")
     e = _load("E") if "E" in mapping and mapping["E"] else None
+    # read-only before the system takes them, so it keeps without a copy those that own their data
+    for arr in (a, b, c) if e is None else (a, b, c, e):
+        arr.flags.writeable = False
     return StateSpaceSystem(A=a, B=b, C=c, E=e, name=name)
 
 
@@ -551,6 +564,8 @@ def generate_heat_model(n: int, m: int, p: int) -> StateSpaceSystem:
     a[i[:-1], i[1:]] = a[i[1:], i[:-1]] = h2
     b = np.eye(n, m)
     c = np.eye(p, n, k=n - p)
+    # read-only before the system takes them, so it keeps them without a copy
+    a.flags.writeable = b.flags.writeable = c.flags.writeable = False
     return StateSpaceSystem(A=a, B=b, C=c, name=f"heat-{n}-{m}-{p}")
 
 

@@ -77,6 +77,28 @@ class TestDirectBound:
             tlbt_h2_bound(sys, rom, other.P, 0.1)
         with pytest.raises(DimensionError, match="P must have shape"):
             tlbt_h2_bound(sys, rom, gset.P[:, :9], 0.1)
+        with pytest.raises(DimensionError, match="the Gramians are of order 12 but the system has n = 10"):
+            tlbt_h2_bound(sys, rom, other, 0.1)
+
+    def test_gramian_set_of_another_horizon_rejected(self):
+        sys = generate_heat_model(10, 2, 2)
+        _, rom = balanced_rom(sys, 0.1, r=2)
+        for other, horizon in ((time_limited_gramians(sys, 5.0), "5.0"), (infinite_gramians(sys), "inf")):
+            with pytest.raises(ValueError, match=rf"the Gramians are of horizon {horizon} but the bound's horizon is tbar = 0\.1"):
+                tlbt_h2_bound(sys, rom, other, 0.1)
+
+    @pytest.mark.parametrize("make, tbar", [
+        (lambda: generate_heat_model(8, 8, 8), 0.5),
+        (lambda: fem_rod(60, 60, 60), 0.05),
+        (lambda: rand_stable(12, 3, 2, np.random.default_rng(11)), 1.0),
+    ], ids=["gen-8", "fem-60", "rand-stable"])
+    def test_set_and_dense_routes_agree(self, make, tbar):
+        sys = make()
+        gset, rom = balanced_rom(sys, tbar, r=3)
+        by_set, by_dense = tlbt_h2_bound(sys, rom, gset, tbar), tlbt_h2_bound(sys, rom, gset.P, tbar)
+        assert by_set.term_cpc == pytest.approx(by_dense.term_cpc, rel=1e-12, abs=0.0)
+        assert by_set.epsilon == by_dense.epsilon
+        assert (by_set.term_cprc, by_set.term_cpmc) == (by_dense.term_cprc, by_dense.term_cpmc)
 
     def test_spectrum_overlap_rejected(self, scalar_system):
         rom = ReducedModel(A11=[[1.0]], B1=[[1.0]], C1=[[1.0]], r=1, horizon=1.0)

@@ -610,10 +610,19 @@ def test_reduce_forms_no_dense_gramian(model, tmp_path, monkeypatch):
                            "--order", 6, "--out", tmp_path / "out") == []
 
 
-def test_bound_forms_p_once_and_q_never(tmp_path, monkeypatch):
-    # tr(C P C^T) reads P; nothing reads Q
-    assert formed_gramians(monkeypatch, "bound", "--model", "gen:80,7,6", "--tbar", 0.05,
-                           "--order", 9, "--out", tmp_path) == [("P", 80)]
+@pytest.mark.parametrize("command", [("bound", "--order", 2), ("simulate", "--order", 2),
+                                     ("sweep", "--axis", "r", "--values", "1,2,3")], ids=lambda c: c[0])
+def test_bound_simulate_and_sweep_form_no_dense_gramian(command, tmp_path, monkeypatch):
+    # tr(C P C^T) reads the factor of P
+    def dense(self):
+        raise AssertionError("a dense Gramian was read")
+
+    for name in ("P", "Q"):
+        monkeypatch.setattr(GramianSet, name, property(dense))
+    assert run_cli(*command, "--model", "gen:20,3,2", "--tbar", 0.05, "--out", tmp_path) == 0
+    if command[0] == "sweep":
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.endswith(", ok") for row in rows), rows
 
 
 def test_verify_adds_no_factorization_to_bound(tmp_path, monkeypatch):

@@ -54,6 +54,22 @@ class TestStateSpaceSystem:
         with pytest.raises(ValueError):
             sys.A[0, 0] = 5.0
 
+    def test_keeps_a_read_only_array_that_owns_its_data(self):
+        a = -np.eye(3)
+        a.flags.writeable = False
+        sys = StateSpaceSystem(A=a, B=np.ones((3, 1)), C=np.ones((1, 3)))
+        assert sys.A is a
+
+    @pytest.mark.parametrize("source", ["writable", "view"])
+    def test_copies_a_writable_array_or_a_view(self, source):
+        owner = -np.eye(3)
+        a = owner if source == "writable" else owner[:, :]
+        a.flags.writeable = source == "writable"
+        sys = StateSpaceSystem(A=a, B=np.ones((3, 1)), C=np.ones((1, 3)))
+        assert sys.A is not a and not sys.A.flags.writeable
+        owner[0, 0] = 5.0
+        assert np.array_equal(sys.A, -np.eye(3))
+
     def test_b_row_mismatch_names_b(self):
         with pytest.raises(DimensionError, match="B has 1 rows"):
             StateSpaceSystem(A=np.diag([-1.0, -2.0]), B=[[1.0]], C=[[1.0, 0.0]])
@@ -129,6 +145,20 @@ class TestLoadSystem:
         with pytest.raises(FileNotFoundError):
             load_system(tmp_path / "absent.json")
 
+    def test_keeps_the_matrices_it_read_without_a_copy(self, tmp_path, monkeypatch):
+        read, original = [], tlbt.mmio.read_matrix
+
+        def reading(path):
+            read.append(original(path))
+            return read[-1]
+
+        rng = np.random.default_rng(5)
+        manifest = write_manifest(tmp_path, -np.eye(4) + 0.1 * rng.standard_normal((4, 4)),
+                                  rng.standard_normal((4, 2)), rng.standard_normal((3, 4)), e=2.0 * np.eye(4))
+        monkeypatch.setattr(tlbt.systems.mmio, "read_matrix", reading)
+        sys = load_system(manifest)
+        assert len(read) == 4 and all(x is y for x, y in zip((sys.A, sys.B, sys.C, sys.E), read))
+
     def test_mapping_input(self, tmp_path):
         write_manifest(tmp_path, [[-1.0]], [[1.0]], [[1.0]])
         mapping = {"A": str(tmp_path / "A.mtx"), "B": str(tmp_path / "B.mtx"), "C": str(tmp_path / "C.mtx")}
@@ -165,6 +195,18 @@ class TestHeatModel:
         sys = generate_heat_model(n, m, p)
         for got, want in ((sys.B, np.eye(n)[:, :m]), (sys.C, np.eye(n)[n - p:, :])):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_allocates_one_n_by_n_array(self):
+        # A is 8 MB at n = 1000; a copy of it in the system would double that
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            sys = generate_heat_model(1000, 7, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.A.shape == (1000, 1000) and peak < 12e6
 
     def test_io_dimension_validation(self):
         with pytest.raises(ValueError, match="m must be in"):
