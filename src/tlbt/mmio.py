@@ -5,10 +5,12 @@ Supports the ``array`` and ``coordinate`` formats with ``general`` or
 toolkit ingests. Parse errors report the 1-based line number.
 
 An ``array`` data block of plain decimal numbers (digits, signs,
-points, exponents and whitespace alone) is parsed by one
-``np.fromstring``, which reads each number as Python's ``float`` does
-and raises on a malformed one. Any other block, or one whose count is
-wrong, is split and converted by one ``np.array(tokens,
+points, exponents and whitespace alone) is read in one vectorized pass
+over its bytes. The tokens that are exactly ``0`` or ``-0``, most of a
+banded operator's dense file, become +0.0 and -0.0 there and never reach
+``np.fromstring``; one ``np.fromstring`` reads the others as Python's
+``float`` does and raises on a malformed one. Any other block, or one
+whose count is wrong, is split and converted by one ``np.array(tokens,
 dtype=np.float64)``; only when that fails too is the block scanned again
 line by line to name the line at fault.
 """
@@ -33,6 +35,8 @@ _PLAIN = b"0123456789eE.+- \t\n\r\v\f"
 # older releases may return the values before it with a DeprecationWarning
 # instead, so they keep the split path
 _FROMSTRING_RAISES = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
+# bytes per slice in _ends_a_zero: its masks stay below malloc's mmap threshold
+_SLICE = 1 << 16
 
 
 class MatrixMarketError(ValueError):
@@ -165,14 +169,78 @@ def _read_array(path, text, start, lineno, n, m, symmetry):
 
 
 def _plain_values(block, count):
-    """The ``count`` values of a block of plain decimal numbers by one
-    ``np.fromstring``; None for any other block, for a malformed number
-    and for a wrong count. A blank block is not plain: np.fromstring
-    reads it as [-1.0]."""
-    if not _FROMSTRING_RAISES or block.isspace() or block.encode("ascii").translate(None, _PLAIN):
+    """The ``count`` values of a block of plain decimal numbers; None for
+    any other block, for a malformed number and for a wrong count.
+
+    One vectorized pass over the block's bytes finds its tokens. Those
+    that are exactly ``0`` or ``-0`` are read as +0.0 and -0.0 and blanked;
+    one ``np.fromstring`` reads the rest, so every value is bitwise the
+    one that np.fromstring gives (``+0``, ``00`` or ``0.0`` go to it too).
+    np.fromstring reads a blank block as [-1.0], so it is never handed
+    one: an empty or blank block is not plain, and a block of zero tokens
+    alone makes no call.
+    """
+    if not _FROMSTRING_RAISES or not block or block.isspace():
         return None
+    raw = block.encode("ascii")
+    if raw.translate(None, _PLAIN):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    if not _ends_a_zero(b):
+        return _fromstring(raw, count)
+    # of the plain bytes, the whitespace ones are those up to b" "
+    blank = b <= 32
+    # each "0" that ends a token
+    zero = b == 48
+    zero[:-1] &= blank[1:]
+    # the first byte of each token
+    first = ~blank
+    first[1:] &= blank[:-1]
+    starts = np.flatnonzero(first)
+    if starts.size != count:
+        return None
+    # the "-" of each "-0" token, then the "0" of each "0" token
+    minus = np.zeros_like(first)
+    minus[:-1] = first[:-1] & (b[:-1] == 45) & zero[1:]
+    zero &= first
+    negative = minus[starts]
+    rest = ~(negative | zero[starts])
+    values = np.zeros(count)
+    values[negative] = -0.0
+    if rest.any():
+        # every byte of the zero tokens becomes a blank
+        zero |= minus
+        zero[1:] |= minus[:-1]
+        kept = b.copy()
+        np.putmask(kept, zero, 32)
+        kept = _fromstring(kept.tobytes(), np.count_nonzero(rest))
+        if kept is None:
+            return None
+        values[rest] = kept
+    return values
+
+
+def _ends_a_zero(b):
+    """Whether a "0" of the plain bytes ``b`` ends a token; a block
+    without one has no zero token. It is tested slice by slice: masks of
+    a whole 3 MB block are mapped afresh on each read, and their page
+    faults cost about as much again as the comparisons."""
+    if b[-1] == 48:
+        return True
+    for lo in range(0, b.size - 1, _SLICE):
+        part = b[lo:lo + _SLICE + 1]
+        zero = part[:-1] == 48
+        zero &= part[1:] <= 32
+        if zero.any():
+            return True
+    return False
+
+
+def _fromstring(raw, count):
+    """The ``count`` values that np.fromstring reads from the bytes
+    ``raw``; None if it reads another number of them or raises."""
     try:
-        values = np.fromstring(block, sep=" ")
+        values = np.fromstring(raw, sep=" ")
     except ValueError:
         return None
     return values if values.size == count else None

@@ -504,7 +504,8 @@ def load_system(manifest) -> StateSpaceSystem:
 
     ``manifest`` is either the path of a JSON document like
     ``{"A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "E": "E.mtx"}`` ("E"
-    optional) or an equivalent mapping. Relative paths resolve against
+    optional, and ``null`` for none) or an equivalent mapping. Any other
+    value that is not a path is refused. Relative paths resolve against
     the manifest's directory. The system is named after the manifest's
     file name, or "system" for a mapping.
     """
@@ -520,12 +521,18 @@ def load_system(manifest) -> StateSpaceSystem:
         base = os.path.dirname(os.path.abspath(manifest_path))
         name = os.path.splitext(os.path.basename(manifest_path))[0]
     else:
-        mapping, base, name = dict(manifest), ".", "system"
+        manifest_path, base, name = "manifest mapping", ".", "system"
+        mapping = dict(manifest)
     if not isinstance(mapping, dict):
         raise ValueError("manifest must be a JSON object mapping roles to file paths")
     missing = [role for role in ("A", "B", "C") if role not in mapping]
     if missing:
         raise ValueError(f"manifest is missing required roles: {', '.join(missing)}")
+    if "E" in mapping and mapping["E"] is None:
+        del mapping["E"]  # null: no mass matrix
+    for role in ("A", "B", "C", "E"):
+        if role in mapping and not isinstance(mapping[role], (str, os.PathLike)):
+            raise ValueError(f"{manifest_path}: role {role!r} must name a file, got {mapping[role]!r}")
 
     def _load(role):
         p = mapping[role]
@@ -538,7 +545,7 @@ def load_system(manifest) -> StateSpaceSystem:
     a = _load("A")
     b = _load("B")
     c = _load("C")
-    e = _load("E") if "E" in mapping and mapping["E"] else None
+    e = _load("E") if "E" in mapping else None
     # read-only before the system takes them, so it keeps without a copy those that own their data
     for arr in (a, b, c) if e is None else (a, b, c, e):
         arr.flags.writeable = False

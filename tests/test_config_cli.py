@@ -194,6 +194,13 @@ class TestGenModel:
         assert run_cli("reduce", "--model", missing, "--tbar", 1.0, "--order", 2) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_manifest_value_that_names_no_file_exits_2(self, tmp_path, capsys):
+        write_matrix(tmp_path / "A.mtx", [[-1.0]])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"A": "A.mtx", "B": "A.mtx", "C": 5}))
+        assert run_cli("bound", "--model", bad, "--tbar", 1.0, "--order", 1, "--out", tmp_path / "out") == 2
+        assert f"{bad}: role 'C' must name a file, got 5" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_artifacts(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import fem_rod
 from tlbt.mmio import MatrixMarketError, read_matrix, write_matrix
 
 
@@ -222,6 +223,113 @@ def test_plain_block_reads_bitwise_alike_through_both_parsers(tmp_path, monkeypa
     assert taken[0] is not None
     assert np.array_equal(fast.view(np.int64), a.view(np.int64))
     assert np.array_equal(split.view(np.int64), a.view(np.int64))
+
+
+def _banded_signed_zeros(n):
+    # a tridiagonal matrix whose even columns are negated: zeros written as 0 and -0
+    rng = np.random.default_rng(12)
+    a = sum(np.diag(rng.standard_normal(n - abs(k)), k) for k in (-1, 0, 1))
+    a[:, ::2] *= -1.0
+    return a
+
+
+_HEAD = "%%MatrixMarket matrix array real general\n"
+_MIXED = ["0", "-0", "+0", "00", "0.0", "-0e0", "5e-324", "-0", "1e-0", "-10", "0", "-0"]
+
+
+@pytest.mark.parametrize("text, expect", [
+    (None, _banded_signed_zeros(200)),
+    (_HEAD + "3 4\n" + " ".join(_MIXED[:5]) + "\n  " + "\n".join(_MIXED[5:]),
+     np.array(_MIXED, dtype=np.float64).reshape(4, 3).T),
+    (_HEAD + "2 2\n10 -20\n1e-10 00", np.array([[10.0, 1e-10], [-20.0, 0.0]])),
+    (_HEAD + "% comment\n2 3\n" + "0\n" * 6, np.zeros((2, 3))),
+    (_HEAD + "3 2\n" + "-0 " * 6, np.full((3, 2), -0.0)),
+], ids=["banded-200", "mixed-tokens", "no-zero-token", "all-0", "all-minus-0"])
+def test_zero_tokens_read_bitwise_alike_through_both_parsers(tmp_path, monkeypatch, text, expect):
+    # the tokens "0" and "-0" are read without np.fromstring; any other
+    # token, +0, 00, 0.0, -0e0 and 1e-0 among them, still goes to it
+    import tlbt.mmio
+
+    path = tmp_path / "zeros.mtx"
+    if text is None:
+        write_matrix(path, expect)
+        assert {"0", "-0"} <= set(path.read_text().split())
+    else:
+        path.write_text(text)
+    plain, taken = tlbt.mmio._plain_values, []
+
+    def spy(*args):
+        taken.append(plain(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(tlbt.mmio, "_plain_values", spy)
+    fast = read_matrix(path)
+    monkeypatch.setattr(tlbt.mmio, "_plain_values", lambda *args: None)
+    split = read_matrix(path)
+    assert taken[0] is not None
+    assert np.array_equal(fast.view(np.int64), expect.view(np.int64))
+    assert np.array_equal(split.view(np.int64), expect.view(np.int64))
+
+
+def test_zero_tokens_never_reach_fromstring(tmp_path, monkeypatch):
+    # the 400-state FEM rod's mass matrix: 160,000 tokens, 1,198 of them nonzero
+    e = fem_rod(400, 7, 6).E
+    path = tmp_path / "E.mtx"
+    write_matrix(path, e)
+    fromstring, handed = np.fromstring, []
+
+    def spy(text, *args, **kwargs):
+        handed.append(len(text.split()))
+        return fromstring(text, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    out = read_matrix(path)
+    assert np.array_equal(out.view(np.int64), e.view(np.int64))
+    assert np.count_nonzero(e) == 1198 and 0 < sum(handed) <= 1198
+
+
+def test_a_zero_token_that_ends_the_block_never_reaches_fromstring(tmp_path, monkeypatch):
+    fromstring, handed = np.fromstring, []
+
+    def spy(text, *args, **kwargs):
+        handed.append(text.split())
+        return fromstring(text, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    out = read_matrix(write(tmp_path, _HEAD + "3 1\n1.5\n-2\n0"))
+    assert out.tolist() == [[1.5], [-2.0], [0.0]] and handed == [[b"1.5", b"-2"]]
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_all_zero_block_makes_no_fromstring_call(tmp_path, monkeypatch, end):
+    # np.fromstring reads the blank block left after the zeros as [-1.0]
+    monkeypatch.setattr(np, "fromstring", None)
+    path = write(tmp_path, _HEAD + "2 2\n0\n-0\n-0\n0" + end)
+    assert np.array_equal(read_matrix(path).view(np.int64), np.array([[0.0, -0.0], [-0.0, 0.0]]).view(np.int64))
+
+
+def test_array_without_data_lines_is_refused(tmp_path):
+    path = write(tmp_path, _HEAD + "1 1\n")
+    with pytest.raises(MatrixMarketError, match=":2: expected 1 entries, found 0"):
+        read_matrix(path)
+
+
+def test_unparsable_token_amid_zero_filler_names_its_line(tmp_path):
+    # as the large-file case above, with every entry but a few 0 or -0
+    tokens = ["-0" if k % 3 else "0" for k in range(20000)]
+    tokens[:3] = tokens[-3:] = ["1.5", "2", "-3e-2"]
+    tokens[9999] = "1.2.3"
+    rows = [f"{tokens[k]} {tokens[k + 1]}" for k in range(0, 20000, 2)]
+    text = "%%MatrixMarket matrix array real general\n% c\n100 200\n" + "\n".join(rows) + "\n"
+    with pytest.raises(MatrixMarketError, match=r":5003: could not parse value '1\.2\.3'"):
+        read_matrix(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("comment", ["% c\n", ""])
+def test_surplus_zero_entry_names_the_line_of_the_first_extra_value(tmp_path, comment):
+    text = f"%%MatrixMarket matrix array real general\n2 2\n0 -0\n{comment}0\n0 -0\n0\n"
+    with pytest.raises(MatrixMarketError, match=rf":{6 if comment else 5}: more than 4 entries for a 2 x 2 array"):
+        read_matrix(write(tmp_path, text))
 
 
 def test_non_ascii_byte_names_path_and_line(tmp_path):

@@ -159,6 +159,22 @@ class TestLoadSystem:
         sys = load_system(manifest)
         assert len(read) == 4 and all(x is y for x, y in zip((sys.A, sys.B, sys.C, sys.E), read))
 
+    @pytest.mark.parametrize("role, value", [("C", 5), ("E", 0), ("E", False), ("B", ["B.mtx"])])
+    def test_value_that_names_no_file_is_refused_with_its_role(self, tmp_path, role, value):
+        manifest = write_manifest(tmp_path, [[-1.0]], [[1.0]], [[1.0]])
+        mapping = json.loads(manifest.read_text())
+        mapping[role] = value
+        manifest.write_text(json.dumps(mapping))
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}: role {role!r} must name a file, got {value!r}")):
+            load_system(manifest)
+
+    def test_null_mass_matrix_means_none(self, tmp_path):
+        manifest = write_manifest(tmp_path, [[-1.0]], [[1.0]], [[1.0]])
+        mapping = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(mapping, E=None)))
+        assert load_system(manifest).E is None
+        assert load_system(dict(A=tmp_path / "A.mtx", B=tmp_path / "B.mtx", C=tmp_path / "C.mtx", E=None)).E is None
+
     def test_mapping_input(self, tmp_path):
         write_manifest(tmp_path, [[-1.0]], [[1.0]], [[1.0]])
         mapping = {"A": str(tmp_path / "A.mtx"), "B": str(tmp_path / "B.mtx"), "C": str(tmp_path / "C.mtx")}
