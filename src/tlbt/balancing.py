@@ -8,23 +8,30 @@ yields the truncation projectors
 
 with W^T V = I_r, and the reduced model (W^T A V, W^T B, C V) of the
 standard form (A, B, C) = (E^-1 A, E^-1 B, C). The singular values are
-the (time-limited) Hankel singular values. The system's operator
-record (``systems``) forms W^T A V and W^T B on its own factorization of
-A. :func:`balance` is the only balancing: for a positive definite pair
-its full-order W and V are the balancing transform and its inverse
-(W^T P W = V^T Q V = diag(sigma)), which is how the bounds' balanced-
-coordinates route reads them.
+the (time-limited) Hankel singular values.
+
+Both steps run in the coordinates of the system's operator record
+(``systems``): there Zp = X_P Lp and Zq = X_Q Lq with X_Q^T X_P = I, so
+Zq^T Zp = Lq^T Lp, and V = X_P Vc, W = X_Q Wc with the core projectors
+Vc = Lp V_r S_r^(-1/2) and Wc = Lq U_r S_r^(-1/2). The record forms the
+reduced model from Vc and Wc on its own factorization of A; the n x r
+bases V and W are formed only when read. A hand-built Gramian pair or
+:class:`BalancingResult`, or one made on another record, is moved into
+the record's coordinates once. :func:`balance` is the only balancing:
+for a positive definite pair its full-order W and V are the balancing
+transform and its inverse (W^T P W = V^T Q V = diag(sigma)), which is
+how the bounds' balanced-coordinates route reads them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .gramians import GramianSet
 from .linalg import as_matrix
-from .systems import StateSpaceSystem
+from .systems import StateSpaceSystem, _lift, _readonly
 
 __all__ = [
     "BalancingResult",
@@ -38,20 +45,37 @@ __all__ = [
 _SIGMA_RTOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BalancingResult:
     """Projectors and singular values from one balancing run.
 
     ``singular_values`` holds the full computed spectrum (length n_hat,
     the numerical rank of the Gramian product); ``V`` and ``W`` are the
-    n x r truncation bases.
+    n x r truncation bases, read-only and formed on each read from the
+    core projectors that truncation reads (see the module docstring).
     """
 
     singular_values: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
     horizon: float
     r: int
+
+    def __init__(self, singular_values, V, W, horizon: float, r: int):
+        self._hold(singular_values, horizon, r, (None, _readonly(V)), (None, _readonly(W)))
+
+    @classmethod
+    def _of(cls, singular_values, horizon: float, r: int, v: tuple, w: tuple) -> "BalancingResult":
+        """The result on the pairs (basis, core) of V and W."""
+        bal = cls.__new__(cls)
+        bal._hold(singular_values, horizon, r, v, w)
+        return bal
+
+    def _hold(self, singular_values, horizon: float, r: int, v: tuple, w: tuple) -> None:
+        for name, value in (("singular_values", singular_values), ("horizon", horizon), ("r", r),
+                            ("_pairs", (v, w))):
+            object.__setattr__(self, name, value)
+
+    V = property(lambda self: _lift(self._pairs[0]), doc="The n x r basis V, W^T V = I.")
+    W = property(lambda self: _lift(self._pairs[1]), doc="The n x r basis W.")
 
     @property
     def n_hat(self) -> int:
@@ -59,9 +83,8 @@ class BalancingResult:
 
     def reduce_to(self, r: int) -> "BalancingResult":
         """Same factorization, truncated to a smaller order."""
-        if not (1 <= r <= self.r):
-            raise ValueError(f"r must be in [1, {self.r}], got {r}")
-        return replace(self, V=self.V[:, :r], W=self.W[:, :r], r=r)
+        r = _check_order(r, 1, self.r)
+        return self._of(self.singular_values, self.horizon, r, *((basis, core[:, :r]) for basis, core in self._pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,39 +140,31 @@ def balance(gramians: GramianSet, sys: StateSpaceSystem) -> BalancingResult:
     ValueError
         For a degenerate pair.
     """
-    n = sys.n
-    zp, zq = gramians.lowrank_P, gramians.lowrank_Q
-    if zp.shape[0] != n or zq.shape[0] != n:
-        raise DimensionError(f"Gramians of order {zp.shape[0]} do not match the system dimension {n}")
-    if zp.shape[1] == 0 or zq.shape[1] == 0:
+    lp, lq = gramians._cores(sys)
+    if lp.shape[1] == 0 or lq.shape[1] == 0:
         raise ValueError("degenerate Gramian pair: a Gramian factor has rank 0")
-    u, sigma, vt = np.linalg.svd(zq.T @ zp, full_matrices=False)
+    u, sigma, vt = np.linalg.svd(lq.T @ lp, full_matrices=False)
     n_hat = int(np.count_nonzero(sigma > _SIGMA_RTOL * sigma[0])) if sigma.size else 0
     if n_hat == 0:
         raise ValueError("degenerate Gramian pair: all singular values are numerically zero")
     sigma = sigma[:n_hat]
     scale = 1.0 / np.sqrt(sigma)
-    w = zq @ (u[:, :n_hat] * scale)
-    v = zp @ (vt[:n_hat, :].T * scale)
-    return BalancingResult(singular_values=sigma, V=v, W=w, horizon=gramians.horizon, r=n_hat)
+    x_p, x_q = sys._operator().bases
+    return BalancingResult._of(sigma, gramians.horizon, n_hat, (x_p, lp @ (vt[:n_hat, :].T * scale)),
+                               (x_q, lq @ (u[:, :n_hat] * scale)))
 
 
 def truncate(sys: StateSpaceSystem, bal: BalancingResult) -> ReducedModel:
     """Petrov-Galerkin reduction (W^T A V, W^T B, C V) of order bal.r of
-    the standard form (A, B, C) = (E^-1 A, E^-1 B, C)."""
-    if bal.V.shape[0] != sys.n:
-        raise DimensionError(
-            f"balancing bases have {bal.V.shape[0]} rows but the system dimension is {sys.n}"
-        )
-    a11, b1 = sys._operator().project(bal.W, bal.V)
-    return ReducedModel(
-        A11=a11,
-        B1=b1,
-        C1=sys.C @ bal.V,
-        r=bal.r,
-        horizon=bal.horizon,
-        parent_name=sys.name,
-    )
+    the standard form (A, B, C) = (E^-1 A, E^-1 B, C), formed by the
+    operator record from the core projectors."""
+    rows = bal._pairs[0][1].shape[0]
+    if rows != sys.n:
+        raise DimensionError(f"balancing bases have {rows} rows but the system dimension is {sys.n}")
+    op = sys._operator()
+    vc, wc = (op.core(pair, side) for side, pair in enumerate(bal._pairs))
+    a11, b1, c1 = op.project(wc, vc)
+    return ReducedModel(A11=a11, B1=b1, C1=c1, r=bal.r, horizon=bal.horizon, parent_name=sys.name)
 
 
 def select_order(singular_values, tau: float) -> int:
@@ -165,6 +180,16 @@ def select_order(singular_values, tau: float) -> int:
     # tails[n] = 0 <= tau, so some r qualifies
     tails = np.concatenate([np.cumsum(sigma[::-1])[::-1], [0.0]])
     return int(np.argmax(tails[1:] <= tau)) + 1
+
+
+def _check_order(r, low: int, high: int) -> int:
+    """r as an int; ValueError unless it is an integer in [low, high]
+    (a bool is not: True must not pass as 1)."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"r must be an integer, got {r!r}")
+    if not (low <= r <= high):
+        raise ValueError(f"r must be in [{low}, {high}], got {r}")
+    return int(r)
 
 
 def _singular_values(values) -> np.ndarray:

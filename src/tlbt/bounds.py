@@ -47,8 +47,11 @@ The paper writes the same integral as three Gramian traces,
     tr(C P C^T) + tr(C1 Pr C1^T) - 2 tr(C Pm C1^T)
 
 (with P the time-limited reachability Gramian, Pr its reduced-model
-analogue, and Pm the mixed Gramian; tr(C P C^T) = ||C Z||_F^2 for the
-factor P = Z Z^T that a ``GramianSet`` holds, so P need not be formed).
+analogue, and Pm the mixed Gramian). The full model's two are read in
+the operator record's coordinates (``systems``): tr(C P C^T) = ||(C X_P) L_P||_F^2
+for the factor P = Z Z^T, Z = X_P L_P, that a ``GramianSet`` holds, and
+tr(C Pm C1^T) from (C X_P) M for Pm = X_P M, so neither P nor an n-row
+factor is formed.
 Once the reduced model is good the
 three traces agree to more digits than the arithmetic carries, so their
 combination is rounding noise; they are kept in the report as the
@@ -65,11 +68,12 @@ exponentially in tbar for stable systems, and a nonpositive correction:
 
 with S = diag(sigma) the balanced Gramian, F = e^(A tbar) B and
 G = C e^(A tbar) partitioned conformally. Balanced coordinates are
-x_bal = W^T x with the full-order bases W and V of :func:`balance`
-(W^T V = I), so F_bal = W^T F, G_bal = G V, and the first r columns of
-the balanced A are W^T A V_r, projected by the system's operator record;
-both forms share the factorization of A and the propagators, and no
-n x n balanced A is formed. The order-r balanced truncation is a
+x_bal = W^T x with the full-order bases W = X_Q Wc and V = X_P Vc of
+:func:`balance` (W^T V = Wc^T Vc = I), so F_bal = Wc^T (X_Q^T F),
+G_bal = (G X_P) Vc, PM_bal = Wc^T M, and the first r columns of the
+balanced A are W^T A V_r, projected by the system's operator record;
+both forms share the factorization of A and the propagators, and
+neither an n x n balanced A nor W and V themselves are formed. The order-r balanced truncation is a
 reduced model of its own: its A11 gets one Schur form and one expm, and
 Pr and Pm are solved again on them. The terms, their sum and
 Frobenius certificates of the remainder come from one evaluation. Classical
@@ -83,9 +87,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .balancing import ReducedModel, _singular_values, balance
+from .balancing import ReducedModel, _check_order, _singular_values, balance
 from .errors import DimensionError
-from .gramians import GramianSet, _check_horizon, _mixed_gramian, _reduced_gramian
+from .gramians import GramianSet, _check_horizon, _mixed_core, _reduced_gramian
 from .linalg import (
     _mesh_exponentials,
     _mesh_levels,
@@ -201,8 +205,9 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     p_tbar : GramianSet or (n, n) array_like
         The time-limited Gramians of ``sys`` on the same [0, tbar], read
         for the trace tr(C P C^T) only. A set gives it as ||C Z||_F^2
-        from its factor Z = ``lowrank_P``, so P is never formed, and a
-        set of another horizon is refused. A dense reachability Gramian
+        from its factor Z = X_P L_P, read as (C X_P) L_P in the operator
+        record's coordinates, so neither P nor Z is formed, and a set of
+        another horizon is refused. A dense reachability Gramian
         P gives it as tr(C P C^T); a P of another horizon is not
         detected: it changes term_cpc alone.
     tbar : float
@@ -217,32 +222,29 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
         raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
     if rom.r > sys.n:
         raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
+    op = sys._operator()
     if isinstance(p_tbar, GramianSet):
         if p_tbar.horizon != tbar:
             raise ValueError(f"the Gramians are of horizon {p_tbar.horizon} but the bound's horizon is tbar = {tbar}")
-        z = p_tbar.lowrank_P
-        if z.shape[0] != sys.n:
-            raise DimensionError(f"the Gramians are of order {z.shape[0]} but the system has n = {sys.n}")
-        cz = sys.C @ z
+        cz = op.output(next(p_tbar._cores(sys)))
         term_cpc = float(np.vdot(cz, cz))
     else:
         p = as_matrix(p_tbar, "P")
         if p.shape != (sys.n, sys.n):
             raise DimensionError(f"P must have shape {(sys.n, sys.n)} to match the system, got {p.shape}")
         term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
-    op = sys._operator()
     s11 = _schur_form(a11)
     _check_hypotheses(op, s11)
     levels = _mesh_levels(tbar, max(op.norm2, s11.norm2))
     phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
     fr = phi_r @ b1
-    pm = _mixed_gramian(sys, s11, b1, fr, tbar)
+    pm = _mixed_core(sys, s11, b1, fr, tbar)
     pr = _reduced_gramian(s11, b1, fr)
     return BoundReport(
         epsilon=_kernel_epsilon(sys, b1, c1, base, tbar, levels),
         term_cpc=term_cpc,
         term_cprc=float(np.sum((c1 @ pr) * c1)),
-        term_cpmc=float(np.sum((sys.C @ pm) * c1)),
+        term_cpmc=float(np.sum(op.output(pm) * c1)),
         horizon=tbar,
         r=rom.r,
     )
@@ -268,11 +270,13 @@ def _kernel_epsilon(sys, b1, c1, base, tbar: float, levels: int) -> float:
 def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dict:
     """The order-r balanced truncation and the trace route's objects in
     balanced coordinates x_bal = W^T x, from the full-order W and V of
-    :func:`balance` (W^T P W = V^T Q V = diag(sigma), W^T V = I): the
-    first r columns [A11; A21] = W^T A V_r of the balanced A and
-    B_bal = W^T B, both from the operator record's projection,
-    C_bal = C V, F_bal = W^T F, G_bal = G V, PM_bal = W^T Pm, and the
-    reduced model's Pr and Fr, all on one Schur form of A11.
+    :func:`balance` (W^T P W = V^T Q V = diag(sigma), W^T V = I), read
+    through its core projectors Wc and Vc in the operator record's
+    coordinates, so no n-row product is formed: the first r columns
+    [A11; A21] = W^T A V_r of the balanced A and B_bal = W^T B, both
+    from the record's projection, C_bal = C V, F_bal = Wc^T (X_Q^T F),
+    G_bal = (G X_P) Vc, PM_bal = Wc^T M for Pm = X_P M, and the reduced
+    model's Pr and Fr, all on one Schur form of A11.
     Lambda(A_bal) = Lambda(A), so the hypotheses are checked on A's own
     factorization. With tbar = inf only the realization and PM are
     formed."""
@@ -283,7 +287,7 @@ def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dic
             f"P and Q must be positive definite (numerical rank n_hat = {bal.n_hat} < n = {n}); "
             "for semidefinite pairs use balance(), which truncates instead"
         )
-    w, v = bal.W, bal.V
+    (_, v), (_, w) = bal._pairs
     err = np.linalg.norm(w.T @ v - np.eye(n))
     if err > 1e-8 * math.sqrt(n):
         raise ArithmeticError(
@@ -291,18 +295,18 @@ def _balanced_coordinates(sys, gramians: GramianSet, r: int, tbar: float) -> dic
             "the Gramian pair is too ill-conditioned for balanced coordinates"
         )
     op = sys._operator()
-    a_r, b_bal = op.project(w, bal.reduce_to(r).V)
+    a_r, b_bal, _ = op.project(w, v[:, :_check_order(r, 1, n)])
     a11, b1 = a_r[:r], b_bal[:r]
     s11 = _schur_form(a11)
     _check_hypotheses(op, s11)
-    d = {"sigma": bal.singular_values, "A": a_r, "B": b_bal, "C": sys.C @ v, "r": r}
+    d = {"sigma": bal.singular_values, "A": a_r, "B": b_bal, "C": op.output(v), "r": r}
     if math.isfinite(tbar):
-        f, g = op.propagators(tbar)
+        f, g = op.core_propagators(tbar)
         fr = expm(a11, tbar) @ b1
         d.update(F=w.T @ f, G=g @ v, Pr=_reduced_gramian(s11, b1, fr), Fr=fr)
     else:
         fr = None
-    d["PM"] = w.T @ _mixed_gramian(sys, s11, b1, fr, tbar)
+    d["PM"] = w.T @ _mixed_core(sys, s11, b1, fr, tbar)
     return d
 
 
@@ -381,9 +385,7 @@ def bt_hinf_bound(hankel_values, r: int) -> float:
     """Classical twice-the-tail bound on the H-infinity error of
     unrestricted balanced truncation at order r."""
     sigma = _singular_values(hankel_values)
-    if not (0 <= r <= sigma.size):
-        raise ValueError(f"r must be in [0, {sigma.size}], got {r}")
-    return float(2.0 * np.sum(sigma[r:]))
+    return float(2.0 * np.sum(sigma[_check_order(r, 0, sigma.size):]))
 
 
 def bt_h2_bound_infinite(sys, gramians: GramianSet, r: int) -> float:

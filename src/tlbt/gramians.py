@@ -23,8 +23,13 @@ real Schur form of A for every other one. This module checks the
 arguments and the hypotheses and wraps the result.
 
 A :class:`GramianSet` is the hand-off to balancing and to the bounds.
-The record hands each Gramian over factored, as a basis X and a factor
-L of the core C with P = X C X^T and C ~= L L^T. A finite horizon's L
+The record hands each Gramian over factored, in its own coordinates:
+as a basis X and a factor L of the core C with P = X C X^T and
+C ~= L L^T, where the bases X_P of P and X_Q of Q satisfy
+X_Q^T X_P = I (``systems._Record``). The set keeps the pairs (X, L);
+balancing and the bounds read the cores L, and the n-row factors
+Z = X L are formed only when ``lowrank_P``, ``lowrank_Q``, ``P`` or
+``Q`` is read. A finite horizon's L
 comes from pivoted Cholesky on both records: from the closed-form
 columns of C on the eigenbasis, from the dense C on the Schur form,
 stopping once the remaining diagonal sums to 1e-12 of C's largest
@@ -41,13 +46,13 @@ that checks the Lyapunov route is a test oracle, in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .linalg import _lyapunov_core, _psd_factor, _require_hurwitz, _symmetric
-from .systems import StateSpaceSystem
+from .systems import StateSpaceSystem, _lift
 
 __all__ = ["GramianSet", "infinite_gramians", "time_limited_gramians"]
 
@@ -58,38 +63,55 @@ class GramianSet:
     standard form; ``horizon`` is math.inf for the unrestricted pair.
 
     ``lowrank_P`` and ``lowrank_Q`` are the rank-revealing factors
-    Z = X L that balancing reads (see the module docstring), read-only,
-    and ``P`` and ``Q`` are Z Z^T, formed on each read. A hand-built
-    ``GramianSet(P=, Q=, horizon=)`` factors P and Q by one
-    eigendecomposition each, with X = I, and checks the horizon. The
-    set is frozen.
+    Z = X L (see the module docstring), read-only, and ``P`` and ``Q``
+    are Z Z^T; all four are formed on each read. Balancing reads the
+    cores L instead. A hand-built ``GramianSet(P=, Q=, horizon=)``
+    factors P and Q by one eigendecomposition each, with X = I, and
+    checks the horizon. The set is frozen.
     """
 
     horizon: float
-    lowrank_P: np.ndarray = field(repr=False)
-    lowrank_Q: np.ndarray = field(repr=False)
 
     def __init__(self, P, Q, horizon: float):
         self._hold(_check_horizon(horizon, allow_inf=True),
-                   *(_psd_factor(_symmetric(g, name), name) for name, g in (("P", P), ("Q", Q))))
+                   *((None, _psd_factor(_symmetric(g, name), name)) for name, g in (("P", P), ("Q", Q))))
 
     @classmethod
     def _of(cls, horizon: float, p: tuple, q: tuple) -> "GramianSet":
         """The set of an operator record's pairs (basis, factor) of P and Q."""
         gset = cls.__new__(cls)
-        gset._hold(horizon, *(basis @ factor for basis, factor in (p, q)))
+        gset._hold(horizon, p, q)
         return gset
 
-    def _hold(self, horizon: float, z_p: np.ndarray, z_q: np.ndarray) -> None:
-        n_p, n_q = z_p.shape[0], z_q.shape[0]
+    def _hold(self, horizon: float, p: tuple, q: tuple) -> None:
+        # a core has n rows: a record's basis is n x n, a hand-built factor's is I
+        n_p, n_q = p[1].shape[0], q[1].shape[0]
         if n_p != n_q:
             raise DimensionError(f"P and Q must have equal shapes, got {(n_p, n_p)} and {(n_q, n_q)}")
-        z_p.flags.writeable = z_q.flags.writeable = False
-        for name, value in (("horizon", horizon), ("lowrank_P", z_p), ("lowrank_Q", z_q)):
-            object.__setattr__(self, name, value)
+        p[1].flags.writeable = q[1].flags.writeable = False
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "_pairs", (p, q))
 
-    P = property(lambda self: self.lowrank_P @ self.lowrank_P.T, doc="The dense reachability Gramian.")
-    Q = property(lambda self: self.lowrank_Q @ self.lowrank_Q.T, doc="The dense observability Gramian.")
+    def _cores(self, sys: StateSpaceSystem):
+        """L_P, then L_Q, in the coordinates of the system's operator
+        record, each on demand: a hand-built set, or one made on another
+        record, is moved into them here, one side at a time."""
+        if self._pairs[0][1].shape[0] != sys.n:
+            raise DimensionError(f"the Gramians are of order {self._pairs[0][1].shape[0]} "
+                                 f"but the system has n = {sys.n}")
+        op = sys._operator()
+        return (op.core(pair, side) for side, pair in enumerate(self._pairs))
+
+    lowrank_P = property(lambda self: _lift(self._pairs[0]), doc="The factor Z_P of P ~= Z_P Z_P^T.")
+    lowrank_Q = property(lambda self: _lift(self._pairs[1]), doc="The factor Z_Q of Q ~= Z_Q Z_Q^T.")
+
+    P = property(lambda self: _outer(self.lowrank_P), doc="The dense reachability Gramian.")
+    Q = property(lambda self: _outer(self.lowrank_Q), doc="The dense observability Gramian.")
+
+
+def _outer(z: np.ndarray) -> np.ndarray:
+    """Z Z^T, reading the factor Z once."""
+    return z @ z.T
 
 
 def _check_horizon(tbar, allow_inf: bool = False) -> float:
@@ -134,8 +156,14 @@ def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
 
 
 def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
-    """Cross Gramian int_0^tbar e^(A s) B B1^T e^(A11^T s) ds of the
-    system's standard form and a reduced model, on the Schur form of A11
+    """The dense mixed Gramian Pm = X_P M of :func:`_mixed_core`."""
+    return sys._operator().bases[0] @ _mixed_core(sys, s11, b1, fr, tbar)
+
+
+def _mixed_core(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
+    """Cross Gramian Pm = int_0^tbar e^(A s) B B1^T e^(A11^T s) ds of the
+    system's standard form and a reduced model, as its core M in the
+    operator record's coordinates (Pm = X_P M), on the Schur form of A11
     and Fr = e^(A11 tbar) B1 (None for tbar = inf, where both operators
     must be Hurwitz); the caller checks that Lambda(A) and -Lambda(A11)
     are separated."""

@@ -310,7 +310,8 @@ def _pivoted_cholesky(diag: np.ndarray, column, label: str) -> np.ndarray:
                 f"-{neg_tol:g} times its largest diagonal entry; the matrix is not numerically PSD"
             )
         if k == n or d.sum() <= tol * scale:
-            return rows[:k].T
+            # a copy of the k rows, so the factor keeps no spare rows alive
+            return rows[:k].copy().T
         j = int(np.argmax(d))
         if k == rows.shape[0]:
             rows = np.vstack((rows, np.empty((min(n, 2 * k) - k, n))))

@@ -6,8 +6,9 @@ toolkit ingests. Parse errors report the 1-based line number.
 
 An ``array`` data block of plain decimal numbers (digits, signs,
 points, exponents and whitespace alone) is read in one vectorized pass
-over its bytes. The tokens that are exactly ``0`` or ``-0``, most of a
-banded operator's dense file, become +0.0 and -0.0 there and never reach
+over its bytes, viewed in the file's bytes at the block's offset. The
+tokens that are exactly ``0`` or ``-0``, most of a banded operator's
+dense file, become +0.0 and -0.0 there and never reach
 ``np.fromstring``; one ``np.fromstring`` reads the others as Python's
 ``float`` does and raises on a malformed one. Any other block, or one
 whose count is wrong, is split and converted by one ``np.array(tokens,
@@ -31,6 +32,7 @@ _EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e]")
 # the bytes of a plain decimal array block; hex, nan, inf, underscores and
 # the separators str.split alone knows (\x1c-\x1f) are not among them
 _PLAIN = b"0123456789eE.+- \t\n\r\v\f"
+_NONBLANK = re.compile(rb"[^ \t\n\r\v\f]")
 # np.fromstring raises on unmatched data in numpy 2.4 (checked on 2.4.6);
 # older releases may return the values before it with a DeprecationWarning
 # instead, so they keep the split path
@@ -47,11 +49,12 @@ def _fail(path, lineno, msg):
     raise MatrixMarketError(f"{path}:{lineno}: {msg}")
 
 
-def _read_text(path) -> str:
+def _read_text(path) -> tuple[bytes, str]:
+    """The file's bytes and their ASCII text."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("ascii")
+        return raw, raw.decode("ascii")
     except UnicodeDecodeError as exc:
         # the number of the line that holds the byte
         lineno = len((raw[:exc.start].decode("ascii") + "x").splitlines())
@@ -78,7 +81,7 @@ def read_matrix(path) -> np.ndarray:
     expanded. The file must be ASCII.
     """
     path = str(path)
-    text = _read_text(path)
+    raw, text = _read_text(path)
     lines = _lines(text)
     first = next(lines, None)
     if first is None:
@@ -113,7 +116,7 @@ def read_matrix(path) -> np.ndarray:
             _fail(path, lineno, f"dimensions must be positive, got {n} x {m}")
         if symmetry == "symmetric" and n != m:
             _fail(path, lineno, "symmetric matrices must be square")
-        out = _read_array(path, text, start, lineno, n, m, symmetry)
+        out = _read_array(path, raw, text, start, lineno, n, m, symmetry)
     else:
         if len(size) != 3:
             _fail(path, lineno, f"coordinate size line must be 'rows cols nnz', got {line!r}")
@@ -140,16 +143,19 @@ def _data_lines(text, start, lineno):
             yield lineno, stripped
 
 
-def _read_array(path, text, start, lineno, n, m, symmetry):
+def _read_array(path, raw, text, start, lineno, n, m, symmetry):
     # array format stores entries column by column
     count = n * m if symmetry == "general" else n * (n + 1) // 2
+    # the block: the file's bytes from its offset (the text is ASCII, so
+    # offsets agree), or its data lines joined
     if text.find("%", start) < 0:
-        block = text[start:]
+        data, values = None, _plain_values(raw, start, count)
     else:
-        block = "\n".join(line for _, line in _data_lines(text, start, lineno))
-    values = _plain_values(block, count)
+        data = "\n".join(line for _, line in _data_lines(text, start, lineno))
+        values = _plain_values(data.encode("ascii"), 0, count)
     if values is None:
-        tokens = block.split()
+        # str.split, which knows separators that bytes.split does not
+        tokens = (text[start:] if data is None else data).split()
         if len(tokens) == count:
             try:
                 values = np.array(tokens, dtype=np.float64)
@@ -168,9 +174,10 @@ def _read_array(path, text, start, lineno, n, m, symmetry):
     return out
 
 
-def _plain_values(block, count):
-    """The ``count`` values of a block of plain decimal numbers; None for
-    any other block, for a malformed number and for a wrong count.
+def _plain_values(raw, start, count):
+    """The ``count`` values of a block of plain decimal numbers, the
+    bytes ``raw`` from offset ``start`` on; None for any other block, for
+    a malformed number and for a wrong count.
 
     One vectorized pass over the block's bytes finds its tokens. Those
     that are exactly ``0`` or ``-0`` are read as +0.0 and -0.0 and blanked;
@@ -180,14 +187,14 @@ def _plain_values(block, count):
     one: an empty or blank block is not plain, and a block of zero tokens
     alone makes no call.
     """
-    if not _FROMSTRING_RAISES or not block or block.isspace():
+    if not _FROMSTRING_RAISES or _NONBLANK.search(raw, start) is None:
         return None
-    raw = block.encode("ascii")
-    if raw.translate(None, _PLAIN):
+    # plain when every byte that is not plain lies before the block
+    if len(raw.translate(None, _PLAIN)) != len(raw[:start].translate(None, _PLAIN)):
         return None
-    b = np.frombuffer(raw, dtype=np.uint8)
+    b = np.frombuffer(raw, dtype=np.uint8, offset=start)
     if not _ends_a_zero(b):
-        return _fromstring(raw, count)
+        return _fromstring(raw[start:], count)
     # of the plain bytes, the whitespace ones are those up to b" "
     blank = b <= 32
     # each "0" that ends a token

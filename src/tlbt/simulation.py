@@ -66,8 +66,8 @@ class Trajectory:
 def _grid_steps(t_end: float, dt: float) -> int:
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (t_end >= dt):
-        raise ValueError(f"t_end must be at least dt, got t_end = {t_end}, dt = {dt}")
+    if not (t_end >= dt and np.isfinite(t_end)):
+        raise ValueError(f"t_end must be at least dt and finite, got t_end = {t_end}, dt = {dt}")
     steps = int(round(t_end / dt))
     if abs(steps * dt - t_end) > 1e-8 * max(t_end, 1.0):
         raise ValueError(f"t_end = {t_end} is not an integer multiple of dt = {dt}")

@@ -295,22 +295,34 @@ def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple | None:
 
 
 class _Record:
-    """Standard-form operator of one system, factored once; both records answer:
+    """Standard-form operator of one system, factored once, with its
+    coordinates: two n x n bases ``bases`` = (X_P, X_Q) with
+    X_Q^T X_P = I (X and Y = E X on the eigenbasis, the Schur vectors
+    twice on the Schur form). A factor on the P side is Z = X_P L, one
+    on the Q side Z = X_Q L, and L is its core; both records answer:
 
     - ``eigvals`` and ``norm2`` of A_std, and ``label`` (its name in
       messages);
     - ``gramians(tbar)``: the Gramians of the standard form over
       [0, tbar], the unrestricted pair for tbar = inf (the caller checks
-      that A_std is Hurwitz), each as a pair (basis, factor) whose
-      product is the rank-revealing factor Z with P ~= Z Z^T
-      (``gramians.GramianSet``); NotPsdError, naming P or Q, for a core
-      that is not numerically PSD;
-    - ``mixed(s11, b1, fr, tbar)``: the mixed Gramian Pm with
-      A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the Schur form ``s11``
-      of A11, Fr = e^(A11 tbar) B1 (None, and no F term, for tbar = inf);
-      the caller checks separation;
-    - ``project(W, V)``: (W^T A_std V, W^T B_std);
-    - ``propagators`` and ``kernel_samples``, memoized per horizon.
+      that A_std is Hurwitz), as the pairs (X_P, L_P) and (X_Q, L_Q) of
+      the rank-revealing factors Z with P ~= Z Z^T
+      (``gramians.GramianSet``), so that Z_Q^T Z_P = L_Q^T L_P;
+      NotPsdError, naming P or Q, for a core that is not numerically
+      PSD;
+    - ``core(pair, side)``: the core in these coordinates of a factor
+      given as a pair (basis, core) on side 0 (P) or 1 (Q);
+    - ``mixed(s11, b1, fr, tbar)``: the core M of the mixed Gramian
+      Pm = X_P M with A_std Pm + Pm A11^T = F Fr^T - B_std B1^T on the
+      Schur form ``s11`` of A11, Fr = e^(A11 tbar) B1 (None, and no F
+      term, for tbar = inf); the caller checks separation;
+    - ``project(Wc, Vc)``: (W^T A_std V, W^T B_std, C V) for
+      V = X_P Vc and W = X_Q Wc, from the cores alone;
+    - ``output(L)``: C X_P L;
+    - ``propagators`` (memoized per horizon) and ``core_propagators``:
+      F = e^(A_std tbar) B_std and G = C e^(A_std tbar), and
+      (X_Q^T F, G X_P);
+    - ``kernel_samples``, memoized per horizon.
     """
 
     def __init__(self, sys: StateSpaceSystem):
@@ -337,6 +349,28 @@ class _Record:
         so e^floor ||sum_k |C X|_k |X^T B|_k||_F sqrt(tbar); 0 otherwise."""
         return _memo(self._memos, ("kernel", tbar, levels), lambda: self._kernel_samples(tbar, levels))
 
+    def core(self, pair: tuple, side: int) -> np.ndarray:
+        """The core of the factor basis @ core of ``pair`` on ``side``
+        (0: Z = X_P L, 1: Z = X_Q L): the pair's own core when its basis
+        is this record's, else X_Q^T Z or X_P^T Z, since X_Q^T X_P = I.
+        A basis None is the identity."""
+        if pair[0] is self.bases[side]:
+            return pair[1]
+        return self.bases[1 - side].T @ _lift(pair)
+
+    def output(self, core: np.ndarray) -> np.ndarray:
+        return self.cx @ core
+
+
+def _lift(pair: tuple) -> np.ndarray:
+    """basis @ core of a pair (basis, core), read-only; the core itself
+    for a basis None."""
+    basis, core = pair
+    if basis is not None:
+        core = basis @ core
+        core.flags.writeable = False
+    return core
+
 
 def _expm1_rate(rates: np.ndarray, tbar: float) -> np.ndarray:
     """int_0^tbar e^(r s) ds = expm1(r tbar) / r for each rate r, tbar
@@ -353,10 +387,13 @@ class _EigenRecord(_Record):
     """Eigenbasis of a symmetric-definite pencil: A X = E X diag(lambda)
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
     without a mass matrix; formed here unless given), kept with
-    ``xb`` = X^T B and ``cx`` = C X. X and Y are dense arrays, or
+    ``xb`` = X^T B and ``cx`` = C X; its bases are (X, Y), and its
+    coordinates diagonalize A_std. X and Y are dense arrays, or
     ``_SineBasis`` operators for a sine basis from order ``_DST_MIN`` on;
-    the record only multiplies them with thin blocks, and so does
-    ``gramians.GramianSet`` with the basis it is handed.
+    the record multiplies them with thin blocks only: to form ``xb``,
+    ``cx`` and the n-row propagators, and to move a factor of another
+    basis into its coordinates (``core``). Gramians, projection and the
+    mixed Gramian stay in the coordinates.
     The closed forms take X^T E X = I as exact, so they carry the
     orthogonality error of the basis ``_factored`` chose (the sine
     basis's rounding, or the dense ``eigh``'s).
@@ -370,13 +407,18 @@ class _EigenRecord(_Record):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
         self.eigvals, self.x, self.y = lam, x, y
+        self.bases = (x, y)
         self.norm2 = float(np.max(np.abs(lam)))
         self.xb = _readonly(x.T @ sys.B)
         self.cx = _readonly(sys.C @ x)
 
-    def _propagators(self, tbar: float):
+    def core_propagators(self, tbar: float):
         decay = _exp_finite(self.eigvals * tbar)
-        return self.x @ (decay[:, None] * self.xb), (self.cx * decay) @ self.y.T
+        return decay[:, None] * self.xb, self.cx * decay
+
+    def _propagators(self, tbar: float):
+        f, g = self.core_propagators(tbar)
+        return self.x @ f, g @ self.y.T
 
     def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Closed forms P = X ((X^T B)(X^T B)^T o Phi) X^T and
@@ -404,13 +446,12 @@ class _EigenRecord(_Record):
         # Pm = X M with Lambda M + M A11^T = e^(Lambda tbar) X^T B Fr^T - X^T B B1^T
         w = -self.xb @ b1.T
         if fr is not None:
-            w += (_exp_finite(self.eigvals * tbar)[:, None] * self.xb) @ fr.T
-        return self.x @ _solve_sylvester_diagonal(self.eigvals, s11, w)
+            w += self.core_propagators(tbar)[0] @ fr.T
+        return _solve_sylvester_diagonal(self.eigvals, s11, w)
 
-    def project(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # ((W^T X) Lambda (Y^T V), (W^T X)(X^T B))
-        wx = w.T @ self.x
-        return (wx * self.eigvals) @ (self.y.T @ v), wx @ self.xb
+    def project(self, w: np.ndarray, v: np.ndarray) -> tuple:
+        # Y^T A_std X = Lambda and Y^T E^-1 B = X^T B
+        return w.T @ (self.eigvals[:, None] * v), w.T @ self.xb, self.cx @ v
 
     def _kernel_samples(self, tbar: float, levels: int) -> tuple:
         (times, root), (times_c, root_c) = (_mesh_nodes(tbar, levels, coarse) for coarse in (False, True))
@@ -449,8 +490,10 @@ class _EigenRecord(_Record):
 
 
 class _SchurRecord(_Record):
-    """Real Schur form ``schur`` of A_std, for every other model, kept
-    with ``a`` = A_std, ``b`` = B_std and ``c`` = C."""
+    """Real Schur form ``schur`` = (Z, T) of A_std, for every other
+    model, kept with ``a`` = A_std, ``b`` = B_std and ``c`` = C; its bases
+    are (Z, Z), in which B_std is ``xb`` = Z^T B_std and C is
+    ``cx`` = C Z."""
 
     def __init__(self, sys: StateSpaceSystem):
         super().__init__(sys)
@@ -461,17 +504,24 @@ class _SchurRecord(_Record):
             self.a, self.b = _readonly(ab[:, :sys.n]), _readonly(ab[:, sys.n:])
         self.schur = _schur_form(self.a)
         self.eigvals, self.norm2 = self.schur.eigvals, self.schur.norm2
+        z = self.schur.z
+        self.bases, self.xb, self.cx = (z, z), _readonly(z.T @ self.b), _readonly(self.c @ z)
 
     def _propagators(self, tbar: float):
         phi = expm(self.a, tbar)
         return phi @ self.b, self.c @ phi
+
+    def core_propagators(self, tbar: float):
+        f, g = self.propagators(tbar)
+        return self.schur.z.T @ f, g @ self.schur.z
 
     def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Bartels-Stewart on the Schur form of A_std for P, and for Q on
         the Schur form of A_std^T that it gives with the order of the
         Schur vectors reversed, each core factored by pivoted Cholesky
         for a finite horizon and by one eigendecomposition for
-        tbar = inf, as the pairs (Schur vectors, factor)."""
+        tbar = inf. Q's factor L on the reversed vectors Z J is J L on
+        Z, so both pairs are (Z, factor)."""
         b, c = self.b, self.c
         if math.isfinite(tbar):
             f, g = self.propagators(tbar)
@@ -480,17 +530,21 @@ class _SchurRecord(_Record):
             w_p, w_q = -b @ b.T, -c.T @ c
         _require_separated(self, self, "solve_lyapunov")
         factor = _dense_cholesky if math.isfinite(tbar) else _psd_factor
-        return tuple((s.z, factor(_lyapunov_core(s, w), name))
-                     for name, s, w in (("P", self.schur, w_p), ("Q", self.schur.transposed(), w_q)))
+        l_p, l_q = (factor(_lyapunov_core(s, w), name)
+                    for name, s, w in (("P", self.schur, w_p), ("Q", self.schur.transposed(), w_q)))
+        return (self.schur.z, l_p), (self.schur.z, l_q[::-1])
 
     def mixed(self, s11: _SchurForm, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
         w = -self.b @ b1.T
         if fr is not None:
             w += self.propagators(tbar)[0] @ fr.T
-        return _solve_sylvester(self.schur, s11, w)
+        return self.schur.z.T @ _solve_sylvester(self.schur, s11, w)
 
-    def project(self, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return w.T @ self.a @ v, w.T @ self.b
+    def project(self, w: np.ndarray, v: np.ndarray) -> tuple:
+        # on A_std itself: T holds the Schur form's backward error, about
+        # u ||A_std||, which W^T T V would carry into an A11 of far smaller norm
+        z = self.schur.z
+        return (z @ w).T @ (self.a @ (z @ v)), w.T @ self.xb, self.cx @ v
 
     def _kernel_samples(self, tbar: float, levels: int) -> tuple:
         roots = tuple(_mesh_nodes(tbar, levels, coarse)[1] for coarse in (False, True))
@@ -647,8 +701,9 @@ class InputSignal:
         """Evaluate on a 1-D grid of times t >= 0; row k of the
         (len(times), m) result is u(times[k])."""
         t = np.asarray(times, dtype=float).ravel()
-        if t.size and np.min(t) < 0:
-            raise ValueError(f"input signals are defined on t >= 0, got t = {np.min(t)}")
+        outside = t[~(t >= 0)]  # negative or NaN
+        if outside.size:
+            raise ValueError(f"input signals are defined on t >= 0, got t = {outside[0]}")
         if self.kind == "constant":
             return np.repeat(self.values, t.size, axis=0)
         if self.kind == "zero":

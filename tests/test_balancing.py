@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rand_spd
-from oracles import apply_state_transform, exact_hankel_count, exact_hankel_values, hinf_error_sampled
+import tlbt.systems
+from conftest import fem_rod, rand_spd
+from oracles import apply_state_transform, exact_hankel_count, exact_hankel_values, hinf_error_sampled, standard_form
 from tlbt.errors import DimensionError
 from tlbt.balancing import (
+    BalancingResult,
     ReducedModel,
     balance,
     select_order,
@@ -15,7 +17,7 @@ from tlbt.balancing import (
 )
 from tlbt.bounds import tlbt_h2_bound, tlbt_h2_bound_alt
 from tlbt.gramians import GramianSet, infinite_gramians, time_limited_gramians
-from tlbt.systems import StateSpaceSystem, generate_heat_model
+from tlbt.systems import StateSpaceSystem, _SchurRecord, generate_heat_model
 
 SCALAR_TL_1 = (1.0 - math.exp(-2.0)) / 2.0
 
@@ -165,6 +167,110 @@ class TestBalance:
         assert np.array_equal(small.singular_values, bal.singular_values)
         with pytest.raises(ValueError, match="r must be in"):
             bal.reduce_to(0)
+
+
+    @pytest.mark.parametrize("r", [True, 2.5, "2", np.float64(2.0)], ids=["bool", "float", "str", "float64"])
+    def test_reduce_to_refuses_an_order_that_is_not_an_integer(self, r):
+        sys = generate_heat_model(6, 6, 6)
+        bal = balance(time_limited_gramians(sys, 0.5), sys)
+        with pytest.raises(ValueError, match="r must be an integer, got"):
+            bal.reduce_to(r)
+
+    def test_reduce_to_takes_a_numpy_integer(self):
+        sys = generate_heat_model(6, 6, 6)
+        small = balance(time_limited_gramians(sys, 0.5), sys).reduce_to(np.int64(2))
+        assert type(small.r) is int and small.r == 2 and small.W.shape == (6, 2)
+
+
+def dense_balanced_truncation(sys, gset, r):
+    """The Hankel values and the order-r reduced model by square-root
+    balancing on the n-row factors, with the standard form formed."""
+    zp, zq = gset.lowrank_P, gset.lowrank_Q
+    u, sigma, vt = np.linalg.svd(zq.T @ zp)
+    scale = 1.0 / np.sqrt(sigma[:r])
+    w, v = zq @ (u[:, :r] * scale), zp @ (vt[:r].T * scale)
+    a, b = standard_form(sys)
+    return sigma, (w.T @ a @ v, w.T @ b, sys.C @ v)
+
+
+def _heat(n):
+    return generate_heat_model(n, 7, 6)
+
+
+def _own(sys):
+    return sys, time_limited_gramians(sys, 0.05)
+
+
+def _hand_built(sys):
+    g = time_limited_gramians(sys, 0.05)
+    return sys, GramianSet(P=g.P, Q=g.Q, horizon=0.05)
+
+
+def _of_another_system(sys):
+    # a second system object with the same matrices has a record of its own
+    return sys, time_limited_gramians(StateSpaceSystem(A=sys.A, B=sys.B, C=sys.C, E=sys.E), 0.05)
+
+
+def _of_another_record(sys):
+    return sys, GramianSet._of(0.05, *_SchurRecord(sys).gramians(0.05))
+
+
+CORE_ROUTE_CASES = {
+    # the sine basis applied by FFT
+    "sine-800": lambda: _own(_heat(800)),
+    # a symmetric A that is not Toeplitz: the dense eigh
+    "eigh-100": lambda: _own(StateSpaceSystem(A=_heat(100).A - np.diag(np.linspace(0.0, 50.0, 100)),
+                                              B=_heat(100).B, C=_heat(100).C)),
+    "fem-60": lambda: _own(fem_rod(60, 7, 6)),
+    # upwind advection: the Schur record
+    "schur-100": lambda: _own(StateSpaceSystem(A=_heat(100).A + 20.0 * (np.eye(100, k=-1) - np.eye(100)),
+                                               B=_heat(100).B, C=_heat(100).C)),
+    "hand-built": lambda: _hand_built(_heat(100)),
+    "another-system": lambda: _of_another_system(fem_rod(60, 7, 6)),
+    "another-record": lambda: _of_another_record(fem_rod(60, 7, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORE_ROUTE_CASES))
+def test_core_route_matches_the_dense_balancing(case):
+    # balance and truncate in the operator record's coordinates against
+    # the same algorithm on the n-row factors; both carry rounding of
+    # about u sigma_1, so the Hankel values are compared to that scale
+    sys, gset = CORE_ROUTE_CASES[case]()
+    r = 4
+    bal = balance(gset, sys)
+    sigma, (a, b, c) = dense_balanced_truncation(sys, gset, r)
+    kept = sigma >= 1e-10 * sigma[0]
+    got = bal.singular_values[:np.count_nonzero(kept)]
+    assert got.size == np.count_nonzero(kept)
+    assert np.max(np.abs(got - sigma[kept])) <= 1e-13 * sigma[0]
+    small = bal.reduce_to(r)
+    assert not (small.V.flags.writeable or small.W.flags.writeable)
+    assert np.linalg.norm(small.W.T @ small.V - np.eye(r)) <= 1e-10
+    rom = truncate(sys, small)
+    # the same bases handed over as a hand-built result are moved into the record's coordinates
+    moved = truncate(sys, BalancingResult(small.singular_values, small.V, small.W, small.horizon, r))
+    for k in range(4):
+        want = c @ np.linalg.matrix_power(a, k) @ b
+        for got_rom in (rom, moved):
+            markov = got_rom.C1 @ np.linalg.matrix_power(got_rom.A11, k) @ got_rom.B1
+            assert np.linalg.norm(markov - want) <= 1e-9 * np.linalg.norm(want), k
+
+
+@pytest.mark.parametrize("case", ["sine-800", "eigh-100", "fem-60", "schur-100"])
+def test_records_own_set_is_balanced_truncated_and_bounded_on_its_cores(case, monkeypatch):
+    # no n-row factor, basis or projector is formed: each is read only when asked for
+    sys, gset = CORE_ROUTE_CASES[case]()
+
+    def refuse(_):
+        raise AssertionError("an n-row product with a basis was formed")
+
+    for cls, names in ((GramianSet, ("lowrank_P", "lowrank_Q", "P", "Q")), (BalancingResult, ("V", "W"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse))
+    monkeypatch.setattr(tlbt.systems, "_lift", refuse)
+    rom = truncate(sys, balance(gset, sys).reduce_to(4))
+    assert tlbt_h2_bound(sys, rom, gset, 0.05).epsilon > 0.0
 
 
 class TestFullBalancingTransform:

@@ -387,6 +387,11 @@ class TestClassicalBounds:
         assert bt_hinf_bound([3.0, 2.0, 1.0], 3) == 0.0
         assert bt_hinf_bound([1.0], 0) == 2.0
 
+    @pytest.mark.parametrize("r", [True, 1.0, None], ids=["bool", "float", "none"])
+    def test_hinf_refuses_an_order_that_is_not_an_integer(self, r):
+        with pytest.raises(ValueError, match="r must be an integer, got"):
+            bt_hinf_bound([3.0, 2.0, 1.0], r)
+
     def test_hinf_input_validation(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             bt_hinf_bound([1.0, 2.0], 1)

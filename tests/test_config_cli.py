@@ -646,3 +646,21 @@ def test_verify_adds_no_factorization_to_bound(tmp_path, monkeypatch):
     plain = json.loads((tmp_path / "b" / "bound.json").read_text())
     for key in ("epsilon", "term_cpc", "term_cprc", "term_cpmc"):
         assert verified[key] == plain[key]
+
+
+@pytest.mark.parametrize("command", ["reduce", "bound"])
+def test_sine_basis_transforms_only_x_t_b_and_c_x(command, tmp_path, monkeypatch):
+    # from order 512 the sine basis is applied by FFT; Gramians, balancing,
+    # truncation and the mixed Gramian stay in eigen coordinates, so the
+    # only transforms are the record's X^T B (7 columns) and C X (6)
+    import tlbt.systems
+
+    dst1, columns = tlbt.systems._dst1, []
+
+    def spy(m):
+        columns.append(m.shape[1])
+        return dst1(m)
+
+    monkeypatch.setattr(tlbt.systems, "_dst1", spy)
+    assert run_cli(command, "--model", "gen:800,7,6", "--tbar", 0.05, "--order", 9, "--out", tmp_path) == 0
+    assert columns == [7, 6]

@@ -91,9 +91,9 @@ class TestGramianSet:
         lambda: infinite_gramians(rand_stable(6, 2, 2, np.random.default_rng(3))),
     ], ids=["hand-built", "pivoted-cholesky", "schur-record"])
     def test_holds_read_only_factors_and_the_roots_of_p_and_q(self, build):
-        # the factors are the only roots: P and Q are their products
+        # the pairs (basis, core) are the only roots: the factors, P and Q are their products
         gset = build()
-        assert sorted(vars(gset)) == ["horizon", "lowrank_P", "lowrank_Q"]
+        assert sorted(vars(gset)) == ["_pairs", "horizon"]
         for z in (gset.lowrank_P, gset.lowrank_Q):
             with pytest.raises(ValueError, match="read-only"):
                 z[0, 0] = 1.0

@@ -98,6 +98,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="t_end must be at least dt"):
             simulate(scalar_system, u, t_end=0.05, dt=0.1)
 
+    def test_infinite_horizon_refused(self, scalar_system):
+        u = InputSignal.constant(1.0)
+        with pytest.raises(ValueError, match="t_end must be at least dt and finite, got t_end = inf"):
+            simulate(scalar_system, u, math.inf, 0.1)
+        with pytest.raises(ValueError, match="t_end must be at least dt and finite, got t_end = inf"):
+            input_l2_norm(u, math.inf, 0.1)
 
     def test_singular_step_matrix_rejected(self):
         sys = StateSpaceSystem(A=[[2.0]], B=[[1.0]], C=[[1.0]])

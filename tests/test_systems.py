@@ -388,6 +388,11 @@ class TestInputSignalSample:
         with pytest.raises(ValueError, match="t >= 0"):
             SIGNALS[kind].sample([0.0, 1.0, -1e-3])
 
+    @pytest.mark.parametrize("kind", sorted(SIGNALS))
+    def test_nan_time_rejected(self, kind):
+        with pytest.raises(ValueError, match="t >= 0, got t = nan"):
+            SIGNALS[kind].sample([0.0, math.nan, 1.0])
+
 
 def table_l2_norm_sq(u, tbar):
     # exact integral of the squared piecewise-linear interpolant
@@ -450,12 +455,15 @@ def assert_records_answer_alike(sys, got, want):
         for x, y in zip(x_pair, y_pair):
             close(x, y)
     bal = balance(time_limited_gramians(sys, tbar), sys).reduce_to(5)
-    (a11, b1), projected = got.project(bal.W, bal.V), want.project(bal.W, bal.V)
+    # each record projects onto the same W and V, moved into its own coordinates
+    (a11, b1, c1), projected = (rec.project(rec.core((None, bal.W), 1), rec.core((None, bal.V), 0))
+                                for rec in (got, want))
     close(a11, projected[0])
     close(b1, projected[1])
+    close(c1, projected[2])
     s11 = _schur_form(a11)
     for h, fr in ((tbar, expm(a11, tbar) @ b1), (math.inf, None)):
-        close(got.mixed(s11, b1, fr, h), want.mixed(s11, b1, fr, h))
+        close(*(rec.bases[0] @ rec.mixed(s11, b1, fr, h) for rec in (got, want)))
     levels = _mesh_levels(tbar, got.norm2)
     for x, y in zip(got.kernel_samples(tbar, levels)[1:3], want.kernel_samples(tbar, levels)[1:3]):
         assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))

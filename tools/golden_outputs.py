@@ -5,6 +5,9 @@ that the outputs of two checkouts can be compared byte for byte:
     python tools/golden_outputs.py OUTDIR_B      # in the other
     diff -r OUTDIR_A OUTDIR_B
 
+(``python tools/compare_outputs.py OUTDIR_A OUTDIR_B`` gives each
+file's largest relative difference instead, where rounding may move.)
+
 The runs, at tbar = 0.05 unless said otherwise:
 
 - ``reduce`` and ``bound`` on gen:800,7,6 (order 9), gen:50,7,6
