@@ -145,18 +145,25 @@ def _reduce_pipeline(cfg: ExperimentConfig):
     return system, gramians, bal, r, rom
 
 
+def _write_model(out: str, prefix: str, roles, comment) -> list[str]:
+    """Write each (role, matrix) of ``roles`` to ``<prefix><role>.mtx``
+    in ``out``, headed by ``comment(role)``, then the manifest
+    ``<prefix>manifest.json`` that maps each role to its file; the
+    paths written."""
+    files, manifest = [], {}
+    for role, mat in roles:
+        manifest[role] = f"{prefix}{role}.mtx"
+        files.append(os.path.join(out, manifest[role]))
+        _atomic_write(files[-1], lambda tmp: write_matrix(tmp, mat, comment(role)))
+    files.append(os.path.join(out, prefix + "manifest.json"))
+    _atomic_write(files[-1], manifest)
+    return files
+
+
 def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
     sigma = bal.singular_values
-    files = []
-    for name, mat in (("rom_A", rom.A11), ("rom_B", rom.B1), ("rom_C", rom.C1)):
-        path = os.path.join(out, name + ".mtx")
-        comment = f"order-{rom.r} reduced model, horizon {_fmt(rom.horizon)}"
-        _atomic_write(path, lambda tmp: write_matrix(tmp, mat, comment))
-        files.append(path)
-    manifest = {"A": "rom_A.mtx", "B": "rom_B.mtx", "C": "rom_C.mtx"}
-    path = os.path.join(out, "rom_manifest.json")
-    _atomic_write(path, manifest)
-    files.append(path)
+    files = _write_model(out, "rom_", (("A", rom.A11), ("B", rom.B1), ("C", rom.C1)),
+                         lambda role: f"order-{rom.r} reduced model, horizon {_fmt(rom.horizon)}")
     lines = ["i, sigma"]
     for i, s in enumerate(sigma, start=1):
         lines.append(f"{i}, {_fmt(s)}")
@@ -181,21 +188,10 @@ def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
 def cmd_gen_model(cfg: ExperimentConfig) -> list[str]:
     system = parse_model(cfg.model)
     os.makedirs(cfg.out, exist_ok=True)
-    files = []
-    manifest = {}
     roles = [("A", system.A), ("B", system.B), ("C", system.C)]
     if system.E is not None:
         roles.append(("E", system.E))
-    for role, mat in roles:
-        path = os.path.join(cfg.out, role + ".mtx")
-        comment = f"{system.name} {role}, n = {system.n}"
-        _atomic_write(path, lambda tmp: write_matrix(tmp, mat, comment))
-        manifest[role] = role + ".mtx"
-        files.append(path)
-    path = os.path.join(cfg.out, "manifest.json")
-    _atomic_write(path, manifest)
-    files.append(path)
-    return files
+    return _write_model(cfg.out, "", roles, lambda role: f"{system.name} {role}, n = {system.n}")
 
 
 def cmd_reduce(cfg: ExperimentConfig) -> list[str]:

@@ -155,11 +155,6 @@ def _reduced_gramian(s11, b1: np.ndarray, fr: np.ndarray) -> np.ndarray:
     return w @ w.T
 
 
-def _mixed_gramian(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
-    """The dense mixed Gramian Pm = X_P M of :func:`_mixed_core`."""
-    return sys._operator().bases[0] @ _mixed_core(sys, s11, b1, fr, tbar)
-
-
 def _mixed_core(sys: StateSpaceSystem, s11, b1: np.ndarray, fr, tbar: float) -> np.ndarray:
     """Cross Gramian Pm = int_0^tbar e^(A s) B B1^T e^(A11^T s) ds of the
     system's standard form and a reduced model, as its core M in the

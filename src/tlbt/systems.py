@@ -18,15 +18,15 @@ symmetric eigendecomposition A X = E X diag(lambda), X^T E X = I, read
 in closed form from the sine basis when A and E are symmetric
 tridiagonal Toeplitz (every uniform-grid rod) and done by the dense
 generalized ``eigh`` otherwise, and works from lambda, X, X^T B and C X
-alone. From order ``_DST_MIN`` on the sine basis X is never formed: it
-is applied to thin blocks as a discrete sine transform by FFT, so the
-record holds no n x n array (a finite horizon's Gramians are factored
-by pivoted Cholesky from the closed-form columns of their cores, with
-no n x n core formed); every other model gets the real Schur form of
-A_std, and only that record forms A_std and B_std = E^-1 B (by one
-solve with E), and its finite horizon's dense cores are factored by
-pivoted Cholesky too. Both records answer the same calls
-(Gramians, propagators, mixed Gramian, projection, kernel samples) and
+alone. The sine basis X is never formed, at any order: it is applied
+to thin blocks as a discrete sine transform by FFT, so the record holds
+no n x n array (a finite horizon's Gramians are factored by pivoted
+Cholesky from the closed-form columns of their cores, with no n x n
+core formed); every other model gets the real Schur form of A_std, and
+only that record forms A_std and B_std = E^-1 B (by one solve with E),
+and its finite horizon's dense cores are factored by pivoted Cholesky
+too. Both records answer the same calls (Gramians, propagators, mixed
+Gramian, projection, kernel samples) in their own coordinates, and
 build each per-horizon entry once under a lock, so systems can still be
 shared freely across threads.
 """
@@ -246,24 +246,15 @@ class _SineBasis:
         return _dst1(w)
 
 
-# the order from which `_sine_pairs` applies the basis by FFT instead of
-# forming it: `reduce` plus `bound` (1 BLAS thread) measured the table
-# faster at n = 400 and 420, where n + 1 is prime and numpy's FFT of
-# length 2(n+1) takes its slow path, and the FFT faster or level from
-# 512 on at every order tried, prime n + 1 included (n = 800: 41 ms
-# against 57 ms)
-_DST_MIN = 512
-
-
 def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple | None:
     """(lambda, X, Y = E X) of the pencil (A, E), lambda ascending and
     X^T E X = I, from the symbols alpha of A and eps of E (1 without E):
     lambda_k = alpha_k / eps_k, x_k(i) = sqrt(2 / (n+1))
     sin(i k pi / (n+1)) / sqrt(eps_k) and y_k = eps_k x_k, since x_k is
-    an eigenvector of E. X and Y are dense arrays below order
-    ``_DST_MIN`` and ``_SineBasis`` operators from it on. None unless A
-    and E are symmetric tridiagonal Toeplitz; LinAlgError when eps is
-    not positive."""
+    an eigenvector of E. X and Y are ``_SineBasis`` operators of one
+    order, Y = X without a mass matrix. None unless A and E are
+    symmetric tridiagonal Toeplitz; LinAlgError when eps is not
+    positive."""
     alpha = _toeplitz_symbol(a)
     eps = np.ones(a.shape[0]) if e is None else _toeplitz_symbol(e)
     if alpha is None or eps is None:
@@ -272,26 +263,9 @@ def _sine_pairs(a: np.ndarray, e: np.ndarray | None) -> tuple | None:
         raise np.linalg.LinAlgError("E is not positive definite")
     lam = alpha / eps
     order = np.argsort(lam, kind="stable")
-    if a.shape[0] >= _DST_MIN:
-        scale = 1.0 / np.sqrt(eps[order])
-        x = _SineBasis(order, scale)
-        return lam[order], x, x if e is None else _SineBasis(order, scale * eps[order])
-    n, period = a.shape[0], 2 * a.shape[0] + 2
-    # sin(j pi / (n+1)) for j in [0, 2n+2), each from an argument in [0, pi/2]
-    r = np.arange(period) % (n + 1)
-    table = np.sin(np.minimum(r, n + 1 - r) * (math.pi / (n + 1)))
-    table[n + 1:] *= -1.0
-    # i k mod (2n + 2), 32 rows i at a time: numpy divides by a scalar
-    # faster than it takes an integer modulo, and a small block is faster
-    # than one n x n index and keeps it out of the peak memory
-    k = order + 1
-    x = np.empty((n, n))
-    for lo in range(0, n, 32):
-        index = np.multiply.outer(np.arange(lo + 1, min(lo + 32, n) + 1), k)
-        index -= index // period * period
-        table.take(index, out=x[lo:lo + 32])
-    x *= math.sqrt(2.0 / (n + 1)) / np.sqrt(eps[order])
-    return lam[order], x, x if e is None else x * eps[order]
+    scale = 1.0 / np.sqrt(eps[order])
+    x = _SineBasis(order, scale)
+    return lam[order], x, x if e is None else _SineBasis(order, scale * eps[order])
 
 
 class _Record:
@@ -319,21 +293,14 @@ class _Record:
     - ``project(Wc, Vc)``: (W^T A_std V, W^T B_std, C V) for
       V = X_P Vc and W = X_Q Wc, from the cores alone;
     - ``output(L)``: C X_P L;
-    - ``propagators`` (memoized per horizon) and ``core_propagators``:
-      F = e^(A_std tbar) B_std and G = C e^(A_std tbar), and
-      (X_Q^T F, G X_P);
+    - ``core_propagators(tbar)``: (X_Q^T F, G X_P) of
+      F = e^(A_std tbar) B_std and G = C e^(A_std tbar);
     - ``kernel_samples``, memoized per horizon.
     """
 
     def __init__(self, sys: StateSpaceSystem):
         self.label = "A" if sys.E is None else "E^-1 A"
         self._memos: dict = {}
-
-    def propagators(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
-        """F = e^(A_std tbar) B_std and G = C e^(A_std tbar); the n x n
-        exponential itself is not kept."""
-        return _memo(self._memos, ("propagators", tbar),
-                     lambda: tuple(_readonly(x) for x in self._propagators(tbar)))
 
     def kernel_samples(self, tbar: float, levels: int) -> tuple:
         """The square roots of the fine and the coarse quadrature weights
@@ -388,12 +355,12 @@ class _EigenRecord(_Record):
     with X^T E X = I, so A_std = X diag(lambda) Y^T with Y = E X (Y = X
     without a mass matrix; formed here unless given), kept with
     ``xb`` = X^T B and ``cx`` = C X; its bases are (X, Y), and its
-    coordinates diagonalize A_std. X and Y are dense arrays, or
-    ``_SineBasis`` operators for a sine basis from order ``_DST_MIN`` on;
-    the record multiplies them with thin blocks only: to form ``xb``,
-    ``cx`` and the n-row propagators, and to move a factor of another
-    basis into its coordinates (``core``). Gramians, projection and the
-    mixed Gramian stay in the coordinates.
+    coordinates diagonalize A_std. X and Y are ``_SineBasis`` operators
+    for a sine basis, and the dense generalized ``eigh``'s arrays
+    otherwise; the record multiplies them with thin blocks only: to form
+    ``xb`` and ``cx``, and to move a factor of another basis into its
+    coordinates (``core``). Every other call, the propagators included,
+    answers in the coordinates.
     The closed forms take X^T E X = I as exact, so they carry the
     orthogonality error of the basis ``_factored`` chose (the sine
     basis's rounding, or the dense ``eigh``'s).
@@ -415,10 +382,6 @@ class _EigenRecord(_Record):
     def core_propagators(self, tbar: float):
         decay = _exp_finite(self.eigvals * tbar)
         return decay[:, None] * self.xb, self.cx * decay
-
-    def _propagators(self, tbar: float):
-        f, g = self.core_propagators(tbar)
-        return self.x @ f, g @ self.y.T
 
     def gramians(self, tbar: float) -> tuple[tuple, tuple]:
         """Closed forms P = X ((X^T B)(X^T B)^T o Phi) X^T and
@@ -493,7 +456,8 @@ class _SchurRecord(_Record):
     """Real Schur form ``schur`` = (Z, T) of A_std, for every other
     model, kept with ``a`` = A_std, ``b`` = B_std and ``c`` = C; its bases
     are (Z, Z), in which B_std is ``xb`` = Z^T B_std and C is
-    ``cx`` = C Z."""
+    ``cx`` = C Z. It alone forms the n-row propagators F and G
+    (``propagators``), for its Gramians' right-hand sides and ``mixed``."""
 
     def __init__(self, sys: StateSpaceSystem):
         super().__init__(sys)
@@ -507,9 +471,13 @@ class _SchurRecord(_Record):
         z = self.schur.z
         self.bases, self.xb, self.cx = (z, z), _readonly(z.T @ self.b), _readonly(self.c @ z)
 
-    def _propagators(self, tbar: float):
-        phi = expm(self.a, tbar)
-        return phi @ self.b, self.c @ phi
+    def propagators(self, tbar: float) -> tuple[np.ndarray, np.ndarray]:
+        """F = e^(A_std tbar) B_std and G = C e^(A_std tbar), memoized per
+        horizon; the n x n exponential itself is not kept."""
+        def build():
+            phi = expm(self.a, tbar)
+            return _readonly(phi @ self.b), _readonly(self.c @ phi)
+        return _memo(self._memos, ("propagators", tbar), build)
 
     def core_propagators(self, tbar: float):
         f, g = self.propagators(tbar)
@@ -698,12 +666,12 @@ class InputSignal:
         return cls(kind="table", m=v.shape[1], values=v, times=np.asarray(times, dtype=float).reshape(1, -1))
 
     def sample(self, times) -> np.ndarray:
-        """Evaluate on a 1-D grid of times t >= 0; row k of the
+        """Evaluate on a 1-D grid of finite times t >= 0; row k of the
         (len(times), m) result is u(times[k])."""
         t = np.asarray(times, dtype=float).ravel()
-        outside = t[~(t >= 0)]  # negative or NaN
+        outside = t[~((t >= 0) & (t < math.inf))]  # negative, infinite or NaN
         if outside.size:
-            raise ValueError(f"input signals are defined on t >= 0, got t = {outside[0]}")
+            raise ValueError(f"input signals are defined on finite t >= 0, got t = {outside[0]}")
         if self.kind == "constant":
             return np.repeat(self.values, t.size, axis=0)
         if self.kind == "zero":

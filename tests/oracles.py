@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from tlbt.errors import DimensionError, NotPsdError
-from tlbt.gramians import _check_horizon, _mixed_gramian, _reduced_gramian
+from tlbt.gramians import _check_horizon, _mixed_core, _reduced_gramian
 from tlbt.linalg import (
     _check_residual,
     _require_separated,
@@ -160,7 +160,8 @@ def mixed_gramian(sys: StateSpaceSystem, rom, tbar: float) -> np.ndarray:
     fr = expm(a11, tbar) @ b1 if math.isfinite(tbar) else None
     s11 = _schur_form(a11)
     _require_separated(sys._operator(), s11, "solve_sylvester")
-    return _mixed_gramian(sys, s11, b1, fr, tbar)
+    # the dense Pm = X_P M of the core M in the operator record's coordinates
+    return sys._operator().bases[0] @ _mixed_core(sys, s11, b1, fr, tbar)
 
 
 # frequency response

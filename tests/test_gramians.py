@@ -119,7 +119,10 @@ class TestTimeLimitedGramians:
         assert gset.P[0, 0] == pytest.approx(SCALAR_TL_1, abs=1e-15)
         assert gset.Q[0, 0] == pytest.approx(SCALAR_TL_1, abs=1e-15)
         assert gset.horizon == 1.0
-        f, g = scalar_system._operator().propagators(1.0)
+        op = scalar_system._operator()
+        # F = X_P (X_Q^T F) and G = (G X_P) X_Q^T
+        (f, g), (x_p, x_q) = op.core_propagators(1.0), op.bases
+        f, g = x_p @ f, g @ x_q.T
         assert f[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert g[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
@@ -131,7 +134,8 @@ class TestTimeLimitedGramians:
         sys = StateSpaceSystem(A=[[-1.0]], B=[[0.0]], C=[[1.0]])
         gset = time_limited_gramians(sys, 3.0)
         assert gset.P[0, 0] == 0.0
-        assert sys._operator().propagators(3.0)[0][0, 0] == 0.0
+        op = sys._operator()
+        assert (op.bases[0] @ op.core_propagators(3.0)[0])[0, 0] == 0.0
 
     def test_defined_for_unstable_systems(self):
         sys = StateSpaceSystem(A=[[1.0]], B=[[1.0]], C=[[1.0]])

@@ -392,6 +392,8 @@ class TestInputSignalSample:
     def test_nan_time_rejected(self, kind):
         with pytest.raises(ValueError, match="t >= 0, got t = nan"):
             SIGNALS[kind].sample([0.0, math.nan, 1.0])
+        with pytest.raises(ValueError, match="finite t >= 0, got t = inf"):
+            SIGNALS[kind].sample([0.0, math.inf, 1.0])
 
 
 def table_l2_norm_sq(u, tbar):
@@ -439,6 +441,13 @@ class TestRandomPiecewiseConstant:
             random_piecewise_constant(1, -1.0, 3, rng)
 
 
+def propagators(record, tbar):
+    """F = X_P (X_Q^T F) and G = (G X_P) X_Q^T, lifted from the record's
+    coordinates."""
+    f, g = record.core_propagators(tbar)
+    return record.bases[0] @ f, g @ record.bases[1].T
+
+
 def assert_records_answer_alike(sys, got, want):
     """Every call of two records of one system agrees to 1e-10 relative."""
     tbar = 0.05
@@ -450,7 +459,7 @@ def assert_records_answer_alike(sys, got, want):
         return [(basis @ root) @ (basis @ root).T for basis, root in gramians]
 
     pairs = [(dense(got.gramians(h)), dense(want.gramians(h))) for h in (tbar, math.inf)]
-    pairs.append((got.propagators(tbar), want.propagators(tbar)))
+    pairs.append((propagators(got, tbar), propagators(want, tbar)))
     for x_pair, y_pair in pairs:
         for x, y in zip(x_pair, y_pair):
             close(x, y)
@@ -667,30 +676,23 @@ def test_sine_eigenvalues_against_mpmath():
 
 
 def test_tridiagonal_eigenbasis_is_orthonormal():
-    # the closed-form Gramians and kernel samples take X^T X = I; at this
-    # order X is applied as a transform, so its columns are X @ I
+    # the closed-form Gramians and kernel samples take X^T X = I; X is
+    # applied as a transform, so its columns are X @ I
     x = generate_heat_model(800, 7, 6)._operator().x @ np.eye(800)
     assert np.linalg.norm(x.T @ x - np.eye(800)) <= 1e-12
 
 
 def test_sine_basis_scales_x_by_the_mass_symbol_for_e_x():
-    # the sine vectors are eigenvectors of E, so Y = E X is X diag(eps_k),
-    # formed without the n x n product; evaluated in extended precision,
-    # so that the check's own rounding does not hide it, ||Y^T X - I||_F is
-    # no worse than with the product
-    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-        pytest.skip("long double carries no extra precision here")
+    # the sine vectors are eigenvectors of E, so Y = E X is X diag(eps_k):
+    # the same columns, each scaled by its symbol, with no n x n product;
+    # Y's accuracy is checked by the products against the extended-precision matrix
     sys = fem_rod(400, 7, 6)
     record = sys._operator()
     alpha, eps = (tlbt.systems._toeplitz_symbol(t) for t in (sys.A, sys.E))
-    assert np.array_equal(record.y, record.x * eps[np.argsort(alpha / eps, kind="stable")])
-    x = record.x.astype(np.longdouble)
-
-    def residual(y):
-        r = y.astype(np.longdouble).T @ x - np.eye(sys.n, dtype=np.longdouble)
-        return float(np.sqrt(np.sum(r * r)))
-
-    assert residual(record.y) <= residual(sys.E @ record.x)
+    order = np.argsort(alpha / eps, kind="stable")
+    assert isinstance(record.y, tlbt.systems._SineBasis)
+    assert np.array_equal(record.y.order, record.x.order) and np.array_equal(record.x.order, order)
+    assert np.array_equal(record.y.scale, record.x.scale * eps[order])
 
 
 def sine_reference(sys):
@@ -715,7 +717,7 @@ def extended_precision():
 
 @pytest.mark.parametrize("make", [lambda n: generate_heat_model(n, 7, 6), lambda n: fem_rod(n, 7, 6)],
                          ids=["gen", "fem-mass"])
-@pytest.mark.parametrize("n", [512, 600, 800])
+@pytest.mark.parametrize("n", [50, 100, 400, 512, 600, 800])
 def test_sine_basis_products_against_the_extended_precision_matrix(make, n):
     # n = 600 has the prime n + 1 = 601, so the FFT of length 2(n + 1)
     # takes its slow path; each product within 1e-14 relative
@@ -748,29 +750,23 @@ def test_sine_basis_record_answers_like_the_formed_basis(sys):
     assert_records_answer_alike(sys, record, _EigenRecord(sys, lam, x.astype(float), y.astype(float)))
 
 
-def test_sine_basis_is_formed_below_its_transform_order():
-    # small models keep the table-built X and its arithmetic, bit for bit
-    small = tlbt.systems._DST_MIN - 1
-    for sys in (generate_heat_model(small, 7, 6), fem_rod(400, 7, 6)):
-        record = sys._operator()
-        assert type(record.x) is np.ndarray and type(record.y) is np.ndarray
-    assert isinstance(generate_heat_model(small + 1, 7, 6)._operator().x, tlbt.systems._SineBasis)
-
-
 def test_sine_record_is_built_without_an_n_by_n_array():
-    # a formed X of gen:2000 takes 32 MB, and an n x n boolean of a
-    # symmetry check 4 MB, or 10 MB at gen:3200
+    # the peak stays below one n x n float64 array (a formed X) at every
+    # order, and below 8 MB: an n x n boolean of a symmetry check takes
+    # 4 MB at gen:2000, or 10 MB at gen:3200
     import tracemalloc
 
-    for n in (2000, 3200):
-        sys = generate_heat_model(n, 7, 6)
+    for make, n in ((generate_heat_model, 100), (generate_heat_model, 400), (fem_rod, 400),
+                    (generate_heat_model, 2000), (generate_heat_model, 3200)):
+        sys = make(n, 7, 6)
         tracemalloc.start()
         try:
-            sys._operator()
+            record = sys._operator()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6, n
+        assert isinstance(record.x, tlbt.systems._SineBasis) and isinstance(record.y, tlbt.systems._SineBasis)
+        assert peak < min(8e6, 8.0 * n * n), (make.__name__, n, peak)
 
 
 def test_sine_record_mixed_gramian_forms_no_n_by_n_array():

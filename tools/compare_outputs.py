@@ -4,9 +4,11 @@
 
 For each file of either folder it prints one line: ``identical`` when
 the bytes agree; the largest relative difference |a - b| / max(|a|, |b|)
-over the file's numeric tokens when only numbers differ; and
-``STRUCTURE DIFFERS`` when the text between the numbers, the count of
-numbers or the file's presence differs. A number is a decimal or
+over the file's numeric tokens when only numbers differ, followed by the
+text on its line just before the worst number (as ``at "n_hat": ``);
+and ``STRUCTURE DIFFERS`` when the text between the numbers, the count
+of numbers (then both counts are printed) or the file's presence
+differs. A number is a decimal or
 exponent literal, or inf, Infinity or nan, standing apart from letters
 and digits, so the 800 of ``gen-800`` is a number and the 12 of ``r12``
 is text. The exit status is 1 when some file's structure differs and 0
@@ -23,6 +25,13 @@ NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf
 def split(text: str) -> tuple[list[str], list[str]]:
     """(the text between the numeric tokens, the tokens)."""
     return NUMBER.split(text), NUMBER.findall(text)
+
+
+def before(text: str, index: int) -> str:
+    """The text on the line of the index-th number, up to that number."""
+    start = [match.start() for match in NUMBER.finditer(text)][index]
+    line = text.count("\n", 0, start) + 1
+    return text[:start].rsplit("\n", 1)[-1].lstrip() or f"the start of line {line}"
 
 
 def relative(a: str, b: str) -> float:
@@ -42,13 +51,18 @@ def compare(a: Path, b: Path) -> tuple[str, bool]:
     if raw_a == raw_b:
         return "identical", False
     try:
-        (text_a, num_a), (text_b, num_b) = (split(raw.decode("utf-8")) for raw in (raw_a, raw_b))
+        decoded = raw_a.decode("utf-8"), raw_b.decode("utf-8")
     except UnicodeDecodeError:
         return "STRUCTURE DIFFERS (not text)", True
-    if text_a != text_b or len(num_a) != len(num_b):
+    (text_a, num_a), (text_b, num_b) = (split(text) for text in decoded)
+    if len(num_a) != len(num_b):
+        return f"STRUCTURE DIFFERS ({len(num_a)} numbers against {len(num_b)})", True
+    if text_a != text_b:
         return "STRUCTURE DIFFERS", True
-    worst = max(relative(x, y) for x, y in zip(num_a, num_b))
-    return f"max relative difference {worst:.3g} over {len(num_a)} numbers", False
+    diffs = [relative(x, y) for x, y in zip(num_a, num_b)]
+    worst = max(range(len(diffs)), key=diffs.__getitem__)
+    return (f"max relative difference {diffs[worst]:.3g} over {len(num_a)} numbers "
+            f"at {before(decoded[0], worst)}"), False
 
 
 def main(argv: list[str]) -> int:
