@@ -32,7 +32,7 @@ from .bounds import tlbt_h2_bound, tlbt_h2_bound_alt
 from .config import ExperimentConfig
 from .gramians import infinite_gramians, time_limited_gramians
 from .mmio import write_matrix
-from .simulation import input_l2_norm, output_error, simulate
+from .simulation import _grid_steps, input_l2_norm, output_error, simulate
 from .systems import InputSignal, generate_heat_model, load_system
 
 __all__ = ["main"]
@@ -220,12 +220,17 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
-    system, gramians, bal, r, rom = _reduce_pipeline(cfg)
-    u = parse_input(cfg.input, system.m)
+    if cfg.tbar is None:
+        raise ValueError("tbar is required")
     tend = cfg.tend if cfg.tend is not None else cfg.tbar
     if tend < cfg.tbar:
         raise ValueError(f"tend = {tend} is shorter than the horizon tbar = {cfg.tbar}")
     dt = cfg.dt if cfg.dt is not None else cfg.tbar / 512
+    # both grids, before any work: the input norm is taken on [0, tbar]
+    _grid_steps(cfg.tbar, dt, "tbar")
+    _grid_steps(tend, dt, "tend")
+    system, gramians, bal, r, rom = _reduce_pipeline(cfg)
+    u = parse_input(cfg.input, system.m)
     full = simulate(system, u, tend, dt)
     reduced = simulate(rom, u, tend, dt)
     err, max_tbar, max_total = output_error(full, reduced, cfg.tbar)

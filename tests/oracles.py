@@ -7,12 +7,13 @@ route. The solvers take dense matrices and factor them on every call,
 then run the package's private kernels (the blocked Bartels-Stewart
 solve, the Schur form), so the tests of these wrappers test the code
 the pipeline runs; the PSD factor is one eigendecomposition of its own,
-with its cutoff and its check as parameters. Each
-wrapper checks its own arguments, and its equation's separation
-condition by the package's one check, ``linalg._require_separated``;
-the private kernels leave that to their caller. The exact
-Hankel singular values are read from ``hankel_reference.json``, which
-``hankel_reference.py`` writes.
+with its cutoff and its check as parameters. Each wrapper checks its
+own arguments, and its equation's separation condition by the package's
+one check, ``linalg._require_separated``; the private kernels leave
+that to their caller. The exact Hankel singular values are read from
+``hankel_reference.json``, which ``hankel_reference.py`` writes. The
+simulation's lifted block operators are built one power of the step
+map at a time.
 
 The tests import these names with ``from oracles import ...``.
 """
@@ -263,3 +264,21 @@ def random_piecewise_constant(m: int, tbar: float, blocks: int, rng) -> InputSig
         times.append(edges[i + 1] - ramp)
         rows.append(vals[i])
     return InputSignal.from_table(np.array(times), np.array(rows))
+
+
+# simulation
+
+def lifted_operators(step, drive, observe, block: int = 16):
+    """``simulation._lifted``'s (free, markov, reach, leap) for the block
+    map x_{k+1} = S x_k + D w_k, z_k = F x_k, from the powers S^0..S^L
+    taken one product at a time: free = [(F S)^T, ..., (F S^L)^T];
+    markov and reach stack (F S^s D)^T and (S^s D)^T from s = L-1 down
+    to 0; leap = S^L."""
+    powers = [np.eye(step.shape[0])]
+    for _ in range(block):
+        powers.append(powers[-1] @ step)
+    lags = range(block - 1, -1, -1)
+    free = np.hstack([(observe @ powers[s]).T for s in range(1, block + 1)])
+    markov = np.vstack([(observe @ (powers[s] @ drive)).T for s in lags])
+    reach = np.vstack([(powers[s] @ drive).T for s in lags])
+    return free, markov, reach, powers[block]

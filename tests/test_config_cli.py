@@ -330,6 +330,20 @@ class TestSimulate:
                        "--tend", 0.5, "--out", tmp_path) == 2
         assert "shorter than the horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tbar, tend, name", [(0.05, 0.3, "tbar"), (0.04, 0.31, "tend")])
+    def test_grid_off_dt_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, tbar, tend, name):
+        import tlbt.cli
+
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(tlbt.cli, "parse_model", refuse)
+        assert run_cli("simulate", "--model", "gen:8,8,8", "--tbar", tbar, "--order", 2,
+                       "--tend", tend, "--dt", 0.02, "--out", tmp_path / "sim") == 2
+        value = tbar if name == "tbar" else tend
+        assert f"{name} = {value} is not an integer multiple of dt = 0.02" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
 
 def test_artifacts_get_the_mode_open_would_give(tmp_path):
     args = ("--model", "gen:8,8,8", "--tbar", 0.5, "--order", 3)

@@ -1,6 +1,7 @@
 import math
 import sys as sys_module
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.linalg as sla
 
 import tlbt.simulation
 from conftest import fem_rod, rand_stable
-from oracles import random_piecewise_constant
+from oracles import lifted_operators, random_piecewise_constant
 from tlbt.balancing import ReducedModel
 from tlbt.simulation import Trajectory, input_l2_norm, output_error, simulate
 from tlbt.systems import InputSignal, StateSpaceSystem, generate_heat_model
@@ -299,6 +300,129 @@ class TestStepOperatorsAreMemoized:
             sys_module.setswitchinterval(interval)
         assert calls.count("getrs") == 1
         assert all(np.array_equal(out, outs[0]) for out in outs[1:])
+
+
+def count_samples(monkeypatch):
+    """Spy on InputSignal.sample; returns the list of the arrays it returned."""
+    samples, real = [], InputSignal.sample
+
+    def spy(self, times):
+        samples.append(real(self, times))
+        return samples[-1]
+
+    monkeypatch.setattr(InputSignal, "sample", spy)
+    return samples
+
+
+class TestInputSamplesAreMemoized:
+    def test_second_run_samples_nothing_and_matches_the_first(self, monkeypatch):
+        sys, other, dt = generate_heat_model(10, 3, 2), generate_heat_model(12, 3, 2), 1.0 / 256
+        u = random_piecewise_constant(3, 0.25, 8, np.random.default_rng(4))
+        samples = count_samples(monkeypatch)
+        first, norm = simulate(sys, u, 0.25, dt).outputs, input_l2_norm(u, 0.25, dt)
+        assert len(samples) == 2
+        assert np.array_equal(simulate(sys, u, 0.25, dt).outputs, first)
+        assert input_l2_norm(u, 0.25, dt) == norm
+        # another model on the same grid reads the same samples
+        simulate(other, u, 0.25, dt)
+        assert len(samples) == 2
+
+    def test_each_grid_is_its_own_entry(self, monkeypatch):
+        sys = generate_heat_model(10, 3, 2)
+        u = random_piecewise_constant(3, 0.25, 8, np.random.default_rng(4))
+        samples = count_samples(monkeypatch)
+        for dt in (1.0 / 256, 1.0 / 128, 1.0 / 256, 1.0 / 128):
+            simulate(sys, u, 0.25, dt)
+            input_l2_norm(u, 0.25, dt)
+        simulate(sys, u, 0.5, 1.0 / 256)
+        # midpoints, then nodes, of each dt once; a longer grid is another grid
+        assert [len(values) for values in samples] == [64, 65, 32, 33, 128]
+        assert np.array_equal(samples[4][:64], samples[0])
+
+    def test_kept_samples_are_read_only(self, monkeypatch):
+        u = random_piecewise_constant(3, 0.25, 8, np.random.default_rng(4))
+        samples = count_samples(monkeypatch)
+        simulate(generate_heat_model(10, 3, 2), u, 0.25, 1.0 / 256)
+        input_l2_norm(u, 0.25, 1.0 / 256)
+        assert len(samples) == 2
+        for values in samples:
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 1.0
+
+    def test_a_failed_sample_keeps_nothing(self, scalar_system, monkeypatch):
+        u = InputSignal.constant(1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(InputSignal, "sample", lambda self, times: np.zeros((len(times), 2)))
+            with pytest.raises(ValueError, match="sampled to shape"):
+                simulate(scalar_system, u, t_end=1.0, dt=0.1)
+        assert np.all(simulate(scalar_system, u, t_end=1.0, dt=0.1).outputs[1:] > 0.0)
+
+    def test_threads_sample_a_shared_signal_once(self, monkeypatch):
+        sys = generate_heat_model(40, 3, 2)
+        u = random_piecewise_constant(3, 0.25, 8, np.random.default_rng(9))
+        samples = count_samples(monkeypatch)
+        barrier = threading.Barrier(4, timeout=30)
+
+        def run(_):
+            barrier.wait()
+            return simulate(sys, u, t_end=0.25, dt=1.0 / 256).outputs, input_l2_norm(u, 0.25, 1.0 / 256)
+
+        interval = sys_module.getswitchinterval()
+        sys_module.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = list(pool.map(run, range(4)))
+        finally:
+            sys_module.setswitchinterval(interval)
+        assert len(samples) == 2
+        assert all(np.array_equal(out, runs[0][0]) and norm == runs[0][1] for out, norm in runs[1:])
+
+
+LIFTED_MODELS = {"rod-100": generate_heat_model(100, 4, 3), "fem-mass-40": fem_rod(40, 3, 2),
+                 "nonsymmetric": BLOCK_MODELS["nonsymmetric"], "wide": BLOCK_MODELS["wide"]}
+
+
+class TestLiftedOperators:
+    @pytest.mark.parametrize("name", sorted(LIFTED_MODELS))
+    def test_doubling_matches_the_sequential_products(self, name):
+        model, dt = LIFTED_MODELS[name], 1.0 / 512
+        n = model.n
+        e = model.E if model.E is not None else np.eye(n)
+        maps = sla.solve(e - (dt / 2.0) * model.A, np.hstack([e + (dt / 2.0) * model.A, dt * model.B]))
+        step, drive = maps[:, :n], maps[:, n:]
+        # as simulate lifts them: the fewer of inputs and forcing terms, of outputs and states
+        lifted = (step, np.eye(n) if model.m > n else drive, np.eye(n) if model.p > n else model.C)
+        for got, want in zip(tlbt.simulation._lifted(*lifted), lifted_operators(*lifted)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestWindowedProducts:
+    # the windows are formed a chunk of blocks at a time: this grid
+    # crosses a chunk boundary and leaves the last block partial
+    STEPS = tlbt.simulation._CHUNK * tlbt.simulation._BLOCK + 37
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_across_a_chunk_boundary(self, name):
+        model, dt = BLOCK_MODELS[name], 1.0 / 64
+        u = random_piecewise_constant(model.m, self.STEPS * dt, 16, np.random.default_rng(8))
+        ref = per_step_simulate(model, u, self.STEPS * dt, dt)
+        out = simulate(model, u, self.STEPS * dt, dt).outputs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        long = simulate(model, u, 2 * tlbt.simulation._CHUNK * tlbt.simulation._BLOCK * dt, dt).outputs
+        assert np.array_equal(long[:self.STEPS + 1], out)
+
+    def test_long_grid_memory_stays_bounded(self):
+        # the windows of 4096 blocks at once would hold 4096 x 16 x 16 x 7 doubles
+        sys = generate_heat_model(100, 7, 6)
+        u = random_piecewise_constant(7, 1.0, 8, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            simulate(sys, u, 1.0, 1.0 / 65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestOutputError:

@@ -18,6 +18,8 @@ The runs, at tbar = 0.05 unless said otherwise:
   upwind advection 20 (e_{k+1} - e_k) added to A, with the flow and
   against it (order 8);
 - ``bound --verify`` on gen:40,40,40, order 4, tbar = 0.5;
+- the README's ``simulate`` on gen:50,7,6 (order 6, star input, to
+  tend = 0.2);
 - the README's sweep over r = 1..20 on gen:50,7,6 with the star input
   and 2 workers.
 
@@ -97,6 +99,8 @@ def main(outdir: str) -> int:
                     "--out", f"{name}/{command}")
         run(status, "bound", "--model", "gen:40,40,40", "--tbar", "0.5", "--order", 4,
             "--out", "gen-40/verify", "--verify")
+        run(status, "simulate", "--model", "gen:50,7,6", "--tbar", TBAR, "--tend", "0.2", "--order", 6,
+            "--input", "star", "--out", "gen-50/simulate")
         run(status, "sweep", "--model", "gen:50,7,6", "--tbar", TBAR, "--axis", "r",
             "--values", ",".join(map(str, range(1, 21))), "--input", "star", "--jobs", 2,
             "--out", "gen-50/sweep")
