@@ -55,9 +55,15 @@ factor is formed.
 Once the reduced model is good the
 three traces agree to more digits than the arithmetic carries, so their
 combination is rounding noise; they are kept in the report as the
-paper's cross-check and do not enter eps. The paper's hypotheses, Lambda(A)
+paper's cross-check and do not enter eps. :func:`tlbt_h2_bound` (the
+API and ``tlbt bound``) reports them; the callers that read eps alone,
+the TLBT rows of ``tlbt sweep`` and ``tlbt simulate``, call
+``_epsilon``, the same steps without Pr and Pm, so a reduced model
+costs them one Schur form, one batched expm of five r x r matrices and
+its own kernel samples. The paper's hypotheses, Lambda(A)
 and Lambda(A11) each disjoint from -Lambda(A11), make Pm and Pr unique;
-both go through the solvers' own check, ``linalg._require_separated``.
+both go through the solvers' own check, ``linalg._require_separated``,
+on both routes.
 
 An equivalent representation of the trace form written in balanced coordinates
 splits into the classical-looking leading trace, a remainder that decays
@@ -197,6 +203,10 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     the error kernel, with the paper's three Gramian traces recorded
     beside it (see the module docstring).
 
+    ``tlbt bound`` and the API get the traces from here; the TLBT rows
+    of ``tlbt sweep`` and ``tlbt simulate`` read eps alone and take it
+    from ``_epsilon``, the same steps without Pr and Pm.
+
     Parameters
     ----------
     sys : StateSpaceSystem
@@ -217,11 +227,6 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
     BoundReport
     """
     tbar = _check_horizon(tbar)
-    a11, b1, c1 = rom.A11, rom.B1, rom.C1
-    if c1.shape[0] != sys.p:
-        raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
-    if rom.r > sys.n:
-        raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
     op = sys._operator()
     if isinstance(p_tbar, GramianSet):
         if p_tbar.horizon != tbar:
@@ -233,21 +238,42 @@ def tlbt_h2_bound(sys, rom: ReducedModel, p_tbar, tbar: float) -> BoundReport:
         if p.shape != (sys.n, sys.n):
             raise DimensionError(f"P must have shape {(sys.n, sys.n)} to match the system, got {p.shape}")
         term_cpc = float(np.trace(sys.C @ p @ sys.C.T))
-    s11 = _schur_form(a11)
-    _check_hypotheses(op, s11)
-    levels = _mesh_levels(tbar, max(op.norm2, s11.norm2))
-    phi_r, base = _mesh_exponentials(a11, tbar, levels, at=tbar)
+    epsilon, s11, phi_r = _epsilon(sys, rom, tbar, at=tbar)
+    b1, c1 = rom.B1, rom.C1
     fr = phi_r @ b1
     pm = _mixed_core(sys, s11, b1, fr, tbar)
     pr = _reduced_gramian(s11, b1, fr)
     return BoundReport(
-        epsilon=_kernel_epsilon(sys, b1, c1, base, tbar, levels),
+        epsilon=epsilon,
         term_cpc=term_cpc,
         term_cprc=float(np.sum((c1 @ pr) * c1)),
         term_cpmc=float(np.sum(op.output(pm) * c1)),
         horizon=tbar,
         r=rom.r,
     )
+
+
+def _epsilon(sys, rom: ReducedModel, tbar: float, at: float | None = None):
+    """eps of ``rom`` on [0, tbar] alone: the order and horizon checks,
+    one Schur form of A11 with both hypothesis checks, one batched expm
+    of the five mesh matrices and the reduced model's kernel samples; no
+    Pr or Pm. With ``at`` the batch also gives e^(A11 at) for
+    :func:`tlbt_h2_bound`'s traces, and the five are bitwise those
+    without it. Returns (eps, the Schur form of A11, e^(A11 at) or None)."""
+    tbar = _check_horizon(tbar)
+    a11, b1, c1 = rom.A11, rom.B1, rom.C1
+    if c1.shape[0] != sys.p:
+        raise DimensionError(f"C1 has {c1.shape[0]} rows but the system has p = {sys.p}")
+    if b1.shape[1] != sys.m:
+        raise DimensionError(f"B1 has {b1.shape[1]} columns but the system has m = {sys.m}")
+    if rom.r > sys.n:
+        raise DimensionError(f"reduced order {rom.r} exceeds the system dimension {sys.n}")
+    op = sys._operator()
+    s11 = _schur_form(a11)
+    _check_hypotheses(op, s11)
+    levels = _mesh_levels(tbar, max(op.norm2, s11.norm2))
+    phi, base = _mesh_exponentials(a11, tbar, levels, at=at)
+    return _kernel_epsilon(sys, b1, c1, base, tbar, levels), s11, phi
 
 
 def _kernel_epsilon(sys, b1, c1, base, tbar: float, levels: int) -> float:

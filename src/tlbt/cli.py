@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .balancing import balance, select_order, truncate
-from .bounds import tlbt_h2_bound, tlbt_h2_bound_alt
+from .bounds import _epsilon, tlbt_h2_bound, tlbt_h2_bound_alt
 from .config import ExperimentConfig
 from .gramians import infinite_gramians, time_limited_gramians
 from .mmio import write_matrix
@@ -229,14 +229,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     # both grids, before any work: the input norm is taken on [0, tbar]
     _grid_steps(cfg.tbar, dt, "tbar")
     _grid_steps(tend, dt, "tend")
-    system, gramians, bal, r, rom = _reduce_pipeline(cfg)
+    system, _, _, r, rom = _reduce_pipeline(cfg)
     u = parse_input(cfg.input, system.m)
     full = simulate(system, u, tend, dt)
     reduced = simulate(rom, u, tend, dt)
     err, max_tbar, max_total = output_error(full, reduced, cfg.tbar)
-    report = tlbt_h2_bound(system, rom, gramians, cfg.tbar)
+    epsilon = _epsilon(system, rom, cfg.tbar)[0]
     unorm = input_l2_norm(u, cfg.tbar, dt)
-    level = report.epsilon * unorm
+    level = epsilon * unorm
     os.makedirs(cfg.out, exist_ok=True)
     files = []
     for name, traj in (("y_full.csv", full), ("y_reduced.csv", reduced)):
@@ -253,7 +253,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
         "max_error_tbar": max_tbar,
         "max_error_total": max_total,
         "bound_level": level,
-        "epsilon": report.epsilon,
+        "epsilon": epsilon,
         "input_l2_tbar": unorm,
         "tbar": cfg.tbar,
         "tend": tend,
@@ -280,13 +280,13 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
 
     def balanced(method, tbar):
         g = infinite_gramians(system) if method == "BT" else time_limited_gramians(system, tbar)
-        return g, balance(g, system)
+        return balance(g, system)
 
     def one(value, method, tbar):
         row = {"value": value, "method": method, "r": "", "max_error_tbar": "",
                "bound_level": "", "status": "ok"}
         try:
-            gramians, bal = balances[(method, tbar if method == "TLBT" else None)].result()
+            bal = balances[(method, tbar if method == "TLBT" else None)].result()
             if axis == "r":
                 r = int(value)
             elif axis == "tau":
@@ -300,8 +300,8 @@ def _sweep_rows(cfg: ExperimentConfig, axis: str, values, jobs: int):
             _, max_tbar, _ = output_error(full, reduced, tbar)
             row["max_error_tbar"] = _fmt(max_tbar)
             if method == "TLBT":
-                report = tlbt_h2_bound(system, rom, gramians, tbar)
-                row["bound_level"] = _fmt(report.epsilon * norms[tbar].result())
+                epsilon = _epsilon(system, rom, tbar)[0]
+                row["bound_level"] = _fmt(epsilon * norms[tbar].result())
         except Exception as exc:
             msg = f"{type(exc).__name__}: {exc}".replace("\n", "; ").replace(",", ";")
             row["status"] = f"error: {msg}"
@@ -331,6 +331,10 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values, jobs: int = 1) -> list[s
         cfg.require_order_control()
     elif cfg.tbar is None:
         raise ValueError("tbar is required")
+    if cfg.dt is not None:
+        # every horizon's grid, before any work
+        for tbar in values if axis == "tbar" else [cfg.tbar]:
+            _grid_steps(tbar, cfg.dt, "tbar")
     rows = _sweep_rows(cfg, axis, values, jobs)
     os.makedirs(cfg.out, exist_ok=True)
     lines = ["value, method, r, max_error_tbar, bound_level, status"]

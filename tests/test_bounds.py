@@ -117,8 +117,11 @@ class TestDirectBound:
         rom = ReducedModel(A11=a11, B1=np.ones((r, 1)), C1=np.ones((1, r)), r=r, horizon=1.0)
         expected += (" has |lambda + mu| = 0.000e+00 <= tolerance 2.000e-08; "
                      "the equation has no unique solution")
-        with pytest.raises(SpectrumSeparationError, match=f"^{re.escape(expected)}$"):
-            tlbt_h2_bound(sys, rom, np.eye(n), 1.0)
+        # the eps route makes the same checks
+        for route in (lambda: tlbt_h2_bound(sys, rom, np.eye(n), 1.0),
+                      lambda: tlbt.bounds._epsilon(sys, rom, 1.0)):
+            with pytest.raises(SpectrumSeparationError, match=f"^{re.escape(expected)}$"):
+                route()
 
     def test_bound_dominates_simulated_error(self):
         sys = generate_heat_model(20, 7, 6)
@@ -134,6 +137,48 @@ class TestDirectBound:
             _, max_err, _ = output_error(full, red, tbar)
             level = report.epsilon * input_l2_norm(u, tbar, dt)
             assert max_err <= level
+
+
+def upwind_rod(n=100):
+    """The rod with upwind advection 20 (e_{k+1} - e_k): A is not symmetric,
+    so its record is the Schur record."""
+    heat = generate_heat_model(n, 7, 6)
+    return StateSpaceSystem(A=heat.A + 20.0 * (np.eye(n, k=-1) - np.eye(n)), B=heat.B, C=heat.C)
+
+
+class TestEpsilonRoute:
+    """tlbt.bounds._epsilon, the route of the callers that read eps alone."""
+
+    @pytest.mark.parametrize("make, tbar, orders", [
+        (lambda: generate_heat_model(50, 7, 6), 0.05, range(1, 20)),
+        (lambda: fem_rod(60, 7, 6), 0.05, (3, 6)),
+        (upwind_rod, 0.05, (8,)),
+        (lambda: rand_stable(12, 3, 2, np.random.default_rng(11)), 1.0, (2, 5)),
+        (lambda: rand_stable(9, 4, 5, np.random.default_rng(4)), 0.5, (3, 6)),
+    ], ids=["gen-50", "fem-mass-60", "upwind-100", "rand-stable-12", "rand-stable-9"])
+    def test_equals_the_reports_epsilon_bitwise(self, make, tbar, orders):
+        sys = make()
+        gset = time_limited_gramians(sys, tbar)
+        bal = balance(gset, sys)
+        for r in orders:
+            rom = truncate(sys, bal.reduce_to(r))
+            eps, s11, phi = tlbt.bounds._epsilon(sys, rom, tbar)
+            assert eps == tlbt_h2_bound(sys, rom, gset, tbar).epsilon, f"r = {r}"
+            assert s11.eigvals.size == r and phi is None
+        if make is upwind_rod:
+            assert isinstance(sys._operator(), tlbt.systems._SchurRecord)
+
+    @pytest.mark.parametrize("b1, c1, message", [
+        (np.ones((2, 3)), np.ones((2, 2)), "B1 has 3 columns but the system has m = 2"),
+        (np.ones((2, 2)), np.ones((3, 2)), "C1 has 3 rows but the system has p = 2"),
+    ], ids=["b1", "c1"])
+    def test_reduced_model_of_other_dimensions_rejected(self, b1, c1, message):
+        sys = generate_heat_model(10, 2, 2)
+        rom = ReducedModel(A11=-np.eye(2), B1=b1, C1=c1, r=2, horizon=0.1)
+        for route in (lambda: tlbt.bounds._epsilon(sys, rom, 0.1),
+                      lambda: tlbt_h2_bound(sys, rom, np.eye(10), 0.1)):
+            with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+                route()
 
 
 def assert_brackets_the_integral(sys, rom, tbar):

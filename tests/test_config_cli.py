@@ -429,6 +429,40 @@ class TestSweep:
         assert len([c for c in calls if c[0] == "input_l2_norm"]) == 1
         assert len([c for c in calls if c[0] == "simulate" and c[1] != 8]) == 6
 
+    @pytest.mark.parametrize("args", [
+        ("--tbar", 0.05, "--axis", "r", "--values", "2,3,4"),
+        ("--order", 2, "--axis", "tbar", "--values", "0.05,0.1"),
+    ], ids=["r", "tbar"])
+    def test_grid_off_dt_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, args):
+        import tlbt.cli
+
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(tlbt.cli, "parse_model", refuse)
+        assert run_cli("sweep", "--model", "gen:8,8,8", *args, "--dt", 0.02, "--out", tmp_path / "sw") == 2
+        assert "tbar = 0.05 is not an integer multiple of dt = 0.02" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_rows_and_simulate_solve_no_trace_term(self, tmp_path, monkeypatch):
+        # the TLBT rows and simulate read eps alone; bound adds the traces
+        import tlbt.bounds
+
+        calls = []
+        for name in ("_mixed_core", "_reduced_gramian"):
+            def counted(*args, _name=name, _fn=getattr(tlbt.bounds, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(tlbt.bounds, name, counted)
+        common = ("--model", "gen:8,8,8", "--tbar", 0.4)
+        assert run_cli("sweep", *common, "--axis", "r", "--values", "2,3,4", "--out", tmp_path / "sw") == 0
+        assert all(row["status"] == "ok" for row in read_sweep(tmp_path / "sw" / "sweep.csv"))
+        assert run_cli("simulate", *common, "--order", 2, "--out", tmp_path / "sim") == 0
+        assert calls == []
+        assert run_cli("bound", *common, "--order", 2, "--out", tmp_path / "b") == 0
+        assert sorted(calls) == ["_mixed_core", "_reduced_gramian"]
+
     def test_many_workers_match_serial_run(self, tmp_path):
         args = ("sweep", "--model", "gen:8,8,8", "--order", 2, "--axis", "tbar",
                 "--values", "0.2,0.4,-1,0.4,0.8,0.2")

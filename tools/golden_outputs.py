@@ -21,7 +21,7 @@ The runs, at tbar = 0.05 unless said otherwise:
 - the README's ``simulate`` on gen:50,7,6 (order 6, star input, to
   tend = 0.2);
 - the README's sweep over r = 1..20 on gen:50,7,6 with the star input
-  and 2 workers.
+  and 2 workers, and its sweep over tbar = 0.02, 0.05, 0.1 at order 6.
 
 Each run writes to OUTDIR/<model>/<command>, and its printed output
 and exit status go to OUTDIR/status.txt. Paths are given relative to
@@ -104,6 +104,8 @@ def main(outdir: str) -> int:
         run(status, "sweep", "--model", "gen:50,7,6", "--tbar", TBAR, "--axis", "r",
             "--values", ",".join(map(str, range(1, 21))), "--input", "star", "--jobs", 2,
             "--out", "gen-50/sweep")
+        run(status, "sweep", "--model", "gen:50,7,6", "--axis", "tbar", "--values", "0.02,0.05,0.1",
+            "--order", 6, "--input", "star", "--jobs", 2, "--out", "gen-50/tbar-sweep")
     return 0
 
 
