@@ -3,8 +3,11 @@ simulation, and the r / tbar / tau experiment sweeps.
 
 Artifacts are CSV and JSON files written atomically (write to a
 temporary file in the destination directory, then rename), so a crashed
-run never leaves a torn file. Numeric CSV fields use 17 significant
-digits and parse back to the in-memory float64 values.
+run never leaves a torn file. Every CSV file is built by ``_csv``: a
+header line, then one line per row, fields separated by ", ". Numeric
+CSV fields use 17 significant digits and parse back to the in-memory
+float64 values. Tables read by ``--input table:path`` are ASCII, and a
+non-ASCII byte is refused with the path and line number.
 
 Subcommands
 -----------
@@ -42,13 +45,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _atomic_write(path: str, content) -> None:
+def _csv(header, rows) -> str:
+    """CSV text of the field names ``header`` and then the ``rows``, each
+    line's fields separated by ", "."""
+    return "".join(", ".join(fields) + "\n" for fields in [header, *rows])
+
+
+def _atomic_write(path: str, content) -> str:
     """Write ``path`` through a temporary file in the destination
-    directory, renamed into place. ``content`` is a str, written as
-    ASCII text; a dict, written as indented JSON with sorted keys; or a
-    callable ``write(tmp)`` that writes the temporary file itself. The
-    temporary file is created with mode 0o666 less the umask, as
-    ``open(path, "w")`` would create ``path`` itself."""
+    directory, renamed into place; ``path``. ``content`` is a str,
+    written as ASCII text; a dict, written as indented JSON with sorted
+    keys; or a callable ``write(tmp)`` that writes the temporary file
+    itself. The temporary file is created with mode 0o666 less the
+    umask, as ``open(path, "w")`` would create ``path`` itself."""
     if isinstance(content, dict):
         content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
@@ -65,6 +74,7 @@ def _atomic_write(path: str, content) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
 
 
 def parse_model(spec: str):
@@ -104,19 +114,24 @@ def parse_input(spec: str, m: int) -> InputSignal:
         if not os.path.exists(path):
             raise FileNotFoundError(f"input table not found: {path}")
         rows, header = [], False
-        with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line = line.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: non-ASCII byte 0x{line[exc.start]:02x}; "
+                                 "input tables are ASCII") from None
+            if not line:
+                continue
+            try:
+                rows.append([float(s) for s in line.split(",")])
+            except ValueError:
+                # a first non-blank line with letters that is not a number row is a header
+                if not (rows or header) and any(c.isalpha() for c in line):
+                    header = True
                     continue
-                try:
-                    rows.append([float(s) for s in line.split(",")])
-                except ValueError:
-                    # a first non-blank line with letters that is not a number row is a header
-                    if not (rows or header) and any(c.isalpha() for c in line):
-                        header = True
-                        continue
-                    raise ValueError(f"{path}:{lineno}: non-numeric table row") from None
+                raise ValueError(f"{path}:{lineno}: non-numeric table row") from None
         if not rows:
             raise ValueError(f"input table {path} has no data rows")
         table = np.array(rows)
@@ -128,13 +143,18 @@ def parse_input(spec: str, m: int) -> InputSignal:
     raise ValueError(f"unknown input spec {spec!r}; use const:c, star, zero, or table:path")
 
 
-def _reduce_pipeline(cfg: ExperimentConfig):
-    """Shared front half of reduce/bound/simulate: model, Gramians,
-    balancing, order choice, truncation."""
+def _checked_model(cfg: ExperimentConfig):
+    """The model of reduce/bound/simulate, parsed once the config has
+    its order control and its horizon."""
     cfg.require_order_control()
     if cfg.tbar is None:
         raise ValueError("tbar is required")
-    system = parse_model(cfg.model)
+    return parse_model(cfg.model)
+
+
+def _reduce_pipeline(cfg: ExperimentConfig, system):
+    """Shared middle of reduce/bound/simulate: Gramians, balancing,
+    order choice, truncation."""
     gramians = time_limited_gramians(system, cfg.tbar)
     bal = balance(gramians, system)
     if cfg.r is not None:
@@ -142,7 +162,7 @@ def _reduce_pipeline(cfg: ExperimentConfig):
     else:
         r = select_order(bal.singular_values, cfg.tau)
     rom = truncate(system, bal.reduce_to(r))
-    return system, gramians, bal, r, rom
+    return gramians, bal, r, rom
 
 
 def _write_model(out: str, prefix: str, roles, comment) -> list[str]:
@@ -153,10 +173,9 @@ def _write_model(out: str, prefix: str, roles, comment) -> list[str]:
     files, manifest = [], {}
     for role, mat in roles:
         manifest[role] = f"{prefix}{role}.mtx"
-        files.append(os.path.join(out, manifest[role]))
-        _atomic_write(files[-1], lambda tmp: write_matrix(tmp, mat, comment(role)))
-    files.append(os.path.join(out, prefix + "manifest.json"))
-    _atomic_write(files[-1], manifest)
+        files.append(_atomic_write(os.path.join(out, manifest[role]),
+                                   lambda tmp: write_matrix(tmp, mat, comment(role))))
+    files.append(_atomic_write(os.path.join(out, prefix + "manifest.json"), manifest))
     return files
 
 
@@ -164,12 +183,8 @@ def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
     sigma = bal.singular_values
     files = _write_model(out, "rom_", (("A", rom.A11), ("B", rom.B1), ("C", rom.C1)),
                          lambda role: f"order-{rom.r} reduced model, horizon {_fmt(rom.horizon)}")
-    lines = ["i, sigma"]
-    for i, s in enumerate(sigma, start=1):
-        lines.append(f"{i}, {_fmt(s)}")
-    path = os.path.join(out, "singular_values.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    files.append(path)
+    rows = ((str(i), _fmt(s)) for i, s in enumerate(sigma, start=1))
+    files.append(_atomic_write(os.path.join(out, "singular_values.csv"), _csv(("i", "sigma"), rows)))
     summary = {
         "n": system.n,
         "m": system.m,
@@ -179,9 +194,7 @@ def _write_rom(out: str, rom, bal, system, cfg: ExperimentConfig) -> list[str]:
         "n_hat": bal.n_hat,
         "sigma_tail_sum": float(np.sum(sigma[rom.r:])),
     }
-    path = os.path.join(out, "summary.json")
-    _atomic_write(path, summary)
-    files.append(path)
+    files.append(_atomic_write(os.path.join(out, "summary.json"), summary))
     return files
 
 
@@ -195,13 +208,15 @@ def cmd_gen_model(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_reduce(cfg: ExperimentConfig) -> list[str]:
-    system, _, bal, _, rom = _reduce_pipeline(cfg)
+    system = _checked_model(cfg)
+    _, bal, _, rom = _reduce_pipeline(cfg, system)
     os.makedirs(cfg.out, exist_ok=True)
     return _write_rom(cfg.out, rom, bal, system, cfg)
 
 
 def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
-    system, gramians, bal, r, rom = _reduce_pipeline(cfg)
+    system = _checked_model(cfg)
+    gramians, bal, r, rom = _reduce_pipeline(cfg, system)
     report = tlbt_h2_bound(system, rom, gramians, cfg.tbar)
     data = report.to_dict()
     if verify:
@@ -214,9 +229,7 @@ def cmd_bound(cfg: ExperimentConfig, verify: bool = False) -> list[str]:
         trace = report.term_cpc + report.term_cprc - 2.0 * report.term_cpmc
         data["representation_discrepancy"] = abs(alt.epsilon_squared - trace)
     os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "bound.json")
-    _atomic_write(path, data)
-    return [path]
+    return [_atomic_write(os.path.join(cfg.out, "bound.json"), data)]
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
@@ -229,8 +242,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     # both grids, before any work: the input norm is taken on [0, tbar]
     _grid_steps(cfg.tbar, dt, "tbar")
     _grid_steps(tend, dt, "tend")
-    system, _, _, r, rom = _reduce_pipeline(cfg)
+    # the model and the input too, before any Gramian work
+    system = _checked_model(cfg)
     u = parse_input(cfg.input, system.m)
+    _, _, r, rom = _reduce_pipeline(cfg, system)
     full = simulate(system, u, tend, dt)
     reduced = simulate(rom, u, tend, dt)
     err, max_tbar, max_total = output_error(full, reduced, cfg.tbar)
@@ -238,17 +253,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     unorm = input_l2_norm(u, cfg.tbar, dt)
     level = epsilon * unorm
     os.makedirs(cfg.out, exist_ok=True)
-    files = []
-    for name, traj in (("y_full.csv", full), ("y_reduced.csv", reduced)):
-        path = os.path.join(cfg.out, name)
-        _atomic_write(path, traj.save_csv)
-        files.append(path)
-    lines = ["t, err, bound_level"]
-    for t, e in zip(full.times, err):
-        lines.append(f"{_fmt(t)}, {_fmt(e)}, {_fmt(level)}")
-    path = os.path.join(cfg.out, "error.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    files.append(path)
+    files = [_atomic_write(os.path.join(cfg.out, name), traj.save_csv)
+             for name, traj in (("y_full.csv", full), ("y_reduced.csv", reduced))]
+    rows = ((_fmt(t), _fmt(e), _fmt(level)) for t, e in zip(full.times, err))
+    files.append(_atomic_write(os.path.join(cfg.out, "error.csv"), _csv(("t", "err", "bound_level"), rows)))
     data = {
         "max_error_tbar": max_tbar,
         "max_error_total": max_total,
@@ -260,9 +268,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
         "dt": dt,
         "r": r,
     }
-    path = os.path.join(cfg.out, "max_error.json")
-    _atomic_write(path, data)
-    files.append(path)
+    files.append(_atomic_write(os.path.join(cfg.out, "max_error.json"), data))
     return files
 
 
@@ -337,15 +343,11 @@ def cmd_sweep(cfg: ExperimentConfig, axis: str, values, jobs: int = 1) -> list[s
             _grid_steps(tbar, cfg.dt, "tbar")
     rows = _sweep_rows(cfg, axis, values, jobs)
     os.makedirs(cfg.out, exist_ok=True)
-    lines = ["value, method, r, max_error_tbar, bound_level, status"]
     for row in rows:
-        value = row["value"]
-        vtxt = str(value) if axis == "r" else _fmt(value)
-        lines.append(", ".join([vtxt, row["method"], str(row["r"]),
-                                row["max_error_tbar"], row["bound_level"], row["status"]]))
-    path = os.path.join(cfg.out, "sweep.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return [path]
+        row["value"] = str(row["value"]) if axis == "r" else _fmt(row["value"])
+    header = ("value", "method", "r", "max_error_tbar", "bound_level", "status")
+    return [_atomic_write(os.path.join(cfg.out, "sweep.csv"),
+                          _csv(header, ([str(row[k]) for k in header] for row in rows)))]
 
 
 @functools.cache

@@ -2,7 +2,12 @@
 
 Supports the ``array`` and ``coordinate`` formats with ``general`` or
 ``symmetric`` symmetry, which covers the benchmark collections this
-toolkit ingests. Parse errors report the 1-based line number.
+toolkit ingests. Parse errors report the 1-based line number. One loop
+checks the header's format, field and symmetry against their allowed
+values, and one parser (``_size``) reads and checks the size line of
+either format: "rows cols" of an array, "rows cols nnz" of a coordinate
+matrix. ``write_matrix`` refuses what ``read_matrix`` would refuse
+through ``linalg.as_matrix``, the check every matrix input shares.
 
 An ``array`` data block of plain decimal numbers (digits, signs,
 points, exponents and whitespace alone) is read in one vectorized pass
@@ -21,10 +26,15 @@ import re
 
 import numpy as np
 
+from .linalg import as_matrix
+
 __all__ = ["read_matrix", "write_matrix"]
 
-_FIELDS = {"real", "integer"}
-_SYMMETRIES = {"general", "symmetric"}
+# the header's words after "matrix" and the values each may take
+_HEADER = (("format", ("array", "coordinate")), ("field", ("real", "integer")),
+           ("symmetry", ("general", "symmetric")))
+# the size line of each format
+_SIZE = {"array": "rows cols", "coordinate": "rows cols nnz"}
 
 # the ASCII line boundaries of str.splitlines, so that line numbers agree with it
 _EOL = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e]")
@@ -89,13 +99,10 @@ def read_matrix(path) -> np.ndarray:
     header = first[1].split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         _fail(path, 1, f"expected '%%MatrixMarket matrix <format> <field> <symmetry>', got {first[1]!r}")
-    layout, field, symmetry = header[2].lower(), header[3].lower(), header[4].lower()
-    if layout not in ("array", "coordinate"):
-        _fail(path, 1, f"unsupported format {layout!r} (only 'array' and 'coordinate')")
-    if field not in _FIELDS:
-        _fail(path, 1, f"unsupported field {field!r} (only 'real' and 'integer')")
-    if symmetry not in _SYMMETRIES:
-        _fail(path, 1, f"unsupported symmetry {symmetry!r} (only 'general' and 'symmetric')")
+    layout, field, symmetry = (word.lower() for word in header[2:])
+    for (what, allowed), word in zip(_HEADER, (layout, field, symmetry)):
+        if word not in allowed:
+            _fail(path, 1, f"unsupported {what} {word!r} (only {' and '.join(map(repr, allowed))})")
 
     # skip comments, locate the size line
     lineno = 1
@@ -104,34 +111,32 @@ def read_matrix(path) -> np.ndarray:
             break
     else:
         _fail(path, lineno, "missing size line")
-    size = line.split()
+    size = _size(path, lineno, line, layout, symmetry)
     if layout == "array":
-        if len(size) != 2:
-            _fail(path, lineno, f"array size line must be 'rows cols', got {line!r}")
-        try:
-            n, m = int(size[0]), int(size[1])
-        except ValueError:
-            _fail(path, lineno, f"non-integer dimensions in {line!r}")
-        if n < 1 or m < 1:
-            _fail(path, lineno, f"dimensions must be positive, got {n} x {m}")
-        if symmetry == "symmetric" and n != m:
-            _fail(path, lineno, "symmetric matrices must be square")
-        out = _read_array(path, raw, text, start, lineno, n, m, symmetry)
+        out = _read_array(path, raw, text, start, lineno, *size, symmetry)
     else:
-        if len(size) != 3:
-            _fail(path, lineno, f"coordinate size line must be 'rows cols nnz', got {line!r}")
-        try:
-            n, m, nnz = int(size[0]), int(size[1]), int(size[2])
-        except ValueError:
-            _fail(path, lineno, f"non-integer dimensions in {line!r}")
-        if n < 1 or m < 1 or nnz < 0:
-            _fail(path, lineno, f"bad dimensions {n} x {m} with {nnz} entries")
-        if symmetry == "symmetric" and n != m:
-            _fail(path, lineno, "symmetric matrices must be square")
-        out = _read_coordinate(path, text, start, lineno, n, m, nnz, symmetry)
+        out = _read_coordinate(path, text, start, lineno, *size, symmetry)
     if not np.all(np.isfinite(out)):
         raise MatrixMarketError(f"{path}: matrix contains non-finite values")
     return out
+
+
+def _size(path, lineno, line, layout, symmetry):
+    """The integers of the size line ``line``: rows and cols of an
+    array, rows, cols and nnz of a coordinate matrix."""
+    names, size = _SIZE[layout], line.split()
+    if len(size) != len(names.split()):
+        _fail(path, lineno, f"{layout} size line must be {names!r}, got {line!r}")
+    try:
+        size = [int(word) for word in size]
+    except ValueError:
+        _fail(path, lineno, f"non-integer dimensions in {line!r}")
+    n, m, *nnz = size
+    if n < 1 or m < 1 or any(k < 0 for k in nnz):
+        _fail(path, lineno, f"bad dimensions in {line!r}")
+    if symmetry == "symmetric" and n != m:
+        _fail(path, lineno, "symmetric matrices must be square")
+    return size
 
 
 def _data_lines(text, start, lineno):
@@ -308,16 +313,11 @@ def write_matrix(path, a, comment: str | None = None) -> None:
     to the original float64 values. Non-ASCII characters of ``comment``
     are written as backslash escapes. A matrix that ``read_matrix`` would
     refuse (empty or non-finite) raises ``ValueError`` before the file is
-    opened.
+    opened: ``linalg.as_matrix`` checks it, as it checks every matrix the
+    package takes.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    a = as_matrix(a)
     n, m = a.shape
-    if n < 1 or m < 1:
-        raise ValueError(f"expected at least one row and one column, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite values")
     head = ["%%MatrixMarket matrix array real general\n"]
     if comment:
         comment = comment.encode("ascii", "backslashreplace").decode("ascii")

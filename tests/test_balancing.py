@@ -398,3 +398,11 @@ class TestSelectOrder:
         assert 1 <= r_loose <= r_tight <= sigma.size
         # the selected order's discarded tail really is within tau
         assert np.sum(sigma[r_tight:]) <= tau
+
+
+def test_gramian_factors_of_zero_product_refused():
+    # P lives on e1 and Q on e2: both factors have rank one, and their product is 0
+    sys = StateSpaceSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match="all singular values are numerically zero") as info:
+        balance(time_limited_gramians(sys, 1.0), sys)
+    assert type(info.value) is ValueError

@@ -523,3 +523,21 @@ def test_bound_radicand_never_significantly_negative(m, p, n, seed):
         assume(False)
     assert report.epsilon >= 0.0
     assert np.isfinite(report.epsilon)
+
+
+def _rom_of_a_larger_model():
+    # order 5 of an n = 6 model, against an n = 4 model of the same m and p
+    big = generate_heat_model(6, 1, 1)
+    return truncate(big, balance(time_limited_gramians(big, 0.5), big).reduce_to(5))
+
+
+@pytest.mark.parametrize("route", ["report", "epsilon"])
+def test_reduced_order_above_the_system_dimension_rejected(route):
+    small = generate_heat_model(4, 1, 1)
+    rom = _rom_of_a_larger_model()
+    with pytest.raises(DimensionError, match=re.escape("reduced order 5 exceeds the system dimension 4")) as info:
+        if route == "report":
+            tlbt_h2_bound(small, rom, time_limited_gramians(small, 0.5), 0.5)
+        else:
+            tlbt.bounds._epsilon(small, rom, 0.5)
+    assert type(info.value) is DimensionError

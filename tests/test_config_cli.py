@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import sys
 
 import numpy as np
 import pytest
 
+import tlbt.cli
 from conftest import fem_rod
 from oracles import exact_hankel_values
 from tlbt.balancing import balance, select_order, truncate
@@ -343,6 +345,79 @@ class TestSimulate:
         value = tbar if name == "tbar" else tend
         assert f"{name} = {value} is not an integer multiple of dt = 0.02" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("table, fragment", [
+        ("t, u\n0, 1\n1, 2 # caf\u00e9\n", "u.csv:3: non-ASCII byte 0xc3; input tables are ASCII"),
+        ("0, 1, 2\n1, 2, 3\n", "has 2 channels but the model has m = 1"),
+    ], ids=["non-ascii", "channels"])
+    def test_input_read_before_any_gramian_work(self, tmp_path, capsys, monkeypatch, table, fragment):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(tlbt.cli, "time_limited_gramians", refuse)
+        path = tmp_path / "u.csv"
+        path.write_bytes(table.encode("utf-8"))
+        assert run_cli("simulate", "--model", "gen:8,1,1", "--tbar", 0.5, "--order", 2,
+                       "--input", f"table:{path}", "--out", tmp_path / "sim") == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+
+def _table(tmp_path, text):
+    path = tmp_path / "u.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return f"table:{path}"
+
+
+def _args(tmp_path, *argv, config=None):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ("--config", str(tmp_path / "cfg.json"))
+    return tlbt.cli._config_from_args(tlbt.cli._build_parser().parse_args(["reduce", *argv]))
+
+
+def _cmd(name, *args, **cfg):
+    return getattr(tlbt.cli, name)(ExperimentConfig("gen:4,1,1", **cfg), *args)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda tmp: parse_input("const:1,x", 2), ValueError, "input spec 'const:1,x' has non-numeric values"),
+    (lambda tmp: parse_input(f"table:{tmp / 'none.csv'}", 2), FileNotFoundError, "input table not found"),
+    (lambda tmp: parse_input(_table(tmp, "t, u_1, u_2\n\n"), 2), ValueError, "u.csv has no data rows"),
+    (lambda tmp: parse_input(_table(tmp, "0, 1\n1, 2\n"), 2), ValueError,
+     "u.csv has 1 channels but the model has m = 2"),
+    (lambda tmp: parse_input(_table(tmp, "0, 1\n\n1, \u00b5\n"), 1), ValueError,
+     "u.csv:3: non-ASCII byte 0xc2; input tables are ASCII"),
+    (lambda tmp: _cmd("cmd_reduce", r=2), ValueError, "tbar is required"),
+    (lambda tmp: _cmd("cmd_simulate", r=2), ValueError, "tbar is required"),
+    (lambda tmp: _cmd("cmd_sweep", "q", [1], tbar=1.0), ValueError, "axis must be one of r, tbar, tau; got 'q'"),
+    (lambda tmp: _cmd("cmd_sweep", "r", [], tbar=1.0), ValueError, "sweep values must be nonempty"),
+    (lambda tmp: _args(tmp, config=[1]), ValueError, "cfg.json must hold a JSON object"),
+    (lambda tmp: _args(tmp, "--tbar", "1"), ValueError, "--model (or a config file with one) is required"),
+])
+def test_refusal_names_its_fault(tmp_path, call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call(tmp_path)
+    assert type(info.value) is exc
+
+
+@pytest.mark.parametrize("existing", [None, "the old file\n"])
+def test_atomic_write_leaves_no_torn_file_when_the_writer_fails(tmp_path, existing):
+    target = tmp_path / "rom_A.mtx"
+    if existing is not None:
+        target.write_text(existing)
+
+    def torn(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n2 2\n")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        tlbt.cli._atomic_write(str(target), torn)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["rom_A.mtx"])
+    assert not list(tmp_path.glob(".tmp-*~"))
+    if existing is not None:
+        assert target.read_text() == existing
 
 
 def test_artifacts_get_the_mode_open_would_give(tmp_path):

@@ -457,3 +457,18 @@ def test_mesh_samples_of_a_stiff_transport_operator():
                 want_energy += roots[run, node] ** 2 * np.sum(block**2)
         assert np.max(np.abs(samples - want)) <= 1e-12 * np.max(np.abs(want))
     assert got[2] == pytest.approx(want_energy, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: tlbt.linalg.as_matrix(np.ones(3), "B"), DimensionError, "B must be 2-dimensional, got shape (3,)"),
+    (lambda: tlbt.linalg.as_matrix(np.zeros((0, 2)), "C"), DimensionError,
+     "C must have at least one row and one column, got shape (0, 2)"),
+    (lambda: tlbt.linalg.as_matrix([[1.0, math.inf]], "E"), ValueError, "E contains non-finite entries"),
+    (lambda: expm(-np.eye(2), math.nan), ValueError, "t must be finite, got nan"),
+    (lambda: tlbt.linalg._mesh_exponentials(np.array([[1e4]]), 1e3, 0), OverflowError,
+     "matrix exponential overflowed on the kernel mesh (tbar = 1000)"),
+])
+def test_refusal_names_its_fault(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

@@ -346,9 +346,46 @@ def test_non_ascii_comment_is_escaped(tmp_path):
     assert read_matrix(path).tolist() == [[1.0]]
 
 
-@pytest.mark.parametrize("bad", [[[1.0, np.nan]], [[np.inf]], np.zeros((0, 3)), np.zeros((3, 0))])
+@pytest.mark.parametrize("bad", [[[1.0, np.nan]], [[np.inf]], np.zeros((0, 3)), np.zeros((3, 0)),
+                                 [1.0, 2.0], 3.0, np.ones((1, 1, 1))])
 def test_write_refuses_what_read_refuses_before_opening(tmp_path, bad):
     path = tmp_path / "bad.mtx"
     with pytest.raises(ValueError):
         write_matrix(path, bad)
     assert not path.exists()
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+
+REFUSALS = [
+    ("", 1, "empty file"),
+    ("%%MatrixMarket matrix vector real general\n1 1\n1\n", 1,
+     "unsupported format 'vector' (only 'array' and 'coordinate')"),
+    ("%%MatrixMarket matrix array complex general\n1 1\n1\n", 1,
+     "unsupported field 'complex' (only 'real' and 'integer')"),
+    ("%%MatrixMarket matrix array real hermitian\n1 1\n1\n", 1,
+     "unsupported symmetry 'hermitian' (only 'general' and 'symmetric')"),
+    (ARRAY + "% a comment and no size line\n\n", 3, "missing size line"),
+    # the size lines of both formats, through the one parser
+    (ARRAY + "2 2 4\n", 2, "array size line must be 'rows cols', got '2 2 4'"),
+    (COORDINATE + "2 2\n", 2, "coordinate size line must be 'rows cols nnz', got '2 2'"),
+    (ARRAY + "2 x\n", 2, "non-integer dimensions in '2 x'"),
+    (COORDINATE + "% c\n2 2 1.5\n", 3, "non-integer dimensions in '2 2 1.5'"),
+    (ARRAY + "0 3\n", 2, "bad dimensions in '0 3'"),
+    (COORDINATE + "3 0 0\n", 2, "bad dimensions in '3 0 0'"),
+    (COORDINATE + "3 3 -1\n", 2, "bad dimensions in '3 3 -1'"),
+    ("%%MatrixMarket matrix array real symmetric\n2 3\n", 2, "symmetric matrices must be square"),
+    ("%%MatrixMarket matrix coordinate real symmetric\n3 2 0\n", 2, "symmetric matrices must be square"),
+    (COORDINATE + "2 2 1\n1 1\n", 3, "coordinate entry must be 'i j value', got '1 1'"),
+    (COORDINATE + "2 2 1\n1 x 1\n", 3, "could not parse entry '1 x 1'"),
+    (COORDINATE + "2 2 2\n1 1 1\n", 3, "header declares 2 entries, found 1"),
+]
+
+
+@pytest.mark.parametrize("text, lineno, fragment", REFUSALS, ids=[fragment for *_, fragment in REFUSALS])
+def test_refusal_names_the_line_and_the_fault(tmp_path, text, lineno, fragment):
+    path = write(tmp_path, text)
+    with pytest.raises(MatrixMarketError, match=re.escape(f"{path}:{lineno}: {fragment}")):
+        read_matrix(path)

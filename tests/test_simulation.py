@@ -1,4 +1,5 @@
 import math
+import re
 import sys as sys_module
 import threading
 import tracemalloc
@@ -488,3 +489,17 @@ class TestTrajectoryCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], times)
         assert np.array_equal(data[:, 1:], outputs)
+
+
+def _trajectory():
+    return simulate(generate_heat_model(4, 1, 1), InputSignal.constant([1.0]), 0.1, 0.025)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: simulate(-np.eye(2), InputSignal.constant([1.0]), 0.1, 0.025), TypeError, "cannot simulate a ndarray"),
+    (lambda: output_error(_trajectory(), _trajectory(), -0.5), ValueError, "no grid point lies in [0, tbar = -0.5]"),
+])
+def test_refusal_names_its_fault(call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is exc

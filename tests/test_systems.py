@@ -1,7 +1,10 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys as sys_module
 from pathlib import Path
 
 import numpy as np
@@ -810,3 +813,47 @@ def test_only_the_operator_record_knows_how_a_is_factored(module):
         else:
             continue
         assert name not in forbidden, f"{module.__name__}:{getattr(node, 'lineno', '?')} names {name}"
+
+
+def _manifest(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda tmp: StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 3))), DimensionError,
+     "C has 3 columns but A is 2 x 2"),
+    (lambda tmp: StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), E=np.eye(3)), DimensionError,
+     "E must have shape (2, 2) to match A, got (3, 3)"),
+    (lambda tmp: tlbt.systems._SineBasis(np.arange(4), np.ones(4)) @ np.ones(3), ValueError,
+     "sine basis of order 4 cannot multiply an operand of shape (3,)"),
+    (lambda tmp: tlbt.systems._SineBasis(np.arange(4), np.ones(4)).T @ np.float64(1.0), ValueError,
+     "sine basis of order 4 cannot multiply an operand of shape ()"),
+    (lambda tmp: load_system(_manifest(tmp, "{")), ValueError, "manifest.json: invalid JSON manifest"),
+    (lambda tmp: load_system(_manifest(tmp, "[1]")), ValueError,
+     "manifest must be a JSON object mapping roles to file paths"),
+    (lambda tmp: load_system(_manifest(tmp, '{"A": "a.mtx", "B": "b.mtx", "C": "c.mtx"}')), FileNotFoundError,
+     "matrix file for role 'A' not found"),
+    # a table of one channel may be given as a vector of values
+    (lambda tmp: InputSignal.from_table([0.0, 1.0, 2.0], [1.0, 2.0]), ValueError,
+     "values must have one row of values per timestamp and 1 columns, got shape (2, 1) for 3 timestamps"),
+])
+def test_refusal_names_its_fault(tmp_path, call, exc, fragment):
+    with pytest.raises(exc, match=re.escape(fragment)) as info:
+        call(tmp_path)
+    assert type(info.value) is exc
+
+
+def test_package_import_loads_no_scipy_subpackage_but_linalg():
+    # scipy.fft's DST-I would do _dst1's work, but importing it adds to
+    # every command's start-up time and resident memory
+    script = ("import sys, tlbt, tlbt.cli\n"
+              "print(*sorted(name for name, mod in sys.modules.items() if name.count('.') == 1\n"
+              "              and name.startswith('scipy.') and not name.startswith('scipy._')\n"
+              "              and hasattr(mod, '__path__')))\n")
+    # the subprocess imports tlbt from where this run does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys_module.path if p))
+    out = subprocess.run([sys_module.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["scipy.linalg"]

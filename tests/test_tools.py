@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +50,35 @@ def test_compare_outputs_fails_on_structure(tmp_path):
     assert lines["only.txt"].startswith("STRUCTURE DIFFERS")
     # the 800 of gen-800 is a number, so a model of another order is not a structural change
     assert lines["name.txt"] == "max relative difference 0.5 over 1 numbers at gen-"
+
+
+def _count_lines_module():
+    spec = importlib.util.spec_from_file_location("count_lines", COMPARE.parent / "count_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks_and_count_continuations():
+    snippet = ('"""Module docstring,\n'
+               'two lines."""\n'
+               "# a comment\n"
+               "\n"
+               "def f(x):\n"
+               '    """f\'s docstring."""\n'
+               "    total = (x +\n"
+               "             1)  # a comment after code\n"
+               "    return total \\\n"
+               "        * 2\n")
+    # def, the two lines of the parenthesized sum and the two of the return
+    assert _count_lines_module().code_lines(snippet) == 5
+
+
+def test_count_lines_prints_each_module_under_the_total():
+    done = subprocess.run([sys.executable, str(COMPARE.parent / "count_lines.py"), str(COMPARE.parents[1])],
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.endswith(" code lines"))
+    modules = {name: int(count) for count, name in (line.split() for line in lines[at + 1:])}
+    assert set(modules) == {p.name for p in (COMPARE.parents[1] / "src" / "tlbt").glob("*.py")}
+    assert sum(modules.values()) == int(lines[at].split()[0])

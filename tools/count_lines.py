@@ -1,5 +1,5 @@
 """Print the size of the package source: ``wc -l src/tlbt/*.py``, then
-its code lines.
+its code lines, in total and under it module by module.
 
 A code line holds at least one token that is not a comment or a line
 break; lines of a docstring (the leading string of a module, class or
@@ -40,8 +40,10 @@ def code_lines(text: str) -> int:
 def main(root: Path) -> int:
     files = sorted((root / "src" / "tlbt").glob("*.py"))
     subprocess.run(["wc", "-l", *map(str, files)], check=True)
-    total = sum(code_lines(path.read_text(encoding="utf-8")) for path in files)
-    print(f"{total} code lines")
+    counts = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in files}
+    print(f"{sum(counts.values())} code lines")
+    for name, count in counts.items():
+        print(f"{count:6d} {name}")
     return 0
 
 
