@@ -14,9 +14,11 @@ points, exponents and whitespace alone) is read in one vectorized pass
 over its bytes, viewed in the file's bytes at the block's offset. The
 tokens that are exactly ``0`` or ``-0``, most of a banded operator's
 dense file, become +0.0 and -0.0 there and never reach
-``np.fromstring``; one ``np.fromstring`` reads the others as Python's
-``float`` does and raises on a malformed one. Any other block, or one
-whose count is wrong, is split and converted by one ``np.array(tokens,
+``np.fromstring``: it is handed the other tokens alone, each with the
+blanks after it, gathered end to end into one compact buffer that it
+reads as Python's ``float`` does, raising on a malformed token. A block
+without a zero token goes to it whole. Any other block, or one whose
+count is wrong, is split and converted by one ``np.array(tokens,
 dtype=np.float64)``; only when that fails too is the block scanned again
 line by line to name the line at fault.
 """
@@ -184,13 +186,17 @@ def _plain_values(raw, start, count):
     bytes ``raw`` from offset ``start`` on; None for any other block, for
     a malformed number and for a wrong count.
 
-    One vectorized pass over the block's bytes finds its tokens. Those
-    that are exactly ``0`` or ``-0`` are read as +0.0 and -0.0 and blanked;
-    one ``np.fromstring`` reads the rest, so every value is bitwise the
-    one that np.fromstring gives (``+0``, ``00`` or ``0.0`` go to it too).
-    np.fromstring reads a blank block as [-1.0], so it is never handed
-    one: an empty or blank block is not plain, and a block of zero tokens
-    alone makes no call.
+    A block in which no "0" ends a token goes whole to one
+    ``np.fromstring``. In any other, vectorized byte tests find the start
+    of each token and code it: the tokens that are exactly ``0`` or
+    ``-0`` are read as +0.0 and -0.0, and the bytes of the rest, each
+    token with the blanks up to the next one, are gathered into one
+    compact buffer for one ``np.fromstring``. So it scans the nonzero
+    tokens and a separator each, not the block, and every value is
+    bitwise the one that np.fromstring gives (``+0``, ``00`` or ``0.0``
+    go to it too). np.fromstring reads a blank block as [-1.0], so it is
+    never handed one: an empty or blank block is not plain, and a block
+    of zero tokens alone makes no call.
     """
     if not _FROMSTRING_RAISES or _NONBLANK.search(raw, start) is None:
         return None
@@ -202,30 +208,33 @@ def _plain_values(raw, start, count):
         return _fromstring(raw[start:], count)
     # of the plain bytes, the whitespace ones are those up to b" "
     blank = b <= 32
-    # each "0" that ends a token
-    zero = b == 48
-    zero[:-1] &= blank[1:]
     # the first byte of each token
     first = ~blank
     first[1:] &= blank[:-1]
     starts = np.flatnonzero(first)
     if starts.size != count:
         return None
-    # the "-" of each "-0" token, then the "0" of each "0" token
-    minus = np.zeros_like(first)
-    minus[:-1] = first[:-1] & (b[:-1] == 45) & zero[1:]
-    zero &= first
-    negative = minus[starts]
-    rest = ~(negative | zero[starts])
+    # code 1 at each "0" that ends a token, 2 at each "-" just before one:
+    # at a token's start, the codes of the tokens "0" and "-0". The two
+    # masks are reused, as each fresh one costs a page fault per 4 KB
+    code = np.equal(b, 48, out=first).view(np.uint8)
+    code[:-1] &= blank[1:]
+    sign = np.equal(b[:-1], 45, out=blank[:-1])
+    sign &= code[1:].view(bool)
+    code[:-1] += sign
+    code[:-1] += sign
+    code = code[starts]
     values = np.zeros(count)
-    values[negative] = -0.0
-    if rest.any():
-        # every byte of the zero tokens becomes a blank
-        zero |= minus
-        zero[1:] |= minus[:-1]
-        kept = b.copy()
-        np.putmask(kept, zero, 32)
-        kept = _fromstring(kept.tobytes(), np.count_nonzero(rest))
+    values[code == 2] = -0.0
+    rest = np.flatnonzero(code == 0)
+    if rest.size:
+        # each other token with the blanks up to the next one (the last
+        # token's run to the block's end), end to end
+        lo, hi = starts[rest], starts.take(rest + 1, mode="clip")
+        hi[rest == count - 1] = b.size
+        size = hi - lo
+        at = np.repeat(lo - (np.cumsum(size) - size), size) + np.arange(size.sum())
+        kept = _fromstring(b[at].tobytes(), rest.size)
         if kept is None:
             return None
         values[rest] = kept
@@ -236,16 +245,15 @@ def _ends_a_zero(b):
     """Whether a "0" of the plain bytes ``b`` ends a token; a block
     without one has no zero token. It is tested slice by slice: masks of
     a whole 3 MB block are mapped afresh on each read, and their page
-    faults cost about as much again as the comparisons."""
-    if b[-1] == 48:
-        return True
+    faults cost about as much again as the comparisons. The last byte,
+    which no blank follows, is tested last."""
     for lo in range(0, b.size - 1, _SLICE):
         part = b[lo:lo + _SLICE + 1]
         zero = part[:-1] == 48
         zero &= part[1:] <= 32
         if zero.any():
             return True
-    return False
+    return bool(b[-1] == 48)
 
 
 def _fromstring(raw, count):

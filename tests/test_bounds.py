@@ -541,3 +541,25 @@ def test_reduced_order_above_the_system_dimension_rejected(route):
         else:
             tlbt.bounds._epsilon(small, rom, 0.5)
     assert type(info.value) is DimensionError
+
+
+@pytest.mark.parametrize("route", ["alt", "infinite"])
+def test_balanced_coordinates_refuse_a_failed_identity_check(route, monkeypatch):
+    # no Gramian pair of full numerical rank was found whose balancing
+    # misses W^T V = I, so balance() is patched: W is scaled by 1 + 1e-6,
+    # which leaves ||W^T V - I||_F = 1e-6 sqrt(n) > 1e-8 sqrt(n)
+    sys = generate_heat_model(8, 1, 1)
+    gramians = time_limited_gramians(sys, 0.5) if route == "alt" else infinite_gramians(sys)
+
+    def skewed(gramians, sys):
+        bal = balance(gramians, sys)
+        v, (x_w, w) = bal._pairs
+        return type(bal)._of(bal.singular_values, bal.horizon, bal.r, v, (x_w, w * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(tlbt.bounds, "balance", skewed)
+    with pytest.raises(ArithmeticError, match=r"balancing failed the identity check: \|\|W\^T V - I\|\|_F") as info:
+        if route == "alt":
+            tlbt_h2_bound_alt(sys, gramians, 2)
+        else:
+            bt_h2_bound_infinite(sys, gramians, 2)
+    assert type(info.value) is ArithmeticError

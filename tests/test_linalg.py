@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
+import tlbt.gramians
 import tlbt.linalg
 from tlbt import generate_heat_model
 from tlbt.balancing import balance
@@ -472,3 +473,14 @@ def test_refusal_names_its_fault(call, exc, fragment):
     with pytest.raises(exc, match=re.escape(fragment)) as info:
         call()
     assert type(info.value) is exc
+
+
+def test_lyapunov_residual_refused_on_a_non_normal_chain():
+    # A = -I + 1000 N (N the shift) has one eigenvalue, -1, so the
+    # separation check passes; its Gramian entries grow like 1000^(2n-2),
+    # and the solve misses its equation by far more than 1e-10
+    n = 6
+    sys = StateSpaceSystem(-np.eye(n) + 1000.0 * np.eye(n, k=1), np.ones((n, 1)), np.ones((1, n)))
+    with pytest.raises(ArithmeticError, match=r"solve_lyapunov: relative residual \S+ exceeds 1e-10") as info:
+        tlbt.gramians.infinite_gramians(sys)
+    assert type(info.value) is ArithmeticError

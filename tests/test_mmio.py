@@ -389,3 +389,67 @@ def test_refusal_names_the_line_and_the_fault(tmp_path, text, lineno, fragment):
     path = write(tmp_path, text)
     with pytest.raises(MatrixMarketError, match=re.escape(f"{path}:{lineno}: {fragment}")):
         read_matrix(path)
+
+
+def test_fromstring_scans_only_the_nonzero_tokens_and_a_separator_each(tmp_path, monkeypatch):
+    # the 400-state FEM rod's mass matrix: a 344,807-byte block of 160,000
+    # tokens, of which np.fromstring is handed only the 1,198 nonzero ones
+    e = fem_rod(400, 7, 6).E
+    path = tmp_path / "E.mtx"
+    write_matrix(path, e)
+    kept = [token for token in path.read_bytes().splitlines()[2:] if token not in (b"0", b"-0")]
+    fromstring, handed = np.fromstring, []
+
+    def spy(text, *args, **kwargs):
+        handed.append(len(text))
+        return fromstring(text, *args, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    out = read_matrix(path)
+    assert np.array_equal(out.view(np.int64), e.view(np.int64))
+    assert len(kept) == 1198 and 0 < sum(handed) <= sum(len(token) + 1 for token in kept)
+
+
+_EDGES = {
+    "tab": b"3 2\n1.5\t0\t-2\t-0\t3e2\t0\n",
+    "crlf": b"3 2\r\n1.5\r\n0\r\n-2\r\n-0\r\n3e2\r\n0\r\n",
+    "vertical-tab": b"3 2\n1.5\v0\v-2\v-0\v3e2\v0\v",
+    "form-feed": b"3 2\n1.5\f0\f-2\f-0\f3e2\f0\f",
+    "blank-runs": b"3 2\n1.5 \t \n  0\n\n\n-2   -0 \t\t3e2\n \n0   \n",
+    "kept-last-newline": b"3 2\n0 -0 0 -0 0 2.5\n",
+    "kept-last-no-newline": b"3 2\n0 -0 0 -0 0 2.5",
+    "kept-after-size-line": b"3 2\n7.25 0 -0 0 -0 0\n",
+    "zero-lookalikes": b"4 3\n+0 0 00 -0 0.0 -0e0\n-0 0.0 0 +0 -0e0 00\n",
+}
+
+
+@pytest.mark.parametrize("body", _EDGES.values(), ids=_EDGES.keys())
+def test_compacted_tokens_read_bitwise_alike_through_both_parsers(tmp_path, monkeypatch, body):
+    # the nonzero tokens reach np.fromstring with the blanks that follow
+    # them; whatever those are, the values are those of the split path
+    import tlbt.mmio
+
+    path = tmp_path / "edge.mtx"
+    path.write_bytes(_HEAD.encode("ascii") + body)
+    n, m = map(int, body.split(maxsplit=2)[:2])
+    expect = np.array([float(token) for token in body.split()[2:]]).reshape(m, n).T
+    plain, taken = tlbt.mmio._plain_values, []
+
+    def spy(*args):
+        taken.append(plain(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(tlbt.mmio, "_plain_values", spy)
+    fast = read_matrix(path)
+    monkeypatch.setattr(tlbt.mmio, "_plain_values", lambda *args: None)
+    split = read_matrix(path)
+    assert taken[0] is not None
+    assert np.array_equal(fast.view(np.int64), expect.view(np.int64))
+    assert np.array_equal(split.view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("token", ["0-", "--0"])
+def test_zero_like_malformed_token_amid_zero_filler_names_its_line(tmp_path, token):
+    path = write(tmp_path, _HEAD + f"2 3\n0 -0\n0\n-0 {token}\n0\n")
+    with pytest.raises(MatrixMarketError, match=re.escape(f":5: could not parse value '{token}'")):
+        read_matrix(path)
